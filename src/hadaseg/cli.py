@@ -42,6 +42,7 @@ from .errors import (
 )
 from .metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
 from .netkit import load_models, save_models, train_cgan
+from .netkit.checkpoint import require_int
 from .netkit.models import HEAD_HADAMARD, HEAD_ONE_HOT
 
 _CONFIG_ERRORS = (ConfigError, CapacityError, ClassIndexError, ShapeError)
@@ -148,9 +149,14 @@ def _predict_label_maps(gen, images: np.ndarray, num_classes: int):
     return [argmax_map(y_hat.value[i], num_classes) for i in range(images.shape[0])]
 
 
+def _load_generator(model_dir):
+    """The generator of a checkpoint and the class count it was trained on."""
+    gen, _, meta = load_models(model_dir)
+    return gen, require_int(meta, "num_classes")
+
+
 def _cmd_eval(args) -> int:
-    gen, _, meta = load_models(args.model)
-    num_classes = int(meta["num_classes"])
+    gen, num_classes = _load_generator(args.model)
     dataset = ingest_index_maps(args.data, num_classes=num_classes)
     if not dataset:
         raise IngestionError(f"{args.data}: no samples found")
@@ -172,8 +178,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    gen, _, meta = load_models(args.model)
-    num_classes = int(meta["num_classes"])
+    gen, num_classes = _load_generator(args.model)
     image = read_image(args.image)
     (label_map,) = _predict_label_maps(gen, image[None], num_classes)
     write_label_map(args.out, label_map)

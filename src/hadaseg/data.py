@@ -123,6 +123,8 @@ def gen_synthetic(
     the dataset is fully determined by ``seed`` and samples could be drawn
     in parallel without changing the result.
     """
+    if count < 1:
+        raise GenerationError(f"sample count must be >= 1, got {count}")
     if size < 16:
         raise GenerationError(f"canvas size must be >= 16, got {size}")
     if num_classes < 2:

@@ -102,12 +102,38 @@ def _check_image(x: Node, op: str) -> None:
         raise ShapeError(f"{op} expects [B, H, W, C] input, got shape {x.value.shape}")
 
 
+def _im2col(padded: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]:
+    """Column matrix of every k x k window of ``padded`` taken at ``stride``.
+
+    Returns the [B * Ho * Wo, k * k * C] matrix, columns ordered (kh, kw, C)
+    to match the kernel layout, and the output height and width.
+    """
+    batch, channels = padded.shape[0], padded.shape[3]
+    windows = sliding_window_view(padded, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    out_h, out_w = windows.shape[1], windows.shape[2]
+    # windows is [B, Ho, Wo, C, k, k].
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        batch * out_h * out_w, k * k * channels
+    )
+    return cols, out_h, out_w
+
+
+def _pad_same(v: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad both spatial axes; 1x1 kernels (pad 0) get ``v`` uncopied."""
+    if pad == 0:
+        return v
+    return np.pad(v, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+
+
 def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     """Same-padded 2-D convolution, stride 1 or 2, odd square kernels.
 
     Layout: input [B, H, W, Cin], kernel [kh, kw, Cin, Cout], bias [Cout].
     Implemented as im2col + one matmul; the column matrix is cached for the
-    weight gradient and scattered back for the input gradient.
+    weight gradient. At stride 1 the input gradient is the same-padded
+    convolution of the output gradient with the flipped kernel, its channel
+    axes swapped: one more im2col + matmul. At stride 2 the column gradient
+    is scattered back tap by tap.
     """
     _check_image(x, "conv2d")
     xv, wv, bv = x.value, w.value, b.value
@@ -125,14 +151,8 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     batch, height, width, cin = xv.shape
     k, _, _, cout = wv.shape
     pad = k // 2
-    xp = np.pad(xv, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    out_h, out_w = windows.shape[1], windows.shape[2]
-    # windows is [B, Ho, Wo, Cin, k, k]; columns ordered (kh, kw, Cin) to
-    # match the kernel layout.
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        batch * out_h * out_w, k * k * cin
-    )
+    xp = _pad_same(xv, pad)
+    cols, out_h, out_w = _im2col(xp, k, stride)
     w_mat = wv.reshape(k * k * cin, cout)
     out = (cols @ w_mat + bv).reshape(batch, out_h, out_w, cout)
 
@@ -140,6 +160,11 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
         g = node.grad.reshape(-1, cout)
         b.grad += node.grad.sum(axis=(0, 1, 2))
         w.grad += (cols.T @ g).reshape(wv.shape)
+        if stride == 1:
+            g_cols, _, _ = _im2col(_pad_same(node.grad, pad), k, 1)
+            w_flip = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
+            x.grad += (g_cols @ w_flip).reshape(xv.shape)
+            return
         dcols = (g @ w_mat.T).reshape(batch, out_h, out_w, k, k, cin)
         dxp = np.zeros_like(xp)
         for i in range(k):

@@ -63,7 +63,12 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     lines = manifest.read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != _HEADER:
         raise FormatError(f"{manifest}: bad header line")
-    raw = np.frombuffer((directory / _TENSORS).read_bytes(), dtype="<f8")
+    blob = (directory / _TENSORS).read_bytes()
+    if len(blob) % 8:
+        raise FormatError(
+            f"{directory / _TENSORS}: {len(blob)} bytes is not a whole number of float64 values"
+        )
+    raw = np.frombuffer(blob, dtype="<f8")
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
     for line in lines[1:]:
@@ -81,6 +86,8 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 raise FormatError(f"{manifest}: bad tensor line {line!r}") from exc
             if len(dims) != ndim or int(np.prod(dims, dtype=np.int64)) != count:
                 raise FormatError(f"{manifest}: inconsistent dims in {line!r}")
+            if offset < 0 or any(d < 0 for d in dims):
+                raise FormatError(f"{manifest}: negative offset or dimension in {line!r}")
             if offset + count > raw.size:
                 raise FormatError(f"{manifest}: {name} overruns the tensor blob")
             tensors[name] = raw[offset : offset + count].reshape(dims).copy()
@@ -113,23 +120,32 @@ def _require(meta: dict[str, str], key: str) -> str:
     return meta[key]
 
 
+def require_int(meta: dict[str, str], key: str) -> int:
+    """The integer value of checkpoint metadata ``key``, or a FormatError."""
+    value = _require(meta, key)
+    try:
+        return int(value)
+    except ValueError:
+        raise FormatError(f"checkpoint metadata {key!r} is not an integer: {value!r}") from None
+
+
 def load_models(directory) -> tuple[Generator, Discriminator, dict[str, str]]:
     """Rebuild both networks from a checkpoint written by save_models."""
     tensors, meta = load_checkpoint(directory)
     gen_cfg = GeneratorConfig(
-        input_channels=int(_require(meta, "gen.input_channels")),
-        depth=int(_require(meta, "gen.depth")),
-        base_channels=int(_require(meta, "gen.base_channels")),
-        code_bits=int(_require(meta, "code_bits")),
+        input_channels=require_int(meta, "gen.input_channels"),
+        depth=require_int(meta, "gen.depth"),
+        base_channels=require_int(meta, "gen.base_channels"),
+        code_bits=require_int(meta, "code_bits"),
         head=_require(meta, "head"),
     )
     disc_cfg = DiscriminatorConfig(
-        layers=int(_require(meta, "disc.layers")),
-        base_channels=int(_require(meta, "disc.base_channels")),
+        layers=require_int(meta, "disc.layers"),
+        base_channels=require_int(meta, "disc.base_channels"),
     )
     gen = build_generator(gen_cfg, seed=0)
     disc = build_discriminator(
-        disc_cfg, input_channels=int(_require(meta, "disc.input_channels")), seed=0
+        disc_cfg, input_channels=require_int(meta, "disc.input_channels"), seed=0
     )
     for prefix, model in (("gen", gen), ("disc", disc)):
         for name, param in model.parameters.items():

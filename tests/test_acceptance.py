@@ -343,6 +343,7 @@ def smoke(tmp_path_factory):
     return {"results": results, "root": root, "train_dir": train_dir}
 
 
+@pytest.mark.slow
 def test_c7_smoke_comparison(smoke, capsys):
     results = smoke["results"]
     for head, result in results.items():
@@ -368,6 +369,7 @@ def test_c7_smoke_comparison(smoke, capsys):
         _pass(7, f"both heads >= {SMOKE_ACCURACY_FLOOR} pixel accuracy")
 
 
+@pytest.mark.slow
 def test_smoke_predict_on_training_image(smoke, tmp_path):
     # CLI pipeline check on the trained model: predicting a training image
     # recovers its own label map well above the smoke accuracy floor.

@@ -86,6 +86,37 @@ class TestConv2d:
             tol=1e-4,
         )
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_gradients_by_kernel_size(self, k, stride):
+        # Non-square, odd width, Cin != Cout: the transposed-convolution
+        # input gradient (stride 1) and the scatter (stride 2) must both
+        # get the borders and the channel swap right.
+        rng = np.random.default_rng(20 + k)
+        x = rng.standard_normal((2, 4, 7, 3))
+        w = rng.standard_normal((k, k, 3, 2))
+        b = rng.standard_normal(2)
+        _gradcheck_op(
+            lambda leaves: ad.conv2d(leaves[0], leaves[1], leaves[2], stride=stride),
+            [x, w, b],
+            seed=k + stride,
+            tol=1e-4,
+        )
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_input_gradient_is_adjoint(self, stride):
+        # With zero bias conv2d is linear in x, so its input gradient is the
+        # adjoint map: <conv(x), g> == <x, dx> up to rounding. Channel counts
+        # are those of the generator's dec0 layer.
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((1, 12, 10, 19))
+        w = rng.standard_normal((3, 3, 19, 16))
+        node = ad.constant(x)
+        out = ad.conv2d(node, ad.constant(w), ad.constant(np.zeros(16)), stride=stride)
+        g = rng.standard_normal(out.value.shape)
+        ad.backward([(out, g)])
+        assert np.isclose((out.value * g).sum(), (x * node.grad).sum(), rtol=1e-12, atol=0)
+
     def test_shape_validation(self):
         x = ad.constant(np.zeros((1, 4, 4, 3)))
         with pytest.raises(ShapeError):

@@ -6,7 +6,15 @@ import pytest
 from hadaseg.cli import main
 from hadaseg.data import ingest_index_maps, read_label_map
 from hadaseg.metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
-from hadaseg.netkit import load_models
+from hadaseg.data import gen_synthetic, write_dataset
+from hadaseg.netkit import (
+    DiscriminatorConfig,
+    GeneratorConfig,
+    build_discriminator,
+    build_generator,
+    load_models,
+    save_models,
+)
 
 H8_CSV = (
     "1,1,1,1,1,1,1,1\n"
@@ -280,3 +288,101 @@ class TestEvalPredictRender:
         )
         assert code == 3
         assert err.startswith("error:data:")
+
+
+def assert_one_data_error(code, err):
+    assert code == 3
+    assert err.startswith("error:data:")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestBadInputsExitCleanly:
+    """Malformed inputs exit 3 with one ``error:`` line, never a traceback."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path):
+        """A saved tiny checkpoint in ckpt/ and a one-image dataset in data/."""
+        gen = build_generator(GeneratorConfig(depth=2, base_channels=4, code_bits=2), seed=0)
+        disc = build_discriminator(
+            DiscriminatorConfig(layers=2, base_channels=4), input_channels=7, seed=0
+        )
+        save_models(tmp_path / "ckpt", gen, disc, num_classes=4)
+        write_dataset(tmp_path / "data", gen_synthetic(seed=1, count=1, size=16, num_classes=4))
+        return tmp_path
+
+    @staticmethod
+    def _run_model_command(capsys, root, command):
+        if command == "eval":
+            args = ("--data", str(root / "data"), "--report", str(root / "r.json"))
+        else:
+            args = ("--image", str(root / "data" / "000000.img"), "--out", str(root / "p.segl"))
+        return run(capsys, command, "--model", str(root / "ckpt"), *args)
+
+    @staticmethod
+    def _edit_manifest(root, edit):
+        manifest = root / "ckpt" / "manifest.txt"
+        manifest.write_text(edit(manifest.read_text()))
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_intact_checkpoint_runs(self, capsys, workdir, command):
+        code, _, err = self._run_model_command(capsys, workdir, command)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_truncated_tensor_blob(self, capsys, workdir, command):
+        blob = workdir / "ckpt" / "tensors.bin"
+        blob.write_bytes(blob.read_bytes()[:-3])
+        code, _, err = self._run_model_command(capsys, workdir, command)
+        assert_one_data_error(code, err)
+        assert "tensors.bin" in err
+
+    @pytest.mark.parametrize("fields", [("-4", "4", "1", "4"), ("0", "4", "2", "-2", "-2")])
+    def test_negative_tensor_extent(self, capsys, workdir, fields):
+        self._edit_manifest(
+            workdir,
+            lambda text: "\n".join(
+                " ".join(("tensor", "gen.dec0.b") + fields)
+                if line.startswith("tensor gen.dec0.b ") else line
+                for line in text.splitlines()
+            ),
+        )
+        code, _, err = self._run_model_command(capsys, workdir, "eval")
+        assert_one_data_error(code, err)
+        assert "negative" in err
+
+    @pytest.mark.parametrize("key", ["gen.depth", "num_classes"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_non_integer_meta_value(self, capsys, workdir, command, key):
+        self._edit_manifest(
+            workdir,
+            lambda text: "\n".join(
+                f"meta {key} two" if line.startswith(f"meta {key} ") else line
+                for line in text.splitlines()
+            ),
+        )
+        code, _, err = self._run_model_command(capsys, workdir, command)
+        assert_one_data_error(code, err)
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_missing_num_classes(self, capsys, workdir, command):
+        self._edit_manifest(
+            workdir,
+            lambda text: "\n".join(
+                line for line in text.splitlines() if not line.startswith("meta num_classes ")
+            ),
+        )
+        code, _, err = self._run_model_command(capsys, workdir, command)
+        assert_one_data_error(code, err)
+        assert "'num_classes'" in err
+
+    def test_gen_data_negative_count(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        code, _, err = run(
+            capsys,
+            "gen-data", "--seed", "0", "--count", "-1", "--size", "16",
+            "--classes", "4", "--out", str(out),
+        )
+        assert_one_data_error(code, err)
+        assert not out.exists()

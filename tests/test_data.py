@@ -65,6 +65,8 @@ class TestGenSynthetic:
 
     def test_parameter_validation(self):
         with pytest.raises(GenerationError):
+            gen_synthetic(seed=0, count=0, size=32, num_classes=4)
+        with pytest.raises(GenerationError):
             gen_synthetic(seed=0, count=1, size=8, num_classes=4)
         with pytest.raises(GenerationError):
             gen_synthetic(seed=0, count=1, size=32, num_classes=1)
