@@ -42,7 +42,6 @@ from .errors import (
 )
 from .metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
 from .netkit import load_models, save_models, train_cgan
-from .netkit.checkpoint import require_int
 from .netkit.models import HEAD_HADAMARD, HEAD_ONE_HOT
 
 _CONFIG_ERRORS = (ConfigError, CapacityError, ClassIndexError, ShapeError)
@@ -152,7 +151,7 @@ def _predict_label_maps(gen, images: np.ndarray, num_classes: int):
 def _load_generator(model_dir):
     """The generator of a checkpoint and the class count it was trained on."""
     gen, _, meta = load_models(model_dir)
-    return gen, require_int(meta, "num_classes")
+    return gen, int(meta["num_classes"])
 
 
 def _cmd_eval(args) -> int:

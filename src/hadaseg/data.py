@@ -129,6 +129,10 @@ def gen_synthetic(
         raise GenerationError(f"canvas size must be >= 16, got {size}")
     if num_classes < 2:
         raise GenerationError(f"need at least 2 classes, got {num_classes}")
+    if num_classes > 256:
+        raise GenerationError(
+            f"at most 256 classes fit the byte labels of .segl files, got {num_classes}"
+        )
     palette = _class_palette(num_classes)
     streams = np.random.SeedSequence(seed).spawn(count)
     samples = []

@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..codes import Codebook
 from ..errors import ShapeError
-from ..layer import hadamard_backward, hadamard_forward
+from ..layer import _softmax_last_axis, hadamard_backward, hadamard_forward
 
 
 class Node:
@@ -247,10 +247,7 @@ def channel_concat(a: Node, b: Node) -> Node:
 
 def per_pixel_softmax(x: Node) -> Node:
     """Numerically stable softmax over the channel (last) axis."""
-    xv = x.value
-    shifted = xv - xv.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax_last_axis(x.value)
 
     def backprop(node: Node) -> None:
         g = node.grad

@@ -120,7 +120,7 @@ def _require(meta: dict[str, str], key: str) -> str:
     return meta[key]
 
 
-def require_int(meta: dict[str, str], key: str) -> int:
+def _require_int(meta: dict[str, str], key: str) -> int:
     """The integer value of checkpoint metadata ``key``, or a FormatError."""
     value = _require(meta, key)
     try:
@@ -130,22 +130,32 @@ def require_int(meta: dict[str, str], key: str) -> int:
 
 
 def load_models(directory) -> tuple[Generator, Discriminator, dict[str, str]]:
-    """Rebuild both networks from a checkpoint written by save_models."""
+    """Rebuild both networks from a checkpoint written by save_models.
+
+    The returned metadata holds an integer ``num_classes`` in
+    [2, 2^code_bits], the class count the generator's head can decode.
+    """
     tensors, meta = load_checkpoint(directory)
     gen_cfg = GeneratorConfig(
-        input_channels=require_int(meta, "gen.input_channels"),
-        depth=require_int(meta, "gen.depth"),
-        base_channels=require_int(meta, "gen.base_channels"),
-        code_bits=require_int(meta, "code_bits"),
+        input_channels=_require_int(meta, "gen.input_channels"),
+        depth=_require_int(meta, "gen.depth"),
+        base_channels=_require_int(meta, "gen.base_channels"),
+        code_bits=_require_int(meta, "code_bits"),
         head=_require(meta, "head"),
     )
+    num_classes = _require_int(meta, "num_classes")
+    if not 2 <= num_classes <= gen_cfg.output_channels:
+        raise FormatError(
+            f"checkpoint metadata 'num_classes' is {num_classes}, outside "
+            f"[2, {gen_cfg.output_channels}] for code_bits={gen_cfg.code_bits}"
+        )
     disc_cfg = DiscriminatorConfig(
-        layers=require_int(meta, "disc.layers"),
-        base_channels=require_int(meta, "disc.base_channels"),
+        layers=_require_int(meta, "disc.layers"),
+        base_channels=_require_int(meta, "disc.base_channels"),
     )
     gen = build_generator(gen_cfg, seed=0)
     disc = build_discriminator(
-        disc_cfg, input_channels=require_int(meta, "disc.input_channels"), seed=0
+        disc_cfg, input_channels=_require_int(meta, "disc.input_channels"), seed=0
     )
     for prefix, model in (("gen", gen), ("disc", disc)):
         for name, param in model.parameters.items():

@@ -377,12 +377,37 @@ class TestBadInputsExitCleanly:
         assert_one_data_error(code, err)
         assert "'num_classes'" in err
 
+    # The fixture's generator has code_bits=2, so it decodes 2..4 classes.
+    @pytest.mark.parametrize("value", ["-1", "1", "5"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_num_classes_outside_code_capacity(self, capsys, workdir, command, value):
+        self._edit_manifest(
+            workdir,
+            lambda text: "\n".join(
+                f"meta num_classes {value}" if line.startswith("meta num_classes ") else line
+                for line in text.splitlines()
+            ),
+        )
+        code, _, err = self._run_model_command(capsys, workdir, command)
+        assert_one_data_error(code, err)
+        assert "'num_classes'" in err
+
     def test_gen_data_negative_count(self, capsys, tmp_path):
         out = tmp_path / "d"
         code, _, err = run(
             capsys,
             "gen-data", "--seed", "0", "--count", "-1", "--size", "16",
             "--classes", "4", "--out", str(out),
+        )
+        assert_one_data_error(code, err)
+        assert not out.exists()
+
+    def test_gen_data_more_classes_than_label_bytes_hold(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        code, _, err = run(
+            capsys,
+            "gen-data", "--seed", "0", "--count", "3", "--size", "16",
+            "--classes", "300", "--out", str(out),
         )
         assert_one_data_error(code, err)
         assert not out.exists()

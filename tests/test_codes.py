@@ -32,6 +32,15 @@ H8 = np.array(
 )
 
 
+def _dense_product(v, cb):
+    """v @ cb.matrix in float64, in column blocks so that large orders never
+    hold the whole matrix in float64. Exact for small integer-valued v."""
+    return np.concatenate(
+        [v @ cb.matrix[:, j : j + 512].astype(np.float64) for j in range(0, cb.n, 512)],
+        axis=-1,
+    )
+
+
 class TestSylvester:
     def test_base_case(self):
         assert np.array_equal(sylvester(0).matrix, [[1]])
@@ -95,28 +104,53 @@ class TestFwht:
         dense = cb.matrix.astype(np.float64) @ v
         assert np.abs(fwht_apply(cb, v) - dense).max() < 1e-9
 
-    @pytest.mark.parametrize("k", range(0, 9))
+    # k = 0..13 covers one Kronecker block (n <= 64), the 6 -> 7 block
+    # boundary and three factors at k = 13.
+    @pytest.mark.parametrize("k", range(0, 14))
     def test_dense_oracle_property(self, k):
         rng = np.random.default_rng(1000 + k)
         cb = sylvester(k)
-        dense = cb.matrix.astype(np.float64)
-        for _ in range(20):
-            v = rng.standard_normal(cb.n)
-            assert np.abs(fwht_apply(cb, v) - dense @ v).max() < 1e-9
+        v = rng.standard_normal((20, cb.n))
+        dense = _dense_product(v, cb)
+        assert np.abs(fwht(v) - dense).max() < 1e-9
+        assert np.abs(fwht_apply(cb, v) - dense).max() < 1e-9
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 6, 7, 10, 13])
+    def test_exact_on_integer_input(self, k):
+        rng = np.random.default_rng(2000 + k)
+        cb = sylvester(k)
+        v = rng.integers(-100, 101, size=(5, cb.n))
+        assert np.array_equal(fwht(v), _dense_product(v, cb))
 
     def test_batched_last_axis(self):
         rng = np.random.default_rng(5)
-        cb = sylvester(3)
-        batch = rng.standard_normal((4, 5, 8))
-        out = fwht_apply(cb, batch)
-        dense = batch @ cb.matrix.astype(np.float64).T
-        assert np.abs(out - dense).max() < 1e-9
+        # [H, W, n] and [B, H, W, n], on one block and on two factors.
+        for shape in [(4, 5, 8), (2, 3, 4, 8), (2, 3, 4, 64), (2, 1, 3, 256)]:
+            cb = sylvester(shape[-1].bit_length() - 1)
+            batch = rng.standard_normal(shape)
+            out = fwht_apply(cb, batch)
+            assert out.shape == shape
+            dense = batch @ cb.matrix.astype(np.float64).T
+            assert np.abs(out - dense).max() < 1e-9
+
+    @pytest.mark.parametrize("k", [0, 3, 6, 7, 13])
+    def test_returns_new_array(self, k):
+        v = np.random.default_rng(k).standard_normal((3, 2**k))
+        v.setflags(write=False)
+        before = v.copy()
+        out = fwht(v)
+        assert not np.shares_memory(out, v)
+        assert out.flags.writeable
+        out[...] = 0.0
+        assert np.array_equal(v, before)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             fwht_apply(sylvester(2), np.zeros(5))
         with pytest.raises(ShapeError):
             fwht(np.zeros(6))
+        with pytest.raises(ShapeError):
+            fwht(np.zeros((3, 0)))
 
 
 class TestEncodeDecode:

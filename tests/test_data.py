@@ -70,6 +70,9 @@ class TestGenSynthetic:
             gen_synthetic(seed=0, count=1, size=8, num_classes=4)
         with pytest.raises(GenerationError):
             gen_synthetic(seed=0, count=1, size=32, num_classes=1)
+        with pytest.raises(GenerationError):
+            gen_synthetic(seed=0, count=1, size=32, num_classes=257)
+        assert len(gen_synthetic(seed=0, count=1, size=32, num_classes=256)) == 1
 
 
 class TestLabelMapFile:
