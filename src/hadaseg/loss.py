@@ -111,6 +111,11 @@ def _mean_log(a: np.ndarray) -> float:
     return float(np.log(np.maximum(a, LOG_CLAMP)).mean())
 
 
+def _clamped_log_grad(a: np.ndarray, sign: float) -> np.ndarray:
+    """d/da of sign * _mean_log(a): sign / (N * a), and 0 where the clamp is active."""
+    return np.where(a > LOG_CLAMP, sign / (a.size * np.maximum(a, LOG_CLAMP)), 0.0)
+
+
 def discriminator_loss(alpha_real, alpha_fake) -> float:
     """S(1 | alpha_real) + S(0 | alpha_fake).
 
@@ -126,16 +131,8 @@ def discriminator_loss_grads(alpha_real, alpha_fake) -> tuple[np.ndarray, np.nda
     """Gradients of discriminator_loss w.r.t. both patch maps."""
     a_real = _alpha_array(alpha_real)
     a_fake = _alpha_array(alpha_fake)
-    g_real = np.where(
-        a_real > LOG_CLAMP, -1.0 / (a_real.size * np.maximum(a_real, LOG_CLAMP)), 0.0
-    )
-    one_minus = 1.0 - a_fake
-    g_fake = np.where(
-        one_minus > LOG_CLAMP,
-        1.0 / (a_fake.size * np.maximum(one_minus, LOG_CLAMP)),
-        0.0,
-    )
-    return g_real, g_fake
+    # d/da_fake of -_mean_log(1 - a_fake) is +1 / (N * (1 - a_fake)).
+    return _clamped_log_grad(a_real, -1.0), _clamped_log_grad(1.0 - a_fake, 1.0)
 
 
 def generator_loss(
@@ -175,9 +172,7 @@ def generator_loss_grads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of generator_loss w.r.t. (alpha_fake, y_hat, y_c_hat)."""
     a_fake = _alpha_array(alpha_fake)
-    g_alpha = np.where(
-        a_fake > LOG_CLAMP, -1.0 / (a_fake.size * np.maximum(a_fake, LOG_CLAMP)), 0.0
-    )
+    g_alpha = _clamped_log_grad(a_fake, -1.0)
     g_y_hat = w.lambda1 * cross_entropy_grad(y_hat, y) + w.lambda2 * mae_grad(y_hat, y)
     g_y_c_hat = w.lambda3 * mae_grad(y_c_hat, y_c)
     return g_alpha, g_y_hat, g_y_c_hat

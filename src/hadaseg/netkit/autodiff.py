@@ -5,6 +5,14 @@ node to an implicit tape (the node graph itself); ``backward`` topologically
 sorts the ancestors of the seeded outputs and walks them in reverse,
 accumulating gradients into every node it visits. Shape problems surface at
 graph build time, not inside backward.
+
+Every node records at construction whether it needs a gradient. Parameters
+and ``constant`` leaves do; a raw array that ``as_node`` wraps does not; an
+op node does when any of its parents does. ``backward`` never visits a node
+that needs no gradient, so its ``.grad`` stays None, and ``conv2d`` skips
+its input gradient when its input needs none. A node's first gradient
+contribution is stored as its ``.grad`` and later ones are added to it; no
+``.grad`` shares memory with another node's or with a caller's seed.
 """
 
 from __future__ import annotations
@@ -18,15 +26,22 @@ from ..layer import _softmax_last_axis, hadamard_backward, hadamard_forward
 
 
 class Node:
-    """One tensor on the tape: a value, a gradient slot, and its parents."""
+    """One tensor on the tape: a value, a gradient slot, and its parents.
 
-    __slots__ = ("value", "grad", "parents", "_backprop")
+    A leaf needs a gradient unless built with ``needs_grad=False``; an op
+    node needs one when any parent does, and otherwise keeps no backprop.
+    """
 
-    def __init__(self, value, parents=(), backprop=None):
+    __slots__ = ("value", "grad", "parents", "needs_grad", "_backprop")
+
+    def __init__(self, value, parents=(), backprop=None, needs_grad=True):
         self.value = np.ascontiguousarray(value, dtype=np.float64)
         self.grad = None
         self.parents = tuple(parents)
-        self._backprop = backprop
+        if self.parents:
+            needs_grad = any(parent.needs_grad for parent in self.parents)
+        self.needs_grad = needs_grad
+        self._backprop = backprop if needs_grad else None
 
     @property
     def shape(self):
@@ -44,19 +59,20 @@ class Parameter(Node):
 
 
 def constant(value) -> Node:
-    """Wrap an array as a non-trainable leaf."""
+    """Wrap an array as a non-trainable leaf that still receives a gradient."""
     return Node(value)
 
 
 def as_node(x) -> Node:
-    return x if isinstance(x, Node) else constant(x)
+    """Pass a Node through; wrap a raw array as a leaf that needs no gradient."""
+    return x if isinstance(x, Node) else Node(x, needs_grad=False)
 
 
 def _toposort(roots) -> list[Node]:
     visited: set[int] = set()
     topo: list[Node] = []
     for root in roots:
-        if id(root) in visited:
+        if not root.needs_grad or id(root) in visited:
             continue
         stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
@@ -69,29 +85,45 @@ def _toposort(roots) -> list[Node]:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node.parents:
-                if id(parent) not in visited:
+                if parent.needs_grad and id(parent) not in visited:
                     stack.append((parent, False))
     return topo
+
+
+def _accumulate(node: Node, grad: np.ndarray) -> None:
+    """Store the first contribution to ``node.grad``; add later ones to it.
+
+    A stored contribution becomes the node's gradient buffer, so callers pass
+    arrays that nothing else holds.
+    """
+    if node.grad is None:
+        node.grad = grad
+    else:
+        node.grad += grad
 
 
 def backward(seeds) -> None:
     """Run reverse-mode accumulation from ``seeds``: (node, gradient) pairs.
 
-    Gradients of every node reachable from the seeds are reset first, so a
-    fresh call never mixes with a previous pass. Seeding an interior node
-    adds to whatever flows back into it from downstream seeds.
+    Only nodes that need a gradient (see the module docstring) are visited;
+    every other node keeps ``.grad`` None. Gradients of the visited nodes
+    are reset to None first, so a fresh call never mixes with a previous
+    pass. A node's first contribution is stored and later ones are added to
+    it; a seed array is copied, never stored or modified. Seeding an
+    interior node adds to whatever flows back into it from downstream seeds.
     """
-    seeds = list(seeds)
-    topo = _toposort([node for node, _ in seeds])
-    for node in topo:
-        node.grad = np.zeros_like(node.value)
+    seeds = [(node, np.asarray(grad, dtype=np.float64)) for node, grad in seeds]
     for node, grad in seeds:
-        grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != node.value.shape:
             raise ShapeError(
                 f"seed gradient shape {grad.shape} != node shape {node.value.shape}"
             )
-        node.grad += grad
+    topo = _toposort([node for node, _ in seeds])
+    for node in topo:
+        node.grad = None
+    for node, grad in seeds:
+        if node.needs_grad:
+            _accumulate(node, grad.copy())
     for node in reversed(topo):
         if node._backprop is not None:
             node._backprop(node)
@@ -133,7 +165,8 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     weight gradient. At stride 1 the input gradient is the same-padded
     convolution of the output gradient with the flipped kernel, its channel
     axes swapped: one more im2col + matmul. At stride 2 the column gradient
-    is scattered back tap by tap.
+    is scattered back tap by tap. An input that needs no gradient gets none
+    computed.
     """
     _check_image(x, "conv2d")
     xv, wv, bv = x.value, w.value, b.value
@@ -158,12 +191,17 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
 
     def backprop(node: Node) -> None:
         g = node.grad.reshape(-1, cout)
-        b.grad += node.grad.sum(axis=(0, 1, 2))
-        w.grad += (cols.T @ g).reshape(wv.shape)
+        if b.needs_grad:
+            _accumulate(b, node.grad.sum(axis=(0, 1, 2)))
+        if w.needs_grad:
+            # [Cout, M] x [M, K] runs faster in BLAS than cols.T @ g.
+            _accumulate(w, (g.T @ cols).T.reshape(wv.shape))
+        if not x.needs_grad:
+            return
         if stride == 1:
             g_cols, _, _ = _im2col(_pad_same(node.grad, pad), k, 1)
             w_flip = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
-            x.grad += (g_cols @ w_flip).reshape(xv.shape)
+            _accumulate(x, (g_cols @ w_flip).reshape(xv.shape))
             return
         dcols = (g @ w_mat.T).reshape(batch, out_h, out_w, k, k, cin)
         dxp = np.zeros_like(xp)
@@ -175,7 +213,7 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
                     j : j + stride * out_w : stride,
                     :,
                 ] += dcols[:, :, :, i, j, :]
-        x.grad += dxp[:, pad : pad + height, pad : pad + width, :]
+        _accumulate(x, dxp[:, pad : pad + height, pad : pad + width, :])
 
     return Node(out, parents=(x, w, b), backprop=backprop)
 
@@ -185,7 +223,7 @@ def leaky_relu(x: Node, negative_slope: float = 0.2) -> Node:
     out = np.where(xv > 0, xv, negative_slope * xv)
 
     def backprop(node: Node) -> None:
-        x.grad += node.grad * np.where(xv > 0, 1.0, negative_slope)
+        _accumulate(x, node.grad * np.where(xv > 0, 1.0, negative_slope))
 
     return Node(out, parents=(x,), backprop=backprop)
 
@@ -195,7 +233,7 @@ def relu(x: Node) -> Node:
     out = np.where(xv > 0, xv, 0.0)
 
     def backprop(node: Node) -> None:
-        x.grad += node.grad * (xv > 0)
+        _accumulate(x, node.grad * (xv > 0))
 
     return Node(out, parents=(x,), backprop=backprop)
 
@@ -209,7 +247,7 @@ def sigmoid(x: Node) -> Node:
     out[~positive] = ex / (1.0 + ex)
 
     def backprop(node: Node) -> None:
-        x.grad += node.grad * out * (1.0 - out)
+        _accumulate(x, node.grad * out * (1.0 - out))
 
     return Node(out, parents=(x,), backprop=backprop)
 
@@ -223,7 +261,7 @@ def nearest_upsample_2x(x: Node) -> Node:
     def backprop(node: Node) -> None:
         batch, height, width, channels = xv.shape
         g = node.grad.reshape(batch, height, 2, width, 2, channels)
-        x.grad += g.sum(axis=(2, 4))
+        _accumulate(x, g.sum(axis=(2, 4)))
 
     return Node(out, parents=(x,), backprop=backprop)
 
@@ -239,8 +277,10 @@ def channel_concat(a: Node, b: Node) -> Node:
     split = av.shape[-1]
 
     def backprop(node: Node) -> None:
-        a.grad += node.grad[..., :split]
-        b.grad += node.grad[..., split:]
+        if a.needs_grad:
+            _accumulate(a, node.grad[..., :split].copy())
+        if b.needs_grad:
+            _accumulate(b, node.grad[..., split:].copy())
 
     return Node(out, parents=(a, b), backprop=backprop)
 
@@ -252,7 +292,7 @@ def per_pixel_softmax(x: Node) -> Node:
     def backprop(node: Node) -> None:
         g = node.grad
         inner = (out * g).sum(axis=-1, keepdims=True)
-        x.grad += out * g - out * inner
+        _accumulate(x, out * g - out * inner)
 
     return Node(out, parents=(x,), backprop=backprop)
 
@@ -262,6 +302,6 @@ def hadamard_head(x: Node, cb: Codebook, scale: float = 1.0) -> Node:
     act = hadamard_forward(cb, x.value, scale=scale)
 
     def backprop(node: Node) -> None:
-        x.grad += hadamard_backward(act, node.grad)
+        _accumulate(x, hadamard_backward(act, node.grad))
 
     return Node(act.output, parents=(x,), backprop=backprop)

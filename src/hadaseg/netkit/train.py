@@ -4,7 +4,8 @@ Each step takes one batch and performs one discriminator update (real pair
 scored against ones, predicted pair against zeros) followed by one generator
 update (adversarial term through the refreshed discriminator plus the
 weighted cross-entropy / MAE terms). Losses are computed outside the graph;
-their analytic gradients seed the tape backward pass.
+their analytic gradients seed the tape backward pass. Each update checks
+that its loss and gradients are finite before Adam applies them.
 
 Everything is derived from a single seed: weight init, batch order, and the
 synthetic data stream if the caller built one the same way. Rerunning with
@@ -60,20 +61,20 @@ class History:
     loss_rows: list[tuple] = field(default_factory=list)
     metric_rows: list[tuple] = field(default_factory=list)
 
-    def _header_line(self) -> str:
-        return "# " + " ".join(f"{k}={v}" for k, v in self.header.items())
+    def _csv(self, columns: tuple[str, ...], rows: list[tuple]) -> str:
+        lines = [
+            "# " + " ".join(f"{k}={v}" for k, v in self.header.items()),
+            ",".join(columns),
+        ]
+        for row in rows:
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        return "\n".join(lines) + "\n"
 
     def loss_csv(self) -> str:
-        lines = [self._header_line(), ",".join(LOSS_CSV_COLUMNS)]
-        for row in self.loss_rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return self._csv(LOSS_CSV_COLUMNS, self.loss_rows)
 
     def metrics_csv(self) -> str:
-        lines = [self._header_line(), ",".join(METRICS_CSV_COLUMNS)]
-        for row in self.metric_rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return self._csv(METRICS_CSV_COLUMNS, self.metric_rows)
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,19 @@ class TrainSettings:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.log_every < 1 or self.metrics_every < 1:
             raise ConfigError("batch_size, log_every and metrics_every must be >= 1")
+
+
+def _check_finite(
+    step: int, loss: float, grads: dict[str, np.ndarray], diagnostic: str
+) -> None:
+    """Raise TrainingDivergedError unless the loss and every gradient are
+    finite, so that Adam never applies a non-finite update."""
+    bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+    if np.isfinite(loss) and not bad:
+        return
+    what = "loss" if not np.isfinite(loss) else "gradient"
+    names = f"; non-finite gradients: {', '.join(bad)}" if bad else ""
+    raise TrainingDivergedError(f"non-finite {what} at step {step}: {diagnostic}{names}")
 
 
 class _BatchSampler:
@@ -190,25 +204,30 @@ def train_cgan(
         # Generator forward (tape kept for the generator update).
         y_hat, y_c = gen.forward(x)
 
-        # Discriminator update: the predicted map enters as a constant so
+        # Discriminator update: the predicted map enters as a raw array so
         # no gradient reaches the generator here.
         alpha_real = disc.forward(np.concatenate((x, y_one_hot), axis=-1))
         alpha_fake = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
         loss_d = discriminator_loss(alpha_real.value, alpha_fake.value)
         g_real, g_fake = discriminator_loss_grads(alpha_real.value, alpha_fake.value)
         ad.backward([(alpha_real, g_real), (alpha_fake, g_fake)])
+        disc_grads = {name: p.grad for name, p in disc.parameters.items()}
+        _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
         adam_step(
             disc_params,
-            {name: p.grad for name, p in disc.parameters.items()},
+            disc_grads,
             disc_state,
             lr=settings.lr,
             beta1=settings.beta1,
             beta2=settings.beta2,
             eps=settings.eps,
         )
+        # Release the discriminator tape (both pairs' im2col buffers) before
+        # the generator update builds its own.
+        del alpha_real, alpha_fake
 
         # Generator update through the refreshed discriminator.
-        alpha_gen = disc.forward(ad.channel_concat(ad.constant(x), y_hat))
+        alpha_gen = disc.forward(ad.channel_concat(ad.as_node(x), y_hat))
         total, terms = generator_loss(
             alpha_gen.value, y_hat.value, y_one_hot, y_c.value, y_code, effective
         )
@@ -219,22 +238,24 @@ def train_cgan(
         if effective.lambda3 != 0.0:
             seeds_g.append((y_c, g_y_c))
         ad.backward(seeds_g)
+        gen_grads = {name: p.grad for name, p in gen.parameters.items()}
+        _check_finite(
+            step,
+            total,
+            gen_grads,
+            f"L_D={loss_d} L_G={total} "
+            f"(adv={terms.adversarial} ce={terms.cross_entropy} "
+            f"mae_y={terms.mae_probability} mae_yc={terms.mae_code})",
+        )
         adam_step(
             gen_params,
-            {name: p.grad for name, p in gen.parameters.items()},
+            gen_grads,
             gen_state,
             lr=settings.lr,
             beta1=settings.beta1,
             beta2=settings.beta2,
             eps=settings.eps,
         )
-
-        if not (np.isfinite(loss_d) and np.isfinite(total)):
-            raise TrainingDivergedError(
-                f"non-finite loss at step {step}: L_D={loss_d} L_G={total} "
-                f"(adv={terms.adversarial} ce={terms.cross_entropy} "
-                f"mae_y={terms.mae_probability} mae_yc={terms.mae_code})"
-            )
 
         # Raw code-MAE is logged for both heads; only the weighted total
         # depends on the head.
@@ -255,5 +276,7 @@ def train_cgan(
             predicted = np.argmax(y_hat.value[..., :num_classes], axis=-1)
             accuracy = float((predicted == labels).mean())
             history.metric_rows.append((step, accuracy))
+        # Release this step's tape before the next step builds its own.
+        del y_hat, y_c, alpha_gen, seeds_g
 
     return gen, disc, history

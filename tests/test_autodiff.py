@@ -4,6 +4,12 @@ import pytest
 from hadaseg.codes import sylvester
 from hadaseg.errors import ShapeError
 from hadaseg.netkit import autodiff as ad
+from hadaseg.netkit.models import (
+    Discriminator,
+    DiscriminatorConfig,
+    Generator,
+    GeneratorConfig,
+)
 
 from helpers import rel_error
 
@@ -116,6 +122,25 @@ class TestConv2d:
         g = rng.standard_normal(out.value.shape)
         ad.backward([(out, g)])
         assert np.isclose((out.value * g).sum(), (x * node.grad).sum(), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_raw_input_gets_no_gradient(self, stride):
+        # An as_node input needs no gradient, so none is computed or stored;
+        # the weight and bias gradients are those of a constant input.
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2, 6, 5, 3))
+        w = rng.standard_normal((3, 3, 3, 4))
+        b = rng.standard_normal(4)
+        g = rng.standard_normal((2, 6 // stride, -(-5 // stride), 4))
+        grads = {}
+        for wrap in (ad.as_node, ad.constant):
+            xn, wn, bn = wrap(x), ad.constant(w), ad.constant(b)
+            ad.backward([(ad.conv2d(xn, wn, bn, stride=stride), g)])
+            grads[wrap] = (xn.grad, wn.grad, bn.grad)
+        assert grads[ad.as_node][0] is None
+        assert grads[ad.constant][0] is not None
+        for raw, const in zip(grads[ad.as_node][1:], grads[ad.constant][1:]):
+            np.testing.assert_allclose(raw, const, rtol=1e-12, atol=0)
 
     def test_shape_validation(self):
         x = ad.constant(np.zeros((1, 4, 4, 3)))
@@ -237,9 +262,16 @@ class TestBackward:
         x = ad.constant(np.array([0.5, 1.5]))
         y = ad.relu(x)
         z = ad.relu(y)
-        ad.backward([(z, np.ones(2)), (y, np.full(2, 10.0))])
+        seed_z, seed_y = np.ones(2), np.full(2, 10.0)
+        ad.backward([(z, seed_z), (y, seed_y)])
         assert np.allclose(y.grad, [11.0, 11.0])
         assert np.allclose(x.grad, [11.0, 11.0])
+        # The seeds are copied, not stored: accumulating into y.grad left
+        # the caller's arrays unchanged.
+        assert np.array_equal(seed_z, [1.0, 1.0])
+        assert np.array_equal(seed_y, [10.0, 10.0])
+        assert not np.shares_memory(z.grad, seed_z)
+        assert not np.shares_memory(y.grad, seed_y)
 
     def test_seed_shape_checked(self):
         x = ad.constant(np.zeros((2, 2)))
@@ -253,3 +285,81 @@ class TestBackward:
         first = x.grad.copy()
         ad.backward([(y, np.ones(2))])
         assert np.array_equal(x.grad, first)
+
+
+def _tiny_models():
+    gen = Generator(GeneratorConfig(depth=2, base_channels=4, code_bits=2), seed=1)
+    disc = Discriminator(DiscriminatorConfig(layers=2, base_channels=4), input_channels=7, seed=2)
+    return gen, disc
+
+
+def _tape(roots) -> list:
+    """Every node reachable from ``roots``, each once."""
+    seen, stack, nodes = set(), list(roots), []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+class TestGradientNeeds:
+    def test_leaf_and_op_flags(self):
+        raw = ad.as_node(np.ones((1, 2, 2, 1)))
+        const = ad.constant(np.ones((1, 2, 2, 1)))
+        assert not raw.needs_grad and const.needs_grad
+        assert ad.as_node(const) is const
+        assert not ad.relu(raw).needs_grad
+        assert ad.channel_concat(raw, const).needs_grad
+
+    def test_backward_skips_nodes_that_need_no_gradient(self):
+        raw = ad.as_node(np.array([[1.0, -1.0]]))
+        const = ad.constant(np.array([[2.0, -3.0]]))
+        inner = ad.relu(raw)
+        out = ad.channel_concat(inner, const)
+        ad.backward([(out, np.arange(4.0).reshape(1, 4))])
+        assert raw.grad is None and inner.grad is None
+        assert np.array_equal(const.grad, [[2.0, 3.0]])
+
+    def test_no_two_gradients_share_memory(self):
+        # One generator and one discriminator backward, as in a training
+        # step: every stored gradient owns its buffer.
+        gen, disc = _tiny_models()
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((2, 16, 16, 3))
+        y_hat, y_c = gen.forward(x)
+        alpha = disc.forward(ad.channel_concat(ad.as_node(x), y_hat))
+        seeds = [
+            (alpha, rng.standard_normal(alpha.shape)),
+            (y_hat, rng.standard_normal(y_hat.shape)),
+            (y_c, rng.standard_normal(y_c.shape)),
+        ]
+        ad.backward(seeds)
+        d_seed = rng.standard_normal(alpha.shape)
+        alpha_real = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
+        ad.backward([(alpha_real, d_seed)])
+        arrays = [seed for _, seed in seeds] + [d_seed]
+        arrays += [node.grad for node in _tape([alpha, y_c, alpha_real]) if node.grad is not None]
+        assert len(arrays) > 40
+        for i, first in enumerate(arrays):
+            for second in arrays[i + 1 :]:
+                assert not np.shares_memory(first, second)
+
+    def test_generator_parameter_gradients_ignore_input_wrapping(self):
+        gen, _ = _tiny_models()
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, 16, 16, 3))
+        grads = {}
+        for wrap in (ad.as_node, ad.constant):
+            x_node = wrap(x)
+            y_hat, y_c = gen.forward(x_node)
+            g = np.random.default_rng(42)
+            ad.backward(
+                [(y_hat, g.standard_normal(y_hat.shape)), (y_c, g.standard_normal(y_c.shape))]
+            )
+            assert (x_node.grad is None) == (wrap is ad.as_node)
+            grads[wrap] = {name: p.grad.copy() for name, p in gen.parameters.items()}
+        for name in gen.parameters:
+            assert np.array_equal(grads[ad.as_node][name], grads[ad.constant][name]), name

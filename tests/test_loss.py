@@ -7,6 +7,7 @@ import pytest
 from hadaseg.codes import sylvester
 from hadaseg.errors import ShapeError
 from hadaseg.loss import (
+    LOG_CLAMP,
     DiscriminatorOutput,
     LossWeights,
     cross_entropy,
@@ -123,6 +124,42 @@ class TestDiscriminatorLoss:
         )
         assert rel_error(g_real, numeric_real) < 1e-6
         assert rel_error(g_fake, numeric_fake) < 1e-6
+
+
+def _maps_with_clamped_entries(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, (2, 5, 5, 1))
+    # Entries at and around the clamp from both ends of (0, 1).
+    edges = [0.0, 1e-13, LOG_CLAMP, 2e-12, 1.0 - 1e-13, 1.0 - 1e-12, 1.0]
+    a.reshape(-1)[rng.choice(a.size, len(edges), replace=False)] = edges
+    return a
+
+
+class TestClampedLogGradient:
+    def test_byte_identical_to_the_inline_expressions(self):
+        # The clamped -1/(N*a) helper replaced three inline np.where
+        # expressions; its outputs must match them bit for bit.
+        for seed in range(5):
+            a_real = _maps_with_clamped_entries(seed)
+            a_fake = _maps_with_clamped_entries(seed + 100)
+            n = a_real.size
+            old_real = np.where(
+                a_real > LOG_CLAMP, -1.0 / (n * np.maximum(a_real, LOG_CLAMP)), 0.0
+            )
+            one_minus = 1.0 - a_fake
+            old_fake = np.where(
+                one_minus > LOG_CLAMP, 1.0 / (n * np.maximum(one_minus, LOG_CLAMP)), 0.0
+            )
+            old_alpha = np.where(
+                a_fake > LOG_CLAMP, -1.0 / (n * np.maximum(a_fake, LOG_CLAMP)), 0.0
+            )
+            assert (old_real == 0.0).any() and (old_fake == 0.0).any()
+            g_real, g_fake = discriminator_loss_grads(a_real, a_fake)
+            assert g_real.tobytes() == old_real.tobytes()
+            assert g_fake.tobytes() == old_fake.tobytes()
+            y = np.zeros((2, 5, 5, 2))
+            g_alpha, _, _ = generator_loss_grads(a_fake, y, y, y, y)
+            assert g_alpha.tobytes() == old_alpha.tobytes()
 
 
 def _single_pixel_fixture():

@@ -5,6 +5,7 @@ import pytest
 
 from hadaseg.data import gen_synthetic
 from hadaseg.errors import ConfigError, TrainingDivergedError
+from hadaseg.loss import generator_loss
 from hadaseg.netkit import (
     DiscriminatorConfig,
     GeneratorConfig,
@@ -13,6 +14,8 @@ from hadaseg.netkit import (
     save_models,
     train_cgan,
 )
+from hadaseg.netkit import train as train_module
+from hadaseg.netkit.optim import adam_step
 from hadaseg.netkit.train import LOSS_CSV_COLUMNS
 
 
@@ -108,6 +111,52 @@ class TestTrainLoop:
                     settings=TrainSettings(batch_size=2, lr=1e150),
                 )
         assert "step" in str(excinfo.value)
+
+    def test_non_finite_update_never_reaches_adam(self, monkeypatch):
+        # A NaN pixel poisons the losses and gradients of the first step;
+        # the loop must abort before Adam applies them.
+        calls = []
+
+        def recording_adam_step(params, grads, state, **kwargs):
+            calls.append(all(np.isfinite(g).all() for g in grads.values()))
+            return adam_step(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
+        dataset = _tiny_dataset()
+        for sample in dataset:
+            sample.image[3, 5, 1] = np.nan
+        gen_cfg, disc_cfg = _tiny_configs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError) as excinfo:
+                train_cgan(
+                    gen_cfg, disc_cfg, dataset, 3, seed=5, settings=TrainSettings(batch_size=2)
+                )
+        assert "non-finite loss at step 1: L_D=nan" in str(excinfo.value)
+        assert all(calls)
+
+    def test_non_finite_generator_loss_stops_before_generator_update(self, monkeypatch):
+        calls = []
+
+        def recording_adam_step(params, grads, state, **kwargs):
+            calls.append(sorted(params))
+            return adam_step(params, grads, state, **kwargs)
+
+        def nan_generator_loss(*args):
+            _, terms = generator_loss(*args)
+            return float("nan"), terms
+
+        monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
+        monkeypatch.setattr(train_module, "generator_loss", nan_generator_loss)
+        gen_cfg, disc_cfg = _tiny_configs()
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            train_cgan(
+                gen_cfg, disc_cfg, _tiny_dataset(), 3, seed=5, settings=TrainSettings(batch_size=2)
+            )
+        assert "non-finite loss at step 1: L_D=" in str(excinfo.value)
+        assert "L_G=nan" in str(excinfo.value)
+        # Only the discriminator was updated.
+        assert len(calls) == 1 and "d0.w" in calls[0] and "enc0.w" not in calls[0]
 
     def test_empty_dataset_rejected(self):
         gen_cfg, disc_cfg = _tiny_configs()
