@@ -2,9 +2,7 @@
 
 from .codes import (
     Codebook,
-    Codeword,
     decode_correlation,
-    encode_class,
     fwht,
     fwht_apply,
     min_pairwise_distance,
@@ -39,14 +37,12 @@ __all__ = [
     "argmax_map",
     "class_iou",
     "Codebook",
-    "Codeword",
     "confusion",
     "ConfusionMatrix",
     "cross_entropy",
     "decode_correlation",
     "discriminator_loss",
     "DiscriminatorOutput",
-    "encode_class",
     "encode_targets",
     "EncodedTargets",
     "fwht",

@@ -49,14 +49,6 @@ class Codebook:
         self.matrix.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """One codebook row tagged with the class it encodes."""
-
-    values: np.ndarray  # (n,) int8 in {-1, +1}
-    class_index: int
-
-
 def sylvester(k: int, num_classes: int | None = None) -> Codebook:
     """Build the order-2^k Sylvester-Hadamard codebook.
 
@@ -142,13 +134,6 @@ def fwht_apply(cb: Codebook, v: np.ndarray) -> np.ndarray:
     if v.shape[-1] != cb.n:
         raise ShapeError(f"vector length {v.shape[-1]} != codebook order {cb.n}")
     return fwht(v)
-
-
-def encode_class(cb: Codebook, j: int) -> Codeword:
-    """Return the codeword (matrix row) for class j."""
-    if not 0 <= j < cb.num_classes:
-        raise ClassIndexError(f"class index {j} outside [0, {cb.num_classes})")
-    return Codeword(values=cb.matrix[j], class_index=j)
 
 
 def decode_correlation(cb: Codebook, v: np.ndarray) -> int:

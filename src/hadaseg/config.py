@@ -2,8 +2,8 @@
 
 Grammar: one ``key = value`` pair per line; ``#`` starts a comment; blank
 lines are ignored. Keys are dotted lowercase names (see KEYS). Unknown or
-duplicate keys are configuration errors, as are cross-field inconsistencies
-such as more classes than the codebook can hold.
+duplicate keys are configuration errors, as are out-of-range values and
+cross-field inconsistencies such as more classes than the codebook can hold.
 """
 
 from __future__ import annotations
@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError
 from .loss import LossWeights
-from .netkit.models import DiscriminatorConfig, GeneratorConfig
+from .netkit.models import HEAD_HADAMARD, DiscriminatorConfig, GeneratorConfig
 from .netkit.train import TrainSettings
 
 
@@ -118,33 +116,34 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig, source: str = "<config>") -> None:
-    """Cross-field consistency, checked before any run starts."""
+    """Reject a config that cannot run, before any run starts.
+
+    Each section's ranges are checked by the dataclass it builds
+    (GeneratorConfig, DiscriminatorConfig, LossWeights, TrainSettings).
+    This adds only what no section checks: ``classes`` against the code
+    capacity (once the generator builds), and ``train.steps`` and ``seed``
+    >= 0. All problems go into one ConfigError, each prefixed with its
+    section; a section reports only its first.
+    """
     problems = []
-    if not 0 <= cfg.codebook_k <= 16:
-        problems.append(f"codebook.k={cfg.codebook_k} outside [0, 16]")
-    elif cfg.classes > 2**cfg.codebook_k:
-        problems.append(
-            f"classes={cfg.classes} exceeds codebook capacity 2^k = {2 ** cfg.codebook_k}"
-        )
-    if cfg.classes < 2:
-        problems.append(f"classes={cfg.classes} must be >= 2")
-    if cfg.gen_depth < 1 or cfg.disc_layers < 1:
-        problems.append("generator.depth and discriminator.layers must be >= 1")
-    if cfg.gen_base_channels < 1 or cfg.disc_base_channels < 1:
-        problems.append("base channel counts must be >= 1")
+
+    def check(section: str, build):
+        try:
+            return build()
+        except (ConfigError, ValueError) as exc:  # LossWeights raises ValueError
+            problems.append(f"{section}: {exc}")
+            return None
+
+    gen_cfg = check("generator", lambda: cfg.generator_config(HEAD_HADAMARD))
+    check("discriminator", cfg.discriminator_config)
+    check("loss", cfg.weights)
+    check("train", cfg.settings)
+    if gen_cfg is not None:
+        check("classes", lambda: gen_cfg.check_num_classes(cfg.classes))
     if cfg.steps < 0:
-        problems.append(f"train.steps={cfg.steps} must be >= 0")
-    if cfg.batch_size < 1 or cfg.log_every < 1 or cfg.metrics_every < 1:
-        problems.append("train.batch_size/log_every/metrics_every must be >= 1")
-    if not (np.isfinite(cfg.lr) and cfg.lr > 0):
-        problems.append(f"train.lr={cfg.lr} must be positive and finite")
-    for name, value in (("beta1", cfg.beta1), ("beta2", cfg.beta2)):
-        if not 0 <= value < 1:
-            problems.append(f"train.{name}={value} outside [0, 1)")
-    for name in ("lambda1", "lambda2", "lambda3"):
-        value = getattr(cfg, name)
-        if not np.isfinite(value) or value < 0:
-            problems.append(f"loss.{name}={value} must be finite and >= 0")
+        problems.append(f"train: steps={cfg.steps} must be >= 0")
+    if cfg.seed < 0:
+        problems.append(f"seed: {cfg.seed} must be >= 0")
     if problems:
         raise ConfigError(f"{source}: " + "; ".join(problems))
 

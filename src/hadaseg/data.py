@@ -125,6 +125,8 @@ def gen_synthetic(
     """
     if count < 1:
         raise GenerationError(f"sample count must be >= 1, got {count}")
+    if seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {seed}")
     if size < 16:
         raise GenerationError(f"canvas size must be >= 16, got {size}")
     if num_classes < 2:

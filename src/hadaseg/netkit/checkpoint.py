@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import ConfigError, FormatError
 from .models import (
     Discriminator,
     DiscriminatorConfig,
@@ -134,29 +134,28 @@ def load_models(directory) -> tuple[Generator, Discriminator, dict[str, str]]:
 
     The returned metadata holds an integer ``num_classes`` in
     [2, 2^code_bits], the class count the generator's head can decode.
+    Metadata that builds no network is the file's fault: FormatError.
     """
     tensors, meta = load_checkpoint(directory)
-    gen_cfg = GeneratorConfig(
-        input_channels=_require_int(meta, "gen.input_channels"),
-        depth=_require_int(meta, "gen.depth"),
-        base_channels=_require_int(meta, "gen.base_channels"),
-        code_bits=_require_int(meta, "code_bits"),
-        head=_require(meta, "head"),
-    )
-    num_classes = _require_int(meta, "num_classes")
-    if not 2 <= num_classes <= gen_cfg.output_channels:
-        raise FormatError(
-            f"checkpoint metadata 'num_classes' is {num_classes}, outside "
-            f"[2, {gen_cfg.output_channels}] for code_bits={gen_cfg.code_bits}"
+    try:
+        gen_cfg = GeneratorConfig(
+            input_channels=_require_int(meta, "gen.input_channels"),
+            depth=_require_int(meta, "gen.depth"),
+            base_channels=_require_int(meta, "gen.base_channels"),
+            code_bits=_require_int(meta, "code_bits"),
+            head=_require(meta, "head"),
         )
-    disc_cfg = DiscriminatorConfig(
-        layers=_require_int(meta, "disc.layers"),
-        base_channels=_require_int(meta, "disc.base_channels"),
-    )
-    gen = build_generator(gen_cfg, seed=0)
-    disc = build_discriminator(
-        disc_cfg, input_channels=_require_int(meta, "disc.input_channels"), seed=0
-    )
+        gen_cfg.check_num_classes(_require_int(meta, "num_classes"))
+        disc_cfg = DiscriminatorConfig(
+            layers=_require_int(meta, "disc.layers"),
+            base_channels=_require_int(meta, "disc.base_channels"),
+        )
+        gen = build_generator(gen_cfg, seed=0)
+        disc = build_discriminator(
+            disc_cfg, input_channels=_require_int(meta, "disc.input_channels"), seed=0
+        )
+    except ConfigError as exc:
+        raise FormatError(f"{directory}: bad checkpoint metadata: {exc}") from exc
     for prefix, model in (("gen", gen), ("disc", disc)):
         for name, param in model.parameters.items():
             key = f"{prefix}.{name}"

@@ -49,6 +49,22 @@ class GeneratorConfig:
     def output_channels(self) -> int:
         return 2**self.code_bits
 
+    def check_num_classes(self, num_classes: int) -> None:
+        """Raise ConfigError unless the head can decode ``num_classes``
+        classes: 2 <= num_classes <= 2^code_bits."""
+        if not 2 <= num_classes <= self.output_channels:
+            raise ConfigError(
+                f"'num_classes' is {num_classes}, outside [2, {self.output_channels}], "
+                f"the class capacity of code_bits={self.code_bits}"
+            )
+
+    def check_input_size(self, height: int, width: int) -> None:
+        """Raise ShapeError unless 2^depth divides both sides, so that every
+        skip connection meets an upsampled map of its own size."""
+        factor = 2**self.depth
+        if height % factor or width % factor:
+            raise ShapeError(f"input {height}x{width} not divisible by 2^depth = {factor}")
+
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:
@@ -60,6 +76,18 @@ class DiscriminatorConfig:
             raise ConfigError(f"discriminator needs >= 1 layers, got {self.layers}")
         if self.base_channels < 1:
             raise ConfigError("base_channels must be >= 1")
+
+    def check_input_size(self, height: int, width: int) -> None:
+        """Raise ConfigError unless the shorter side holds the receptive
+        field of one output cell and 2^layers divides it."""
+        size = min(height, width)
+        rf = receptive_field(self).size
+        if rf > size:
+            raise ConfigError(f"receptive field {rf} exceeds input size {size}")
+        if size % 2**self.layers:
+            raise ConfigError(
+                f"input size {size} not divisible by 2^layers = {2 ** self.layers}"
+            )
 
 
 @dataclass(frozen=True)
@@ -137,12 +165,7 @@ class Generator:
                 f"expected [B, H, W, {self.cfg.input_channels}] input, "
                 f"got {x.value.shape}"
             )
-        height, width = x.value.shape[1], x.value.shape[2]
-        factor = 2**self.cfg.depth
-        if height % factor or width % factor:
-            raise ShapeError(
-                f"input {height}x{width} not divisible by 2^depth = {factor}"
-            )
+        self.cfg.check_input_size(x.value.shape[1], x.value.shape[2])
 
         skips = [x]  # skips[d] lives at resolution H / 2^d
         h = x
@@ -175,7 +198,6 @@ class Discriminator:
             raise ConfigError("discriminator input_channels must be >= 1")
         self.cfg = cfg
         self.input_channels = input_channels
-        self.rf = receptive_field(cfg)
         rng = np.random.default_rng(seed)
         self.parameters: dict[str, ad.Parameter] = {}
 
@@ -199,11 +221,7 @@ class Discriminator:
             raise ShapeError(
                 f"expected [B, H, W, {self.input_channels}] input, got {h.value.shape}"
             )
-        size = min(h.value.shape[1], h.value.shape[2])
-        if self.rf.size > size:
-            raise ConfigError(
-                f"receptive field {self.rf.size} exceeds input size {size}"
-            )
+        self.cfg.check_input_size(h.value.shape[1], h.value.shape[2])
         for layer in range(self.cfg.layers):
             h = ad.leaky_relu(
                 ad.conv2d(h, self.parameters[f"d{layer}.w"], self.parameters[f"d{layer}.b"], stride=2)
@@ -222,17 +240,8 @@ def build_discriminator(
     seed: int | np.random.SeedSequence = 0,
     input_size: int | None = None,
 ) -> Discriminator:
-    """Build the patch discriminator; reject configs whose receptive field
-    cannot fit ``input_size`` when the caller knows it up front."""
+    """Build the patch discriminator; when the caller knows the square
+    ``input_size`` up front, reject a config that cannot take it."""
     if input_size is not None:
-        rf = receptive_field(cfg)
-        min_spatial = 2**cfg.layers
-        if rf.size > input_size:
-            raise ConfigError(
-                f"receptive field {rf.size} exceeds input size {input_size}"
-            )
-        if input_size % min_spatial:
-            raise ConfigError(
-                f"input size {input_size} not divisible by 2^layers = {min_spatial}"
-            )
+        cfg.check_input_size(input_size, input_size)
     return Discriminator(cfg, input_channels=input_channels, seed=seed)

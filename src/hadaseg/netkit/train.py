@@ -90,6 +90,12 @@ class TrainSettings:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.log_every < 1 or self.metrics_every < 1:
             raise ConfigError("batch_size, log_every and metrics_every must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr={self.lr} must be positive and finite")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ConfigError(f"{name}={value} outside [0, 1)")
 
 
 def _check_finite(
@@ -151,10 +157,9 @@ def train_cgan(
             raise ConfigError("all samples must share one resolution")
     if num_classes is None:
         num_classes = int(max(s.labels.labels.max() for s in dataset)) + 1
-    if num_classes > gen_cfg.output_channels:
-        raise ConfigError(
-            f"num_classes={num_classes} exceeds 2^code_bits = {gen_cfg.output_channels}"
-        )
+    gen_cfg.check_num_classes(num_classes)
+    gen_cfg.check_input_size(height, width)
+    disc_cfg.check_input_size(height, width)
 
     seeds = np.random.SeedSequence(seed).spawn(3)
     gen = build_generator(gen_cfg, seed=seeds[0])
@@ -162,12 +167,7 @@ def train_cgan(
         disc_cfg,
         input_channels=gen_cfg.input_channels + gen_cfg.output_channels,
         seed=seeds[1],
-        input_size=min(height, width),
     )
-    if height % 2**gen_cfg.depth or width % 2**gen_cfg.depth:
-        raise ConfigError(
-            f"resolution {height}x{width} not divisible by 2^depth = {2 ** gen_cfg.depth}"
-        )
 
     codebook = sylvester(gen_cfg.code_bits, num_classes=num_classes)
     effective = weights if gen_cfg.head != HEAD_ONE_HOT else replace(weights, lambda3=0.0)

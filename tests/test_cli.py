@@ -214,6 +214,19 @@ class TestTrainCommand:
         assert code == 2
         assert err.startswith("error:config:")
 
+    def test_negative_seed_rejected(self, capsys, tiny_run, tmp_path):
+        _, config, _ = tiny_run
+        bad = tmp_path / "c.cfg"
+        bad.write_text(config.read_text().replace("seed = 5", "seed = -1"))
+        code, _, err = run(
+            capsys, "train", "--config", str(bad), "--head", "hadamard",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert err.startswith("error:config:") and err.count("\n") == 1
+        assert "seed" in err
+        assert not (tmp_path / "o").exists()
+
     def test_config_without_data_dir_rejected(self, capsys, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text("seed = 1\n")
@@ -391,6 +404,41 @@ class TestBadInputsExitCleanly:
         code, _, err = self._run_model_command(capsys, workdir, command)
         assert_one_data_error(code, err)
         assert "'num_classes'" in err
+
+    # Each value builds no network, so the checkpoint, not the config, is at fault.
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gen.depth", "0"),
+            ("head", "foo"),
+            ("code_bits", "17"),
+            ("disc.layers", "0"),
+            ("disc.input_channels", "0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_meta_value_that_builds_no_network(self, capsys, workdir, command, key, value):
+        self._edit_manifest(
+            workdir,
+            lambda text: "\n".join(
+                f"meta {key} {value}" if line.startswith(f"meta {key} ") else line
+                for line in text.splitlines()
+            ),
+        )
+        code, _, err = self._run_model_command(capsys, workdir, command)
+        assert_one_data_error(code, err)
+        assert str(workdir / "ckpt") in err
+
+    def test_gen_data_negative_seed(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        code, _, err = run(
+            capsys,
+            "gen-data", "--seed", "-1", "--count", "2", "--size", "16",
+            "--classes", "4", "--out", str(out),
+        )
+        assert_one_data_error(code, err)
+        assert "seed" in err
+        assert not out.exists()
 
     def test_gen_data_negative_count(self, capsys, tmp_path):
         out = tmp_path / "d"

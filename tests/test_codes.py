@@ -5,7 +5,6 @@ from hadaseg.codes import (
     Codebook,
     codebook_csv,
     decode_correlation,
-    encode_class,
     fwht,
     fwht_apply,
     min_pairwise_distance,
@@ -154,25 +153,11 @@ class TestFwht:
 
 
 class TestEncodeDecode:
-    def test_encode_rows(self):
-        cb = sylvester(3)
-        assert np.array_equal(encode_class(cb, 0).values, np.ones(8))
-        assert np.array_equal(encode_class(cb, 1).values, [1, -1, 1, -1, 1, -1, 1, -1])
-        assert np.array_equal(encode_class(sylvester(1), 1).values, [1, -1])
-        assert encode_class(cb, 5).class_index == 5
-
-    def test_encode_out_of_range(self):
-        cb = sylvester(2, num_classes=3)
-        with pytest.raises(ClassIndexError):
-            encode_class(cb, 3)
-        with pytest.raises(ClassIndexError):
-            encode_class(cb, -1)
-
     @pytest.mark.parametrize("k", range(0, 9))
     def test_round_trip(self, k):
         cb = sylvester(k)
         for j in range(cb.num_classes):
-            v = encode_class(cb, j).values.astype(np.float64)
+            v = cb.matrix[j].astype(np.float64)
             assert decode_correlation(cb, v) == j
 
     def test_all_zeros_ties_to_zero(self):

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hadaseg.config import ExperimentConfig, load_config, parse_config
+from hadaseg.config import KEYS, ExperimentConfig, load_config, parse_config
 from hadaseg.errors import ConfigError
+from hadaseg.netkit import TrainSettings
 
 GOOD = """
 # smoke experiment
@@ -87,6 +90,85 @@ class TestValidation:
     def test_depth_bounds(self):
         with pytest.raises(ConfigError):
             parse_config("generator.depth = 0")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "codebook.k = 17",
+            "classes = 1",
+            "generator.depth = 0",
+            "discriminator.layers = 0",
+            "generator.base_channels = 0",
+            "discriminator.base_channels = 0",
+            *(f"loss.lambda{i} = {v}" for i in (1, 2, 3) for v in ("-1", "nan")),
+            "train.steps = -1",
+            "train.batch_size = 0",
+            "train.log_every = 0",
+            "train.metrics_every = 0",
+            "train.lr = 0",
+            "train.lr = nan",
+            "train.lr = inf",
+            *(f"train.{b} = {v}" for b in ("beta1", "beta2") for v in ("1.0", "-0.1")),
+            "seed = -1",
+        ],
+    )
+    def test_one_bad_value_per_range(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(line)
+
+    def test_every_problem_in_one_message(self):
+        text = (
+            "classes = 9\n"
+            "discriminator.layers = 0\n"
+            "loss.lambda2 = -1\n"
+            "train.steps = -1\n"
+            "train.lr = 0\n"
+            "seed = -1\n"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        message = str(excinfo.value)
+        assert message.count("\n") == 0
+        for section, word in (
+            ("classes", "capacity"),
+            ("discriminator", "layers"),
+            ("loss", "lambda2"),
+            ("train", "steps"),
+            ("train", "lr"),
+            ("seed", "-1"),
+        ):
+            assert f"{section}: " in message and word in message
+
+    def test_train_settings_check_their_own_ranges(self):
+        with pytest.raises(ConfigError):
+            TrainSettings(lr=0)
+        with pytest.raises(ConfigError):
+            TrainSettings(beta1=1.0)
+
+
+_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6),
+)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(KEYS)), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=6).map("\n".join))
+def test_parsed_config_builds_every_section_or_is_rejected(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    for head in ("one_hot", "hadamard"):
+        cfg.generator_config(head)
+    cfg.discriminator_config()
+    cfg.weights()
+    cfg.settings()
 
 
 class TestDerivedConfigs:

@@ -149,6 +149,9 @@ class TestDiscriminator:
     def test_input_size_divisibility_check(self):
         with pytest.raises(ConfigError):
             build_discriminator(DiscriminatorConfig(layers=3), 11, input_size=36)
+        disc = build_discriminator(DiscriminatorConfig(layers=3), 11)
+        with pytest.raises(ConfigError):
+            disc.forward(np.zeros((1, 36, 40, 11)))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

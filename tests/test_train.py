@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hadaseg.data import gen_synthetic
-from hadaseg.errors import ConfigError, TrainingDivergedError
+from hadaseg.errors import ConfigError, ShapeError, TrainingDivergedError
 from hadaseg.loss import generator_loss
 from hadaseg.netkit import (
     DiscriminatorConfig,
@@ -169,10 +169,17 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train_cgan(gen_cfg, disc_cfg, dataset, 1, seed=0)
 
+    def test_indivisible_resolution_rejected(self):
+        gen_cfg, disc_cfg = _tiny_configs()
+        dataset = gen_synthetic(seed=6, count=2, size=18, num_classes=4)
+        with pytest.raises(ShapeError):
+            train_cgan(gen_cfg, disc_cfg, dataset, 0, seed=0)
+
     def test_num_classes_capacity_check(self):
         gen_cfg, disc_cfg = _tiny_configs()
-        with pytest.raises(ConfigError):
-            train_cgan(gen_cfg, disc_cfg, _tiny_dataset(), 1, seed=0, num_classes=5)
+        for num_classes in (1, 5):
+            with pytest.raises(ConfigError, match="capacity"):
+                train_cgan(gen_cfg, disc_cfg, _tiny_dataset(), 1, seed=0, num_classes=num_classes)
 
     def test_header_documents_threads_and_parameters(self):
         gen_cfg, disc_cfg = _tiny_configs()
