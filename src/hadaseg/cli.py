@@ -42,6 +42,7 @@ from .errors import (
 )
 from .metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
 from .netkit import load_models, save_models, train_cgan
+from .netkit.autodiff import set_needs_grad
 from .netkit.models import HEAD_HADAMARD, HEAD_ONE_HOT
 
 _CONFIG_ERRORS = (ConfigError, CapacityError, ClassIndexError, ShapeError)
@@ -148,9 +149,22 @@ def _predict_label_maps(gen, images: np.ndarray, num_classes: int):
     return [argmax_map(y_hat.value[i], num_classes) for i in range(images.shape[0])]
 
 
+def _check_image_size(gen, path, height: int, width: int) -> None:
+    """Raise ShapeError naming ``path`` unless the generator takes its size."""
+    try:
+        gen.cfg.check_input_size(height, width)
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
+
+
 def _load_generator(model_dir):
-    """The generator of a checkpoint and the class count it was trained on."""
+    """The generator of a checkpoint and the class count it was trained on.
+
+    The generator is for inference: its Parameters need no gradient, so a
+    forward pass builds no tape and keeps no im2col buffer.
+    """
     gen, _, meta = load_models(model_dir)
+    set_needs_grad(gen.parameters.values(), False)
     return gen, int(meta["num_classes"])
 
 
@@ -159,6 +173,16 @@ def _cmd_eval(args) -> int:
     dataset = ingest_index_maps(args.data, num_classes=num_classes)
     if not dataset:
         raise IngestionError(f"{args.data}: no samples found")
+    first = dataset[0]
+    height, width = first.image.shape[:2]
+    for sample in dataset:
+        if sample.image.shape[:2] != (height, width):
+            raise ConfigError(
+                f"{sample.path}: image {sample.image.shape[0]}x{sample.image.shape[1]} "
+                f"differs from {first.path} ({height}x{width}); "
+                "all samples must share one resolution"
+            )
+    _check_image_size(gen, first.path, height, width)
     total = ConfusionMatrix(np.zeros((num_classes, num_classes), dtype=np.int64))
     batch = 8
     for start in range(0, len(dataset), batch):
@@ -179,6 +203,7 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     gen, num_classes = _load_generator(args.model)
     image = read_image(args.image)
+    _check_image_size(gen, args.image, *image.shape[:2])
     (label_map,) = _predict_label_maps(gen, image[None], num_classes)
     write_label_map(args.out, label_map)
     print(f"wrote {args.out}")

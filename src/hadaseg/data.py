@@ -36,6 +36,7 @@ class Sample:
 
     image: np.ndarray  # (H, W, 3) float64 in [0, 1]
     labels: LabelMap
+    path: Path | None = None  # the image file, for samples read from disk
 
     def __post_init__(self) -> None:
         if self.image.ndim != 3 or self.image.shape[2] != 3:
@@ -274,7 +275,7 @@ def ingest_index_maps(directory, num_classes: int | None = None) -> list[Sample]
             raise ClassIndexError(
                 f"{labels[stem]}: label {int(lm.labels.max())} >= K={num_classes}"
             )
-        samples.append(Sample(image=image, labels=lm))
+        samples.append(Sample(image=image, labels=lm, path=images[stem]))
     return samples
 
 

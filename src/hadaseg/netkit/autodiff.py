@@ -7,12 +7,19 @@ accumulating gradients into every node it visits. Shape problems surface at
 graph build time, not inside backward.
 
 Every node records at construction whether it needs a gradient. Parameters
-and ``constant`` leaves do; a raw array that ``as_node`` wraps does not; an
-op node does when any of its parents does. ``backward`` never visits a node
-that needs no gradient, so its ``.grad`` stays None, and ``conv2d`` skips
-its input gradient when its input needs none. A node's first gradient
-contribution is stored as its ``.grad`` and later ones are added to it; no
-``.grad`` shares memory with another node's or with a caller's seed.
+and ``constant`` leaves do unless ``set_needs_grad`` cleared their flag (a
+frozen network); a raw array that ``as_node`` wraps does not; an op node
+does when any of its parents does, and otherwise keeps no backprop, so a
+frozen network's forward on a raw input builds no tape. ``backward`` never
+visits a node that needs no gradient, so its ``.grad`` stays None, and the
+conv ops skip the gradient of any input, weight or bias that needs none. A
+node's first gradient contribution is stored as its ``.grad`` and later
+ones are added to it; no ``.grad`` shares memory with another node's or
+with a caller's seed.
+
+``upsample_concat_conv2d`` is a UNet decoder stage, nearest 2x upsampling,
+skip concatenation and a 3x3 conv, computed as one op at the low resolution
+(see its docstring).
 """
 
 from __future__ import annotations
@@ -66,6 +73,18 @@ def constant(value) -> Node:
 def as_node(x) -> Node:
     """Pass a Node through; wrap a raw array as a leaf that needs no gradient."""
     return x if isinstance(x, Node) else Node(x, needs_grad=False)
+
+
+def set_needs_grad(parameters, needs_grad: bool) -> None:
+    """Set the ``needs_grad`` flag of every Parameter in ``parameters``.
+
+    With the flag cleared, ops on a network's Parameters and a raw input
+    keep no backprop, and ``backward`` computes no gradient for the
+    Parameters. ``backward`` reads the flags, so a graph built while they
+    were cleared must be walked before they are set again.
+    """
+    for parameter in parameters:
+        parameter.needs_grad = needs_grad
 
 
 def _toposort(roots) -> list[Node]:
@@ -157,6 +176,17 @@ def _pad_same(v: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(v, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
 
 
+def _input_gradient(g: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """Input gradient of a same-padded stride-1 convolution with kernel
+    ``wv`` [k, k, Cin, Cout], given the output gradient ``g`` [B, H, W, Cout]:
+    the same-padded convolution of ``g`` with the flipped kernel, its channel
+    axes swapped. One im2col and one matmul; returns [B, H, W, Cin]."""
+    k, _, cin, cout = wv.shape
+    g_cols, _, _ = _im2col(_pad_same(g, k // 2), k, 1)
+    w_flip = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
+    return (g_cols @ w_flip).reshape(g.shape[:3] + (cin,))
+
+
 def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     """Same-padded 2-D convolution, stride 1 or 2, odd square kernels.
 
@@ -199,9 +229,7 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
         if not x.needs_grad:
             return
         if stride == 1:
-            g_cols, _, _ = _im2col(_pad_same(node.grad, pad), k, 1)
-            w_flip = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
-            _accumulate(x, (g_cols @ w_flip).reshape(xv.shape))
+            _accumulate(x, _input_gradient(node.grad, wv))
             return
         dcols = (g @ w_mat.T).reshape(batch, out_h, out_w, k, k, cin)
         dxp = np.zeros_like(xp)
@@ -253,7 +281,11 @@ def sigmoid(x: Node) -> Node:
 
 
 def nearest_upsample_2x(x: Node) -> Node:
-    """Double both spatial axes by pixel repetition."""
+    """Double both spatial axes by pixel repetition.
+
+    The generator's decoder uses ``upsample_concat_conv2d`` instead; this op
+    is the reference that its tests compose against.
+    """
     _check_image(x, "nearest_upsample_2x")
     xv = x.value
     out = xv.repeat(2, axis=1).repeat(2, axis=2)
@@ -283,6 +315,109 @@ def channel_concat(a: Node, b: Node) -> Node:
             _accumulate(b, node.grad[..., split:].copy())
 
     return Node(out, parents=(a, b), backprop=backprop)
+
+
+# Nearest 2x upsampling followed by a same-padded 3x3 conv, per axis: an
+# output row of parity a reads, through full-resolution tap d, the row of a
+# 3-tap window over the padded low-resolution input at tap _PHASE_TAPS[a][d].
+# _PHASE[(a, t), d] is 1 where that tap is t.
+_PHASE_TAPS = ((0, 1, 1), (1, 1, 2))
+_PHASE = np.array([[float(tap == t) for tap in taps] for taps in _PHASE_TAPS for t in range(3)])
+
+
+def _phase_kernel(w_up: np.ndarray) -> np.ndarray:
+    """The [3, 3, Cup, Cout] kernel over the upsampled input as a
+    [9 Cup, 4 Cout] kernel over 3x3 windows of the low-resolution input:
+    rows (t, s, Cup), columns (a, c, Cout). Entry (t, s) of output phase
+    (a, c) sums the taps (d, e) that read it."""
+    cup, cout = w_up.shape[2:]
+    rows = (_PHASE @ w_up.reshape(3, -1)).reshape(6, 3, cup * cout)  # [(a, t), e, (Cup, Cout)]
+    both = np.matmul(_PHASE, rows)  # [(a, t), (c, s), (Cup, Cout)]
+    both = both.reshape(2, 3, 2, 3, cup, cout).transpose(1, 3, 4, 0, 2, 5)
+    return both.reshape(9 * cup, 4 * cout)
+
+
+def _fold_phase_kernel(d_phase: np.ndarray, cup: int, cout: int) -> np.ndarray:
+    """The adjoint of ``_phase_kernel``: a gradient with respect to the
+    [9 Cup, 4 Cout] combined kernel, folded back to [3, 3, Cup, Cout]."""
+    both = d_phase.reshape(3, 3, cup, 2, 2, cout).transpose(3, 0, 4, 1, 2, 5)
+    rows = np.matmul(_PHASE.T, both.reshape(6, 6, cup * cout))  # [(a, t), e, (Cup, Cout)]
+    return (_PHASE.T @ rows.reshape(6, -1)).reshape(3, 3, cup, cout)
+
+
+def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
+    """``conv2d(channel_concat(nearest_upsample_2x(x), skip), w, b)`` for a
+    3x3 kernel at stride 1, computed without the upsampled map.
+
+    Layout: ``x`` [B, h, w, Cup], ``skip`` [B, 2h, 2w, Cskip], kernel
+    [3, 3, Cup + Cskip, Cout] (its first Cup input channels act on the
+    upsampled ``x``), bias [Cout]. Nearest upsampling followed by a 3x3 conv
+    is four 2x2 convs at the low resolution, one per output phase (row and
+    column parity), and a conv over a concat is the sum of the convs over its
+    parts. So the up branch is one im2col of ``x`` times a [9 Cup, 4 Cout]
+    kernel holding the four phases, interleaved to full resolution, and the
+    skip branch is an im2col of ``skip`` times the kernel's skip channels.
+
+    Backward: the weight gradient of each branch comes from its cached
+    columns, the up branch's folded back through the phase map. Both input
+    gradients come from one stride-1 transposed-conv product over all
+    Cup + Cskip channels; the up part is summed over each 2x2 block. That
+    product is computed at full width even when one input needs no gradient,
+    so the other input's gradient never depends on which inputs need one.
+    """
+    _check_image(x, "upsample_concat_conv2d")
+    _check_image(skip, "upsample_concat_conv2d")
+    xv, sv, wv, bv = x.value, skip.value, w.value, b.value
+    batch, height, width, cup = xv.shape
+    if sv.shape[:3] != (batch, 2 * height, 2 * width):
+        raise ShapeError(
+            f"skip shape {sv.shape} is not the 2x upsampled size of input {xv.shape}"
+        )
+    cin = cup + sv.shape[3]
+    if wv.ndim != 4 or wv.shape[:3] != (3, 3, cin):
+        raise ShapeError(f"kernel must be [3, 3, {cin}, Cout], got {wv.shape}")
+    cout = wv.shape[3]
+    if bv.shape != (cout,):
+        raise ShapeError(f"bias shape {bv.shape} != ({cout},)")
+
+    cols_up, _, _ = _im2col(_pad_same(xv, 1), 3, 1)
+    cols_skip, _, _ = _im2col(_pad_same(sv, 1), 3, 1)
+    out = cols_skip @ wv[:, :, cup:].reshape(-1, cout)
+    blocks = out.reshape(batch, height, 2, width, 2, cout)
+    blocks += (
+        (cols_up @ _phase_kernel(wv[:, :, :cup]))
+        .reshape(batch, height, width, 2, 2, cout)
+        .transpose(0, 1, 3, 2, 4, 5)
+    )
+    out += bv
+    out = out.reshape(batch, 2 * height, 2 * width, cout)
+
+    def backprop(node: Node) -> None:
+        g = node.grad
+        if b.needs_grad:
+            _accumulate(b, g.sum(axis=(0, 1, 2)))
+        if w.needs_grad:
+            g_phase = (
+                g.reshape(batch, height, 2, width, 2, cout)
+                .transpose(0, 1, 3, 2, 4, 5)
+                .reshape(-1, 4 * cout)
+            )
+            dw = np.empty_like(wv)
+            # [N, M] x [M, K] runs faster in BLAS, as in conv2d.
+            dw[:, :, :cup] = _fold_phase_kernel((g_phase.T @ cols_up).T, cup, cout)
+            dw[:, :, cup:] = (g.reshape(-1, cout).T @ cols_skip).T.reshape(3, 3, -1, cout)
+            _accumulate(w, dw)
+        if not (x.needs_grad or skip.needs_grad):
+            return
+        dcat = _input_gradient(g, wv)
+        if x.needs_grad:
+            up_blocks = dcat[..., :cup].reshape(batch, height, 2, width, 2, cup)
+            _accumulate(x, up_blocks.sum(axis=(2, 4)))
+        if skip.needs_grad:
+            # A copy, so that the up part of dcat is freed now.
+            _accumulate(skip, dcat[..., cup:].copy())
+
+    return Node(out, parents=(x, skip, w, b), backprop=backprop)
 
 
 def per_pixel_softmax(x: Node) -> Node:

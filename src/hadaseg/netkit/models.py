@@ -7,6 +7,10 @@ Both heads (plain per-pixel softmax, or the code-correlation head) are
 parameter-free, so swapping them never changes the trainable parameter
 count.
 
+Each decoder stage (upsample, concat, 3x3 conv) is computed as one
+``upsample_concat_conv2d`` op at the low resolution, without the upsampled
+map; the architecture and its parameters are those of the three-op chain.
+
 The discriminator is a stack of stride-2 convolutions ending in a 1-channel
 sigmoid map; each output cell scores one receptive-field patch of its input.
 """
@@ -174,9 +178,9 @@ class Generator:
             if d < self.cfg.depth - 1:
                 skips.append(h)
         for d in reversed(range(self.cfg.depth)):
-            h = ad.nearest_upsample_2x(h)
-            h = ad.channel_concat(h, skips[d])
-            h = ad.relu(ad.conv2d(h, self._p(f"dec{d}.w"), self._p(f"dec{d}.b"), stride=1))
+            h = ad.relu(
+                ad.upsample_concat_conv2d(h, skips[d], self._p(f"dec{d}.w"), self._p(f"dec{d}.b"))
+            )
         y_c = ad.conv2d(h, self._p("out.w"), self._p("out.b"), stride=1)
         if self.cfg.head == HEAD_HADAMARD:
             y_hat = ad.hadamard_head(y_c, self.codebook)

@@ -226,7 +226,10 @@ def train_cgan(
         # the generator update builds its own.
         del alpha_real, alpha_fake
 
-        # Generator update through the refreshed discriminator.
+        # Generator update through the refreshed discriminator. Its
+        # Parameters need no gradient until this update's backward is done,
+        # so that backward computes no discriminator weight gradient.
+        ad.set_needs_grad(disc.parameters.values(), False)
         alpha_gen = disc.forward(ad.channel_concat(ad.as_node(x), y_hat))
         total, terms = generator_loss(
             alpha_gen.value, y_hat.value, y_one_hot, y_c.value, y_code, effective
@@ -238,6 +241,7 @@ def train_cgan(
         if effective.lambda3 != 0.0:
             seeds_g.append((y_c, g_y_c))
         ad.backward(seeds_g)
+        ad.set_needs_grad(disc.parameters.values(), True)
         gen_grads = {name: p.grad for name, p in gen.parameters.items()}
         _check_finite(
             step,

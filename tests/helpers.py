@@ -1,4 +1,5 @@
-"""Shared test utilities: gradient checking against central finite differences."""
+"""Shared test utilities: gradient checking against central finite differences,
+and walking an autodiff tape."""
 
 import numpy as np
 
@@ -30,3 +31,15 @@ def finite_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
         flat[i] = original
         grad_flat[i] = (f_plus - f_minus) / (2.0 * step)
     return grad
+
+
+def reachable_nodes(roots) -> list:
+    """Every autodiff node reachable from ``roots`` through parents, each once."""
+    seen, stack, nodes = set(), list(roots), []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes

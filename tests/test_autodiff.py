@@ -11,7 +11,7 @@ from hadaseg.netkit.models import (
     GeneratorConfig,
 )
 
-from helpers import rel_error
+from helpers import reachable_nodes, rel_error
 
 
 def _conv_oracle(x, w, b, stride):
@@ -32,20 +32,27 @@ def _conv_oracle(x, w, b, stride):
     return out
 
 
-def _gradcheck_op(build, inputs, seed=0, tol=1e-5, step=1e-5):
+def _gradcheck_op(build, inputs, seed=0, tol=1e-5, step=1e-5, raw=()):
     """Check analytic input gradients of an op against finite differences.
 
     ``build`` maps a list of leaf Nodes to the output Node; the objective is
-    a fixed random projection of the output.
+    a fixed random projection of the output. Inputs whose indices are in
+    ``raw`` enter through ``as_node``: they must get no gradient, and the
+    others are checked.
     """
     rng = np.random.default_rng(seed)
-    leaves = [ad.constant(v) for v in inputs]
+    leaves = [
+        ad.as_node(v) if index in raw else ad.constant(v) for index, v in enumerate(inputs)
+    ]
     out = build(leaves)
     projection = rng.standard_normal(out.value.shape)
     ad.backward([(out, projection)])
-    analytic = [leaf.grad.copy() for leaf in leaves]
+    analytic = [None if leaf.grad is None else leaf.grad.copy() for leaf in leaves]
 
     for index, base in enumerate(inputs):
+        if index in raw:
+            assert analytic[index] is None, f"input {index}"
+            continue
         numeric = np.zeros_like(base)
         flat = base.reshape(-1)
         num_flat = numeric.reshape(-1)
@@ -222,6 +229,75 @@ class TestUpsampleAndConcat:
             )
 
 
+def _composed_decoder_stage(x, skip, w, b):
+    return ad.conv2d(ad.channel_concat(ad.nearest_upsample_2x(x), skip), w, b)
+
+
+class TestUpsampleConcatConv2d:
+    @staticmethod
+    def _inputs(rng, batch, height, width, cup, cskip, cout):
+        return [
+            rng.standard_normal((batch, height, width, cup)),
+            rng.standard_normal((batch, 2 * height, 2 * width, cskip)),
+            rng.standard_normal((3, 3, cup + cskip, cout)),
+            rng.standard_normal(cout),
+        ]
+
+    @pytest.mark.parametrize("raw", [(), (1,)], ids=["skip_needs_grad", "raw_skip"])
+    def test_gradients_odd_channels(self, raw):
+        # Odd, unequal channel counts and a non-square input, so every tap
+        # of the phase map and both borders are exercised.
+        inputs = self._inputs(np.random.default_rng(50), 1, 3, 2, 5, 3, 7)
+        _gradcheck_op(
+            lambda leaves: ad.upsample_concat_conv2d(*leaves), inputs, seed=51, tol=1e-4, raw=raw
+        )
+
+    def test_input_gradient_is_adjoint(self):
+        # With zero bias the op is linear in (x, skip), so its input
+        # gradients are the adjoint map: <op(x, skip), g> == <x, dx> + <skip, dskip>.
+        rng = np.random.default_rng(52)
+        x, skip, w, _ = self._inputs(rng, 1, 6, 5, 16, 3, 16)
+        xn, sn = ad.constant(x), ad.constant(skip)
+        out = ad.upsample_concat_conv2d(xn, sn, ad.constant(w), ad.constant(np.zeros(16)))
+        g = rng.standard_normal(out.value.shape)
+        ad.backward([(out, g)])
+        inner = (x * xn.grad).sum() + (skip * sn.grad).sum()
+        assert np.isclose((out.value * g).sum(), inner, rtol=1e-12, atol=0)
+
+    def test_matches_composed_path(self):
+        # dec0's channels (16 upsampled + 3 skip -> 16): values and every
+        # gradient equal those of upsample -> concat -> conv2d, relative to
+        # each array's largest entry (the sums are reassociated, so entries
+        # near zero differ by more than 1e-12 of themselves).
+        rng = np.random.default_rng(53)
+        inputs = self._inputs(rng, 2, 8, 8, 16, 3, 16)
+        g = rng.standard_normal((2, 16, 16, 16))
+        results = []
+        for op in (_composed_decoder_stage, ad.upsample_concat_conv2d):
+            leaves = [ad.constant(v) for v in inputs]
+            out = op(*leaves)
+            ad.backward([(out, g)])
+            results.append([out.value] + [leaf.grad for leaf in leaves])
+        for name, composed, fused in zip(["out", "x", "skip", "w", "b"], *results):
+            assert rel_error(fused, composed, floor=0.0) < 1e-12, name
+
+    def test_shape_validation(self):
+        x = ad.constant(np.zeros((1, 2, 3, 4)))
+        skip = ad.constant(np.zeros((1, 4, 6, 2)))
+        w, b = ad.constant(np.zeros((3, 3, 6, 5))), ad.constant(np.zeros(5))
+        assert ad.upsample_concat_conv2d(x, skip, w, b).shape == (1, 4, 6, 5)
+        with pytest.raises(ShapeError):
+            ad.upsample_concat_conv2d(x, ad.constant(np.zeros((1, 4, 4, 2))), w, b)
+        with pytest.raises(ShapeError):
+            ad.upsample_concat_conv2d(x, skip, ad.constant(np.zeros((3, 3, 5, 5))), b)
+        with pytest.raises(ShapeError):
+            ad.upsample_concat_conv2d(x, skip, ad.constant(np.zeros((5, 5, 6, 5))), b)
+        with pytest.raises(ShapeError):
+            ad.upsample_concat_conv2d(x, skip, w, ad.constant(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            ad.upsample_concat_conv2d(ad.constant(np.zeros((2, 3, 4))), skip, w, b)
+
+
 class TestSoftmaxAndHead:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
@@ -293,18 +369,6 @@ def _tiny_models():
     return gen, disc
 
 
-def _tape(roots) -> list:
-    """Every node reachable from ``roots``, each once."""
-    seen, stack, nodes = set(), list(roots), []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node.parents)
-    return nodes
-
-
 class TestGradientNeeds:
     def test_leaf_and_op_flags(self):
         raw = ad.as_node(np.ones((1, 2, 2, 1)))
@@ -341,11 +405,42 @@ class TestGradientNeeds:
         alpha_real = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
         ad.backward([(alpha_real, d_seed)])
         arrays = [seed for _, seed in seeds] + [d_seed]
-        arrays += [node.grad for node in _tape([alpha, y_c, alpha_real]) if node.grad is not None]
+        arrays += [
+            node.grad
+            for node in reachable_nodes([alpha, y_c, alpha_real])
+            if node.grad is not None
+        ]
         assert len(arrays) > 40
         for i, first in enumerate(arrays):
             for second in arrays[i + 1 :]:
                 assert not np.shares_memory(first, second)
+
+    def test_frozen_generator_builds_no_tape(self):
+        # With its Parameters' flags cleared, a forward on a raw input keeps
+        # no backprop closure anywhere (so no im2col buffer outlives it);
+        # setting the flags again restores the tape.
+        gen, _ = _tiny_models()
+        x = np.random.default_rng(43).standard_normal((2, 16, 16, 3))
+        ad.set_needs_grad(gen.parameters.values(), False)
+        frozen = reachable_nodes(gen.forward(x))
+        assert len(frozen) > 20
+        assert all(node._backprop is None and not node.needs_grad for node in frozen)
+        ad.set_needs_grad(gen.parameters.values(), True)
+        y_hat, _ = gen.forward(x)
+        assert y_hat._backprop is not None
+
+    def test_frozen_parameters_get_no_gradient(self):
+        # A frozen network between a trainable input and the loss passes the
+        # input gradient through but computes none for its own Parameters.
+        gen, disc = _tiny_models()
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((2, 16, 16, 3))
+        y_hat, _ = gen.forward(x)
+        ad.set_needs_grad(disc.parameters.values(), False)
+        alpha = disc.forward(ad.channel_concat(ad.as_node(x), y_hat))
+        ad.backward([(alpha, rng.standard_normal(alpha.shape))])
+        assert all(p.grad is None for p in disc.parameters.values())
+        assert all(p.grad is not None for p in gen.parameters.values())
 
     def test_generator_parameter_gradients_ignore_input_wrapping(self):
         gen, _ = _tiny_models()

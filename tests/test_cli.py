@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hadaseg.cli import main
-from hadaseg.data import ingest_index_maps, read_label_map
+from hadaseg.cli import _load_generator, main
+from hadaseg.data import ingest_index_maps, read_image, read_label_map
 from hadaseg.metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
 from hadaseg.data import gen_synthetic, write_dataset
 from hadaseg.netkit import (
@@ -15,6 +15,8 @@ from hadaseg.netkit import (
     load_models,
     save_models,
 )
+
+from helpers import reachable_nodes
 
 H8_CSV = (
     "1,1,1,1,1,1,1,1\n"
@@ -342,6 +344,17 @@ class TestBadInputsExitCleanly:
         code, _, err = self._run_model_command(capsys, workdir, command)
         assert code == 0, err
 
+    def test_eval_and_predict_generator_builds_no_tape(self, workdir):
+        # eval and predict load the generator with every Parameter's flag
+        # cleared, so a forward keeps no backprop closure (no im2col buffer).
+        gen, num_classes = _load_generator(workdir / "ckpt")
+        assert num_classes == 4
+        assert not any(p.needs_grad for p in gen.parameters.values())
+        image = read_image(workdir / "data" / "000000.img")
+        nodes = reachable_nodes(gen.forward(image[None]))
+        assert len(nodes) > 20
+        assert all(node._backprop is None for node in nodes)
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_truncated_tensor_blob(self, capsys, workdir, command):
         blob = workdir / "ckpt" / "tensors.bin"
@@ -459,3 +472,62 @@ class TestBadInputsExitCleanly:
         )
         assert_one_data_error(code, err)
         assert not out.exists()
+
+
+def assert_one_config_error(code, err):
+    assert code == 2
+    assert err.startswith("error:config:")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestImageSizeErrors:
+    """Images the checkpoint cannot take exit 2 with one ``error:`` line that
+    names the offending file."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path):
+        """A depth-2 checkpoint in ckpt/ and one-image datasets of 16x16,
+        32x32 and 18x18 in d16/, d32/ and d18/."""
+        gen = build_generator(GeneratorConfig(depth=2, base_channels=4, code_bits=2), seed=0)
+        disc = build_discriminator(
+            DiscriminatorConfig(layers=2, base_channels=4), input_channels=7, seed=0
+        )
+        save_models(tmp_path / "ckpt", gen, disc, num_classes=4)
+        for size in (16, 32, 18):
+            samples = gen_synthetic(seed=size, count=2, size=size, num_classes=4)
+            write_dataset(tmp_path / f"d{size}", samples)
+        return tmp_path
+
+    def test_eval_mixed_sizes(self, capsys, workdir):
+        mixed = workdir / "mixed"
+        mixed.mkdir()
+        for source, name in (("d16", "000000"), ("d32", "000001")):
+            for suffix in (".img", ".segl"):
+                path = workdir / source / f"{name}{suffix}"
+                (mixed / path.name).write_bytes(path.read_bytes())
+        code, _, err = run(
+            capsys, "eval", "--model", str(workdir / "ckpt"), "--data", str(mixed),
+            "--report", str(workdir / "r.json"),
+        )
+        assert_one_config_error(code, err)
+        assert str(mixed / "000001.img") in err
+        assert not (workdir / "r.json").exists()
+
+    def test_eval_size_checkpoint_cannot_take(self, capsys, workdir):
+        code, _, err = run(
+            capsys, "eval", "--model", str(workdir / "ckpt"), "--data", str(workdir / "d18"),
+            "--report", str(workdir / "r.json"),
+        )
+        assert_one_config_error(code, err)
+        assert str(workdir / "d18" / "000000.img") in err and "18x18" in err
+
+    def test_predict_size_checkpoint_cannot_take(self, capsys, workdir):
+        image = workdir / "d18" / "000001.img"
+        code, _, err = run(
+            capsys, "predict", "--model", str(workdir / "ckpt"), "--image", str(image),
+            "--out", str(workdir / "p.segl"),
+        )
+        assert_one_config_error(code, err)
+        assert str(image) in err and "18x18" in err
+        assert not (workdir / "p.segl").exists()

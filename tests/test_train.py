@@ -135,6 +135,27 @@ class TestTrainLoop:
         assert "non-finite loss at step 1: L_D=nan" in str(excinfo.value)
         assert all(calls)
 
+    def test_generator_update_computes_no_discriminator_gradient(self, monkeypatch):
+        # The generator backward runs with the discriminator's flags cleared:
+        # it leaves each D Parameter's gradient as the array the D update
+        # gave Adam, and the flags are set again for the next D update.
+        disc_grads = []
+
+        def recording_adam_step(params, grads, state, **kwargs):
+            if "d0.w" in grads:
+                disc_grads.append(dict(grads))
+            return adam_step(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
+        gen_cfg, disc_cfg = _tiny_configs()
+        _, disc, _ = train_cgan(
+            gen_cfg, disc_cfg, _tiny_dataset(), 2, seed=5, settings=TrainSettings(batch_size=2)
+        )
+        assert len(disc_grads) == 2
+        for name, param in disc.parameters.items():
+            assert param.grad is disc_grads[-1][name], name
+            assert param.needs_grad, name
+
     def test_non_finite_generator_loss_stops_before_generator_update(self, monkeypatch):
         calls = []
 
