@@ -13,6 +13,7 @@ import json
 import shutil
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .codes import codebook_csv, fwht, sylvester, verify, write_codebook_csv
 from .config import load_config
 from .data import (
     class_histogram,
+    common_resolution,
     gen_synthetic,
     ingest_index_maps,
     read_image,
@@ -122,13 +124,13 @@ def _cmd_train(args) -> int:
     if not dataset:
         raise IngestionError(f"{cfg.data_dir}: no samples found")
     gen, disc, history = train_cgan(
-        cfg.generator_config(args.head),
-        cfg.discriminator_config(),
+        replace(cfg.generator, head=args.head),
+        cfg.discriminator,
         dataset,
         steps=cfg.steps,
         seed=cfg.seed,
-        weights=cfg.weights(),
-        settings=cfg.settings(),
+        weights=cfg.loss,
+        settings=cfg.train,
         num_classes=cfg.classes,
     )
     out = Path(args.out)
@@ -173,16 +175,8 @@ def _cmd_eval(args) -> int:
     dataset = ingest_index_maps(args.data, num_classes=num_classes)
     if not dataset:
         raise IngestionError(f"{args.data}: no samples found")
-    first = dataset[0]
-    height, width = first.image.shape[:2]
-    for sample in dataset:
-        if sample.image.shape[:2] != (height, width):
-            raise ConfigError(
-                f"{sample.path}: image {sample.image.shape[0]}x{sample.image.shape[1]} "
-                f"differs from {first.path} ({height}x{width}); "
-                "all samples must share one resolution"
-            )
-    _check_image_size(gen, first.path, height, width)
+    height, width = common_resolution(dataset)
+    _check_image_size(gen, dataset[0].path, height, width)
     total = ConfusionMatrix(np.zeros((num_classes, num_classes), dtype=np.int64))
     batch = 8
     for start in range(0, len(dataset), batch):

@@ -4,6 +4,11 @@ Grammar: one ``key = value`` pair per line; ``#`` starts a comment; blank
 lines are ignored. Keys are dotted lowercase names (see KEYS). Unknown or
 duplicate keys are configuration errors, as are out-of-range values and
 cross-field inconsistencies such as more classes than the codebook can hold.
+
+Each section's keys set fields of one dataclass (GeneratorConfig,
+DiscriminatorConfig, LossWeights, TrainSettings), and that dataclass alone
+holds their defaults and ranges. ExperimentConfig holds the four sections
+plus the run-wide seed, classes, data.dir and train.steps.
 """
 
 from __future__ import annotations
@@ -13,84 +18,63 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .loss import LossWeights
-from .netkit.models import HEAD_HADAMARD, DiscriminatorConfig, GeneratorConfig
+from .netkit.models import DiscriminatorConfig, GeneratorConfig
 from .netkit.train import TrainSettings
+
+# section attribute -> the dataclass it holds, in error-message order
+_SECTIONS = {
+    "generator": GeneratorConfig,
+    "discriminator": DiscriminatorConfig,
+    "loss": LossWeights,
+    "train": TrainSettings,
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     classes: int = 8
-    codebook_k: int = 3
     data_dir: str = ""
-    gen_depth: int = 3
-    gen_base_channels: int = 16
-    disc_layers: int = 3
-    disc_base_channels: int = 16
-    lambda1: float = 1000.0
-    lambda2: float = 100.0
-    lambda3: float = 250.0
     steps: int = 800
-    batch_size: int = 4
-    lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    log_every: int = 1
-    metrics_every: int = 50
-
-    def generator_config(self, head: str) -> GeneratorConfig:
-        return GeneratorConfig(
-            input_channels=3,
-            depth=self.gen_depth,
-            base_channels=self.gen_base_channels,
-            code_bits=self.codebook_k,
-            head=head,
-        )
-
-    def discriminator_config(self) -> DiscriminatorConfig:
-        return DiscriminatorConfig(
-            layers=self.disc_layers, base_channels=self.disc_base_channels
-        )
-
-    def weights(self) -> LossWeights:
-        return LossWeights(self.lambda1, self.lambda2, self.lambda3)
-
-    def settings(self) -> TrainSettings:
-        return TrainSettings(
-            batch_size=self.batch_size,
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            log_every=self.log_every,
-            metrics_every=self.metrics_every,
-        )
+    generator: GeneratorConfig = GeneratorConfig()
+    discriminator: DiscriminatorConfig = DiscriminatorConfig()
+    loss: LossWeights = LossWeights()
+    train: TrainSettings = TrainSettings()
 
 
-# key -> (field name, parser)
+# key -> (section, field name, parser); section None is ExperimentConfig itself
 KEYS = {
-    "seed": ("seed", int),
-    "classes": ("classes", int),
-    "codebook.k": ("codebook_k", int),
-    "data.dir": ("data_dir", str),
-    "generator.depth": ("gen_depth", int),
-    "generator.base_channels": ("gen_base_channels", int),
-    "discriminator.layers": ("disc_layers", int),
-    "discriminator.base_channels": ("disc_base_channels", int),
-    "loss.lambda1": ("lambda1", float),
-    "loss.lambda2": ("lambda2", float),
-    "loss.lambda3": ("lambda3", float),
-    "train.steps": ("steps", int),
-    "train.batch_size": ("batch_size", int),
-    "train.lr": ("lr", float),
-    "train.beta1": ("beta1", float),
-    "train.beta2": ("beta2", float),
-    "train.log_every": ("log_every", int),
-    "train.metrics_every": ("metrics_every", int),
+    "seed": (None, "seed", int),
+    "classes": (None, "classes", int),
+    "codebook.k": ("generator", "code_bits", int),
+    "data.dir": (None, "data_dir", str),
+    "generator.depth": ("generator", "depth", int),
+    "generator.base_channels": ("generator", "base_channels", int),
+    "discriminator.layers": ("discriminator", "layers", int),
+    "discriminator.base_channels": ("discriminator", "base_channels", int),
+    "loss.lambda1": ("loss", "lambda1", float),
+    "loss.lambda2": ("loss", "lambda2", float),
+    "loss.lambda3": ("loss", "lambda3", float),
+    "train.steps": (None, "steps", int),
+    "train.batch_size": ("train", "batch_size", int),
+    "train.lr": ("train", "lr", float),
+    "train.beta1": ("train", "beta1", float),
+    "train.beta2": ("train", "beta2", float),
+    "train.log_every": ("train", "log_every", int),
+    "train.metrics_every": ("train", "metrics_every", int),
 }
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    values: dict[str, object] = {}
+    """Parse a config document and reject one that cannot run.
+
+    Each section is built from its keys, so its dataclass checks its own
+    ranges. The parse adds only what no section checks: ``classes`` against
+    the code capacity (once the generator builds), and ``train.steps`` and
+    ``seed`` >= 0. All problems go into one ConfigError, each prefixed with
+    its section; a section reports only its first.
+    """
+    values: dict[str | None, dict] = {section: {} for section in (None, *_SECTIONS)}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,53 +89,38 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        field_name, parser = KEYS[key]
+        section, field_name, parser = KEYS[key]
         try:
-            values[field_name] = parser(value)
+            values[section][field_name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
-    cfg = ExperimentConfig(**values)
-    validate_config(cfg, source=source)
-    return cfg
 
-
-def validate_config(cfg: ExperimentConfig, source: str = "<config>") -> None:
-    """Reject a config that cannot run, before any run starts.
-
-    Each section's ranges are checked by the dataclass it builds
-    (GeneratorConfig, DiscriminatorConfig, LossWeights, TrainSettings).
-    This adds only what no section checks: ``classes`` against the code
-    capacity (once the generator builds), and ``train.steps`` and ``seed``
-    >= 0. All problems go into one ConfigError, each prefixed with its
-    section; a section reports only its first.
-    """
     problems = []
-
-    def check(section: str, build):
+    sections = {}
+    for name, build in _SECTIONS.items():
         try:
-            return build()
+            sections[name] = build(**values[name])
         except (ConfigError, ValueError) as exc:  # LossWeights raises ValueError
-            problems.append(f"{section}: {exc}")
-            return None
-
-    gen_cfg = check("generator", lambda: cfg.generator_config(HEAD_HADAMARD))
-    check("discriminator", cfg.discriminator_config)
-    check("loss", cfg.weights)
-    check("train", cfg.settings)
-    if gen_cfg is not None:
-        check("classes", lambda: gen_cfg.check_num_classes(cfg.classes))
+            problems.append(f"{name}: {exc}")
+    cfg = ExperimentConfig(**values[None], **sections)
+    if "generator" in sections:
+        try:
+            cfg.generator.check_num_classes(cfg.classes)
+        except ConfigError as exc:
+            problems.append(f"classes: {exc}")
     if cfg.steps < 0:
         problems.append(f"train: steps={cfg.steps} must be >= 0")
     if cfg.seed < 0:
         problems.append(f"seed: {cfg.seed} must be >= 0")
     if problems:
         raise ConfigError(f"{source}: " + "; ".join(problems))
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, source=str(path))

@@ -21,7 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .codes import Codebook
-from .errors import ClassIndexError, FormatError, GenerationError, IngestionError, ShapeError
+from .errors import (
+    ClassIndexError,
+    ConfigError,
+    FormatError,
+    GenerationError,
+    IngestionError,
+    ShapeError,
+)
 from .metrics import LabelMap
 
 _SEGL_MAGIC = b"SEGL"
@@ -277,6 +284,26 @@ def ingest_index_maps(directory, num_classes: int | None = None) -> list[Sample]
             )
         samples.append(Sample(image=image, labels=lm, path=images[stem]))
     return samples
+
+
+def common_resolution(samples: list[Sample]) -> tuple[int, int]:
+    """The (height, width) all samples share, or a ConfigError naming the
+    first sample that differs: its image file, or its index in ``samples``
+    when it was not read from disk."""
+
+    def name(index: int, sample: Sample) -> str:
+        return str(sample.path) if sample.path is not None else f"sample {index}"
+
+    first = samples[0]
+    height, width = first.image.shape[:2]
+    for index, sample in enumerate(samples):
+        size = sample.image.shape[:2]
+        if size != (height, width):
+            raise ConfigError(
+                f"{name(index, sample)}: image {size[0]}x{size[1]} differs from "
+                f"{name(0, first)} ({height}x{width}); all samples must share one resolution"
+            )
+    return height, width
 
 
 def class_histogram(samples: list[Sample], num_classes: int) -> np.ndarray:

@@ -32,6 +32,13 @@ def _softmax_last_axis(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The softmax Jacobian-vector product over the last axis, s*g - s*(s.g),
+    for probabilities s and incoming gradient g."""
+    inner = (s * g).sum(axis=-1, keepdims=True)
+    return s * g - s * inner
+
+
 def hadamard_forward(cb: Codebook, y_c: np.ndarray, scale: float = 1.0) -> LayerActivation:
     """Forward pass over the channel (last) axis of y_c.
 
@@ -66,10 +73,7 @@ def hadamard_backward(act: LayerActivation, grad_out: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"grad shape {grad_out.shape} != activation shape {act.output.shape}"
         )
-    s = act.output
-    inner = (s * grad_out).sum(axis=-1, keepdims=True)
-    jvp = s * grad_out - s * inner
-    grad_in = fwht(jvp)
+    grad_in = fwht(_softmax_backward(act.output, grad_out))
     if act.scale != 1.0:
         grad_in = grad_in * act.scale
     return grad_in

@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..codes import Codebook
 from ..errors import ShapeError
-from ..layer import _softmax_last_axis, hadamard_backward, hadamard_forward
+from ..layer import _softmax_backward, _softmax_last_axis, hadamard_backward, hadamard_forward
 
 
 class Node:
@@ -425,9 +425,7 @@ def per_pixel_softmax(x: Node) -> Node:
     out = _softmax_last_axis(x.value)
 
     def backprop(node: Node) -> None:
-        g = node.grad
-        inner = (out * g).sum(axis=-1, keepdims=True)
-        _accumulate(x, out * g - out * inner)
+        _accumulate(x, _softmax_backward(out, node.grad))
 
     return Node(out, parents=(x,), backprop=backprop)
 

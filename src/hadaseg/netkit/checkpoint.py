@@ -60,7 +60,10 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     manifest = directory / _MANIFEST
     if not manifest.exists():
         raise FormatError(f"{directory}: no {_MANIFEST} found")
-    lines = manifest.read_text(encoding="ascii").splitlines()
+    try:
+        lines = manifest.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{manifest}: not ASCII text: {exc}") from None
     if not lines or lines[0] != _HEADER:
         raise FormatError(f"{manifest}: bad header line")
     blob = (directory / _TENSORS).read_bytes()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..codes import sylvester
-from ..data import Sample, encode_targets
+from ..data import Sample, common_resolution, encode_targets
 from ..errors import ConfigError, TrainingDivergedError
 from ..loss import (
     LossWeights,
@@ -151,10 +151,7 @@ def train_cgan(
         raise ConfigError("dataset must not be empty")
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
-    height, width = dataset[0].image.shape[:2]
-    for sample in dataset:
-        if sample.image.shape[:2] != (height, width):
-            raise ConfigError("all samples must share one resolution")
+    height, width = common_resolution(dataset)
     if num_classes is None:
         num_classes = int(max(s.labels.labels.max() for s in dataset)) + 1
     gen_cfg.check_num_classes(num_classes)

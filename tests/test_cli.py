@@ -229,6 +229,17 @@ class TestTrainCommand:
         assert "seed" in err
         assert not (tmp_path / "o").exists()
 
+    def test_config_with_non_text_bytes(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"seed = 1\xff\n")
+        code, _, err = run(
+            capsys, "train", "--config", str(config), "--head", "hadamard",
+            "--out", str(tmp_path / "o"),
+        )
+        assert_one_config_error(code, err)
+        assert str(config) in err
+        assert not (tmp_path / "o").exists()
+
     def test_config_without_data_dir_rejected(self, capsys, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text("seed = 1\n")
@@ -362,6 +373,14 @@ class TestBadInputsExitCleanly:
         code, _, err = self._run_model_command(capsys, workdir, command)
         assert_one_data_error(code, err)
         assert "tensors.bin" in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_non_ascii_manifest(self, capsys, workdir, command):
+        manifest = workdir / "ckpt" / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes().replace(b"gen.depth", b"gen.d\xe9pth"))
+        code, _, err = self._run_model_command(capsys, workdir, command)
+        assert_one_data_error(code, err)
+        assert str(manifest) in err
 
     @pytest.mark.parametrize("fields", [("-4", "4", "1", "4"), ("0", "4", "2", "-2", "-2")])
     def test_negative_tensor_extent(self, capsys, workdir, fields):
@@ -499,13 +518,19 @@ class TestImageSizeErrors:
             write_dataset(tmp_path / f"d{size}", samples)
         return tmp_path
 
-    def test_eval_mixed_sizes(self, capsys, workdir):
+    @staticmethod
+    def _mixed(workdir):
+        """A dataset of one 16x16 and one 32x32 sample."""
         mixed = workdir / "mixed"
         mixed.mkdir()
         for source, name in (("d16", "000000"), ("d32", "000001")):
             for suffix in (".img", ".segl"):
                 path = workdir / source / f"{name}{suffix}"
                 (mixed / path.name).write_bytes(path.read_bytes())
+        return mixed
+
+    def test_eval_mixed_sizes(self, capsys, workdir):
+        mixed = self._mixed(workdir)
         code, _, err = run(
             capsys, "eval", "--model", str(workdir / "ckpt"), "--data", str(mixed),
             "--report", str(workdir / "r.json"),
@@ -513,6 +538,22 @@ class TestImageSizeErrors:
         assert_one_config_error(code, err)
         assert str(mixed / "000001.img") in err
         assert not (workdir / "r.json").exists()
+
+    def test_train_mixed_sizes(self, capsys, workdir):
+        mixed = self._mixed(workdir)
+        config = workdir / "exp.cfg"
+        config.write_text(
+            f"classes = 4\ncodebook.k = 2\ndata.dir = {mixed}\n"
+            "generator.depth = 2\ngenerator.base_channels = 4\n"
+            "discriminator.layers = 2\ndiscriminator.base_channels = 4\ntrain.steps = 1\n"
+        )
+        code, _, err = run(
+            capsys, "train", "--config", str(config), "--head", "hadamard",
+            "--out", str(workdir / "run"),
+        )
+        assert_one_config_error(code, err)
+        assert str(mixed / "000001.img") in err
+        assert not (workdir / "run").exists()
 
     def test_eval_size_checkpoint_cannot_take(self, capsys, workdir):
         code, _, err = run(

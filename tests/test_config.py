@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadaseg.config import KEYS, ExperimentConfig, load_config, parse_config
 from hadaseg.errors import ConfigError
-from hadaseg.netkit import TrainSettings
+from hadaseg.loss import LossWeights
+from hadaseg.netkit import DiscriminatorConfig, GeneratorConfig, TrainSettings
 
 GOOD = """
 # smoke experiment
@@ -33,17 +36,17 @@ class TestParsing:
         cfg = parse_config(GOOD)
         assert cfg.seed == 7
         assert cfg.classes == 8
-        assert cfg.codebook_k == 3
+        assert cfg.generator.code_bits == 3
         assert cfg.data_dir == "data/train"
-        assert cfg.gen_depth == 2
+        assert cfg.generator.depth == 2
         assert cfg.steps == 40
-        assert cfg.lr == 2e-4
+        assert cfg.train.lr == 2e-4
 
     def test_defaults(self):
         cfg = parse_config("seed = 1")
         assert cfg == ExperimentConfig(seed=1)
-        assert (cfg.lambda1, cfg.lambda2, cfg.lambda3) == (1000.0, 100.0, 250.0)
-        assert (cfg.lr, cfg.beta1, cfg.beta2) == (2e-4, 0.5, 0.999)
+        assert (cfg.loss.lambda1, cfg.loss.lambda2, cfg.loss.lambda3) == (1000.0, 100.0, 250.0)
+        assert (cfg.train.lr, cfg.train.beta1, cfg.train.beta2) == (2e-4, 0.5, 0.999)
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# hello\n\nseed = 2  # trailing\n")
@@ -165,24 +168,28 @@ def test_parsed_config_builds_every_section_or_is_rejected(text):
     except ConfigError:
         return
     for head in ("one_hot", "hadamard"):
-        cfg.generator_config(head)
-    cfg.discriminator_config()
-    cfg.weights()
-    cfg.settings()
+        replace(cfg.generator, head=head)
 
 
 class TestDerivedConfigs:
     def test_sub_configs(self):
         cfg = parse_config(GOOD)
-        gen_cfg = cfg.generator_config("hadamard")
+        gen_cfg = replace(cfg.generator, head="hadamard")
         assert gen_cfg.code_bits == 3 and gen_cfg.depth == 2
-        assert cfg.discriminator_config().layers == 2
-        assert cfg.weights().lambda3 == 250.0
-        assert cfg.settings().batch_size == 4
+        assert cfg.discriminator.layers == 2
+        assert cfg.loss.lambda3 == 250.0
+        assert cfg.train.batch_size == 4
+
+    def test_empty_document_holds_each_section_default(self):
+        cfg = parse_config("")
+        assert cfg.generator == GeneratorConfig()
+        assert cfg.discriminator == DiscriminatorConfig()
+        assert cfg.loss == LossWeights()
+        assert cfg.train == TrainSettings()
 
     def test_invalid_head_propagates(self):
         with pytest.raises(ConfigError):
-            parse_config(GOOD).generator_config("other")
+            replace(parse_config(GOOD).generator, head="other")
 
 
 class TestLoadConfig:

@@ -4,6 +4,7 @@ import pytest
 from hadaseg.codes import sylvester
 from hadaseg.data import (
     class_histogram,
+    common_resolution,
     encode_targets,
     gen_synthetic,
     ingest_index_maps,
@@ -15,6 +16,7 @@ from hadaseg.data import (
 )
 from hadaseg.errors import (
     ClassIndexError,
+    ConfigError,
     FormatError,
     GenerationError,
     IngestionError,
@@ -163,6 +165,13 @@ class TestDatasetDirectory:
             write_dataset(tmp_path / run, gen_synthetic(seed=33, count=3, size=16, num_classes=3))
         for name in ("manifest.txt", "000000.img", "000002.segl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_common_resolution_names_index_without_path(self):
+        samples = gen_synthetic(seed=9, count=2, size=16, num_classes=4)
+        assert common_resolution(samples) == (16, 16)
+        samples += gen_synthetic(seed=9, count=1, size=32, num_classes=4)
+        with pytest.raises(ConfigError, match="^sample 2: image 32x32 differs from sample 0"):
+            common_resolution(samples)
 
 
 class TestEncodeTargets:
