@@ -239,7 +239,11 @@ def read_image(path) -> np.ndarray:
     expected = height * width * 3 * 8
     if len(body) != expected:
         raise FormatError(f"{path}: expected {expected} image bytes, found {len(body)}")
-    return np.frombuffer(body, dtype="<f8").reshape(height, width, 3).copy()
+    image = np.frombuffer(body, dtype="<f8").reshape(height, width, 3).copy()
+    low, high = image.min(), image.max()
+    if not (low >= 0.0 and high <= 1.0):  # a NaN makes both nan, failing both tests
+        raise FormatError(f"{path}: pixel values must lie in [0, 1], found {low} to {high}")
+    return image
 
 
 def write_dataset(directory, samples: list[Sample]) -> list[str]:

@@ -18,8 +18,9 @@ ones are added to it; no ``.grad`` shares memory with another node's or
 with a caller's seed.
 
 ``upsample_concat_conv2d`` is a UNet decoder stage, nearest 2x upsampling,
-skip concatenation and a 3x3 conv, computed as one op at the low resolution
-(see its docstring).
+skip concatenation and a 3x3 conv, computed as one op at the low resolution:
+the upsampled branch is four 2x2 sub-pixel convs, one per output phase (see
+its docstring).
 """
 
 from __future__ import annotations
@@ -187,6 +188,13 @@ def _input_gradient(g: np.ndarray, wv: np.ndarray) -> np.ndarray:
     return (g_cols @ w_flip).reshape(g.shape[:3] + (cin,))
 
 
+def _bias_gradient(g: np.ndarray) -> np.ndarray:
+    """Sum of the output gradient ``g`` [..., Cout] over every axis but the
+    last, as one product with a ones vector (faster than ``g.sum``)."""
+    g = g.reshape(-1, g.shape[-1])
+    return np.ones(g.shape[0]) @ g
+
+
 def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     """Same-padded 2-D convolution, stride 1 or 2, odd square kernels.
 
@@ -222,7 +230,7 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     def backprop(node: Node) -> None:
         g = node.grad.reshape(-1, cout)
         if b.needs_grad:
-            _accumulate(b, node.grad.sum(axis=(0, 1, 2)))
+            _accumulate(b, _bias_gradient(node.grad))
         if w.needs_grad:
             # [Cout, M] x [M, K] runs faster in BLAS than cols.T @ g.
             _accumulate(w, (g.T @ cols).T.reshape(wv.shape))
@@ -318,31 +326,32 @@ def channel_concat(a: Node, b: Node) -> Node:
 
 
 # Nearest 2x upsampling followed by a same-padded 3x3 conv, per axis: an
-# output row of parity a reads, through full-resolution tap d, the row of a
-# 3-tap window over the padded low-resolution input at tap _PHASE_TAPS[a][d].
-# _PHASE[(a, t), d] is 1 where that tap is t.
-_PHASE_TAPS = ((0, 1, 1), (1, 1, 2))
-_PHASE = np.array([[float(tap == t) for tap in taps] for taps in _PHASE_TAPS for t in range(3)])
+# output row of parity a is a 2-tap conv over the padded low-resolution
+# input, taking window tap s from the full-resolution taps d where
+# _SUBPIXEL_TAPS[(a, s), d] is 1. Parity 0 reads (w0, w1 + w2) and parity 1
+# reads (w0 + w1, w2); the parity-a window of output row i starts at padded
+# row i + a.
+_SUBPIXEL_TAPS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _phase_kernel(w_up: np.ndarray) -> np.ndarray:
+def _subpixel_kernel(w_up: np.ndarray) -> np.ndarray:
     """The [3, 3, Cup, Cout] kernel over the upsampled input as a
-    [9 Cup, 4 Cout] kernel over 3x3 windows of the low-resolution input:
-    rows (t, s, Cup), columns (a, c, Cout). Entry (t, s) of output phase
-    (a, c) sums the taps (d, e) that read it."""
+    [4 Cup, 4 Cout] kernel over 2x2 windows of the low-resolution input:
+    rows (s, t, Cup), columns (a, c, Cout). Tap (s, t) of output phase (a, c)
+    sums the taps (d, e) that read it."""
     cup, cout = w_up.shape[2:]
-    rows = (_PHASE @ w_up.reshape(3, -1)).reshape(6, 3, cup * cout)  # [(a, t), e, (Cup, Cout)]
-    both = np.matmul(_PHASE, rows)  # [(a, t), (c, s), (Cup, Cout)]
-    both = both.reshape(2, 3, 2, 3, cup, cout).transpose(1, 3, 4, 0, 2, 5)
-    return both.reshape(9 * cup, 4 * cout)
+    rows = (_SUBPIXEL_TAPS @ w_up.reshape(3, -1)).reshape(4, 3, cup * cout)  # [(a, s), e, ...]
+    both = np.matmul(_SUBPIXEL_TAPS, rows)  # [(a, s), (c, t), (Cup, Cout)]
+    both = both.reshape(2, 2, 2, 2, cup, cout).transpose(1, 3, 4, 0, 2, 5)
+    return both.reshape(4 * cup, 4 * cout)
 
 
-def _fold_phase_kernel(d_phase: np.ndarray, cup: int, cout: int) -> np.ndarray:
-    """The adjoint of ``_phase_kernel``: a gradient with respect to the
-    [9 Cup, 4 Cout] combined kernel, folded back to [3, 3, Cup, Cout]."""
-    both = d_phase.reshape(3, 3, cup, 2, 2, cout).transpose(3, 0, 4, 1, 2, 5)
-    rows = np.matmul(_PHASE.T, both.reshape(6, 6, cup * cout))  # [(a, t), e, (Cup, Cout)]
-    return (_PHASE.T @ rows.reshape(6, -1)).reshape(3, 3, cup, cout)
+def _fold_subpixel_kernel(d_kernel: np.ndarray, cup: int, cout: int) -> np.ndarray:
+    """The adjoint of ``_subpixel_kernel``: a gradient with respect to the
+    [4 Cup, 4 Cout] kernel, folded back to [3, 3, Cup, Cout]."""
+    both = d_kernel.reshape(2, 2, cup, 2, 2, cout).transpose(3, 0, 4, 1, 2, 5)
+    rows = np.matmul(_SUBPIXEL_TAPS.T, both.reshape(4, 4, cup * cout))  # [(a, s), e, ...]
+    return (_SUBPIXEL_TAPS.T @ rows.reshape(4, -1)).reshape(3, 3, cup, cout)
 
 
 def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
@@ -352,18 +361,23 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
     Layout: ``x`` [B, h, w, Cup], ``skip`` [B, 2h, 2w, Cskip], kernel
     [3, 3, Cup + Cskip, Cout] (its first Cup input channels act on the
     upsampled ``x``), bias [Cout]. Nearest upsampling followed by a 3x3 conv
-    is four 2x2 convs at the low resolution, one per output phase (row and
-    column parity), and a conv over a concat is the sum of the convs over its
-    parts. So the up branch is one im2col of ``x`` times a [9 Cup, 4 Cout]
-    kernel holding the four phases, interleaved to full resolution, and the
-    skip branch is an im2col of ``skip`` times the kernel's skip channels.
+    is four 2x2 sub-pixel convs at the low resolution, one per output phase
+    (row and column parity), and a conv over a concat is the sum of the
+    convs over its parts. So the up branch is one 2x2-window im2col of the
+    padded ``x``, [B (h+1) (w+1), 4 Cup], times a [4 Cup, 4 Cout] kernel
+    holding the four phases; phase (a, c) is the window grid at offset
+    (a, c), added into its output phase. The skip branch is an im2col of
+    ``skip`` times the kernel's skip channels.
 
-    Backward: the weight gradient of each branch comes from its cached
-    columns, the up branch's folded back through the phase map. Both input
-    gradients come from one stride-1 transposed-conv product over all
-    Cup + Cskip channels; the up part is summed over each 2x2 block. That
-    product is computed at full width even when one input needs no gradient,
-    so the other input's gradient never depends on which inputs need one.
+    Backward: the up branch places the output gradient's four phases at
+    their offsets in a [B, h+1, w+1, 2, 2, Cout] array that is zero where a
+    window feeds no output of that phase. That array times the cached
+    columns is the 2x2 kernel's gradient, folded back through the tap map;
+    times the kernel's transpose it gives the window gradients, and four
+    shifted slices of those sum to the gradient of ``x``. The skip branch's
+    weight gradient comes from its cached columns and its input gradient
+    from its own transposed-conv product, computed only when ``skip`` needs
+    one. Neither input gradient depends on which inputs need one.
     """
     _check_image(x, "upsample_concat_conv2d")
     _check_image(skip, "upsample_concat_conv2d")
@@ -380,42 +394,48 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
     if bv.shape != (cout,):
         raise ShapeError(f"bias shape {bv.shape} != ({cout},)")
 
-    cols_up, _, _ = _im2col(_pad_same(xv, 1), 3, 1)
+    # Window positions (B, h+1, w+1) and output phases (a, c).
+    grid = (batch, height + 1, width + 1, 2, 2)
+    kernel_up = _subpixel_kernel(wv[:, :, :cup])
+    cols_up, _, _ = _im2col(_pad_same(xv, 1), 2, 1)
     cols_skip, _, _ = _im2col(_pad_same(sv, 1), 3, 1)
     out = cols_skip @ wv[:, :, cup:].reshape(-1, cout)
-    blocks = out.reshape(batch, height, 2, width, 2, cout)
-    blocks += (
-        (cols_up @ _phase_kernel(wv[:, :, :cup]))
-        .reshape(batch, height, width, 2, 2, cout)
-        .transpose(0, 1, 3, 2, 4, 5)
-    )
     out += bv
+    blocks = out.reshape(batch, height, 2, width, 2, cout)
+    phases = (cols_up @ kernel_up).reshape(grid + (cout,))
+    for a in range(2):
+        for c in range(2):
+            blocks[:, :, a, :, c] += phases[:, a : a + height, c : c + width, a, c]
     out = out.reshape(batch, 2 * height, 2 * width, cout)
 
     def backprop(node: Node) -> None:
         g = node.grad
         if b.needs_grad:
-            _accumulate(b, g.sum(axis=(0, 1, 2)))
-        if w.needs_grad:
-            g_phase = (
-                g.reshape(batch, height, 2, width, 2, cout)
-                .transpose(0, 1, 3, 2, 4, 5)
-                .reshape(-1, 4 * cout)
-            )
-            dw = np.empty_like(wv)
-            # [N, M] x [M, K] runs faster in BLAS, as in conv2d.
-            dw[:, :, :cup] = _fold_phase_kernel((g_phase.T @ cols_up).T, cup, cout)
-            dw[:, :, cup:] = (g.reshape(-1, cout).T @ cols_skip).T.reshape(3, 3, -1, cout)
-            _accumulate(w, dw)
-        if not (x.needs_grad or skip.needs_grad):
-            return
-        dcat = _input_gradient(g, wv)
-        if x.needs_grad:
-            up_blocks = dcat[..., :cup].reshape(batch, height, 2, width, 2, cup)
-            _accumulate(x, up_blocks.sum(axis=(2, 4)))
+            _accumulate(b, _bias_gradient(g))
+        if w.needs_grad or x.needs_grad:
+            g_blocks = g.reshape(batch, height, 2, width, 2, cout)
+            g_phases = np.zeros(grid + (cout,))
+            for a in range(2):
+                for c in range(2):
+                    g_phases[:, a : a + height, c : c + width, a, c] = g_blocks[:, :, a, :, c]
+            g_phases = g_phases.reshape(-1, 4 * cout)
+            if w.needs_grad:
+                dw = np.empty_like(wv)
+                # [N, M] x [M, K] runs faster in BLAS, as in conv2d.
+                dw[:, :, :cup] = _fold_subpixel_kernel((g_phases.T @ cols_up).T, cup, cout)
+                dw[:, :, cup:] = (g.reshape(-1, cout).T @ cols_skip).T.reshape(3, 3, -1, cout)
+                _accumulate(w, dw)
+            if x.needs_grad:
+                # The window axes (s, t) take the place of the phase axes.
+                d_windows = (g_phases @ kernel_up.T).reshape(grid + (cup,))
+                del g_phases
+                # Window tap (s, t) at (i + 1 - s, j + 1 - t) reads x[i, j].
+                dx = d_windows[:, 1:, 1:, 0, 0] + d_windows[:, 1:, :-1, 0, 1]
+                dx += d_windows[:, :-1, 1:, 1, 0]
+                dx += d_windows[:, :-1, :-1, 1, 1]
+                _accumulate(x, dx)
         if skip.needs_grad:
-            # A copy, so that the up part of dcat is freed now.
-            _accumulate(skip, dcat[..., cup:].copy())
+            _accumulate(skip, _input_gradient(g, wv[:, :, cup:]))
 
     return Node(out, parents=(x, skip, w, b), backprop=backprop)
 

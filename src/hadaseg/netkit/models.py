@@ -9,7 +9,8 @@ count.
 
 Each decoder stage (upsample, concat, 3x3 conv) is computed as one
 ``upsample_concat_conv2d`` op at the low resolution, without the upsampled
-map; the architecture and its parameters are those of the three-op chain.
+map: the upsampled branch is four 2x2 sub-pixel convs, one per output
+phase. The architecture and its parameters are those of the three-op chain.
 
 The discriminator is a stack of stride-2 convolutions ending in a 1-channel
 sigmoid map; each output cell scores one receptive-field patch of its input.

@@ -246,7 +246,7 @@ class TestUpsampleConcatConv2d:
     @pytest.mark.parametrize("raw", [(), (1,)], ids=["skip_needs_grad", "raw_skip"])
     def test_gradients_odd_channels(self, raw):
         # Odd, unequal channel counts and a non-square input, so every tap
-        # of the phase map and both borders are exercised.
+        # of the sub-pixel map and both borders are exercised.
         inputs = self._inputs(np.random.default_rng(50), 1, 3, 2, 5, 3, 7)
         _gradcheck_op(
             lambda leaves: ad.upsample_concat_conv2d(*leaves), inputs, seed=51, tol=1e-4, raw=raw
@@ -264,14 +264,14 @@ class TestUpsampleConcatConv2d:
         inner = (x * xn.grad).sum() + (skip * sn.grad).sum()
         assert np.isclose((out.value * g).sum(), inner, rtol=1e-12, atol=0)
 
-    def test_matches_composed_path(self):
-        # dec0's channels (16 upsampled + 3 skip -> 16): values and every
-        # gradient equal those of upsample -> concat -> conv2d, relative to
-        # each array's largest entry (the sums are reassociated, so entries
-        # near zero differ by more than 1e-12 of themselves).
+    def _assert_matches_composed_path(self, height, width, cup, cskip, cout):
+        # Values and every gradient equal those of upsample -> concat ->
+        # conv2d, relative to each array's largest entry (the sums are
+        # reassociated, so entries near zero differ by more than 1e-12 of
+        # themselves).
         rng = np.random.default_rng(53)
-        inputs = self._inputs(rng, 2, 8, 8, 16, 3, 16)
-        g = rng.standard_normal((2, 16, 16, 16))
+        inputs = self._inputs(rng, 2, height, width, cup, cskip, cout)
+        g = rng.standard_normal((2, 2 * height, 2 * width, cout))
         results = []
         for op in (_composed_decoder_stage, ad.upsample_concat_conv2d):
             leaves = [ad.constant(v) for v in inputs]
@@ -280,6 +280,35 @@ class TestUpsampleConcatConv2d:
             results.append([out.value] + [leaf.grad for leaf in leaves])
         for name, composed, fused in zip(["out", "x", "skip", "w", "b"], *results):
             assert rel_error(fused, composed, floor=0.0) < 1e-12, name
+
+    def test_matches_composed_path(self):
+        # dec0's channels: 16 upsampled + 3 skip -> 16.
+        self._assert_matches_composed_path(8, 8, 16, 3, 16)
+
+    # dec1's (32 + 16 -> 16) and dec2's (64 + 32 -> 32) channels.
+    @pytest.mark.parametrize("cup, cskip, cout", [(32, 16, 16), (64, 32, 32)], ids=["dec1", "dec2"])
+    def test_matches_composed_path_non_square(self, cup, cskip, cout):
+        self._assert_matches_composed_path(5, 3, cup, cskip, cout)
+
+    def test_input_gradients_ignore_the_other_inputs_wrapping(self):
+        # Each input's gradient comes from its own product, so it is the same
+        # bytes whether or not the other input needs a gradient; a raw input
+        # gets none.
+        inputs = self._inputs(np.random.default_rng(54), 2, 5, 3, 16, 3, 16)
+        g = np.random.default_rng(55).standard_normal((2, 10, 6, 16))
+
+        def grads(x_wrap, skip_wrap):
+            x, skip = x_wrap(inputs[0]), skip_wrap(inputs[1])
+            w, b = ad.constant(inputs[2]), ad.constant(inputs[3])
+            ad.backward([(ad.upsample_concat_conv2d(x, skip, w, b), g)])
+            return x.grad, skip.grad
+
+        dx_both, dskip_both = grads(ad.constant, ad.constant)
+        dx_alone, dskip_none = grads(ad.constant, ad.as_node)
+        dx_none, dskip_alone = grads(ad.as_node, ad.constant)
+        assert dskip_none is None and dx_none is None
+        assert dx_both.tobytes() == dx_alone.tobytes()
+        assert dskip_both.tobytes() == dskip_alone.tobytes()
 
     def test_shape_validation(self):
         x = ad.constant(np.zeros((1, 2, 3, 4)))

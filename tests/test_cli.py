@@ -6,7 +6,7 @@ import pytest
 from hadaseg.cli import _load_generator, main
 from hadaseg.data import ingest_index_maps, read_image, read_label_map
 from hadaseg.metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
-from hadaseg.data import gen_synthetic, write_dataset
+from hadaseg.data import gen_synthetic, write_dataset, write_image
 from hadaseg.netkit import (
     DiscriminatorConfig,
     GeneratorConfig,
@@ -460,6 +460,31 @@ class TestBadInputsExitCleanly:
         code, _, err = self._run_model_command(capsys, workdir, command)
         assert_one_data_error(code, err)
         assert str(workdir / "ckpt") in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_pixel_outside_unit_range(self, capsys, workdir, command):
+        # One huge pixel once overflowed Adam's second moment while train
+        # still exited 0; every command now rejects the file as it reads it.
+        image_path = workdir / "data" / "000000.img"
+        image = read_image(image_path)
+        image[3, 4, 1] = 1e200
+        write_image(image_path, image)
+        if command == "train":
+            config = workdir / "exp.cfg"
+            config.write_text(
+                f"classes = 4\ncodebook.k = 2\ndata.dir = {workdir / 'data'}\n"
+                "generator.depth = 2\ngenerator.base_channels = 4\n"
+                "discriminator.layers = 2\ndiscriminator.base_channels = 4\ntrain.steps = 1\n"
+                "train.batch_size = 1\n"
+            )
+            code, _, err = run(
+                capsys, "train", "--config", str(config), "--head", "hadamard",
+                "--out", str(workdir / "run"),
+            )
+        else:
+            code, _, err = self._run_model_command(capsys, workdir, command)
+        assert_one_data_error(code, err)
+        assert str(image_path) in err
 
     def test_gen_data_negative_seed(self, capsys, tmp_path):
         out = tmp_path / "d"

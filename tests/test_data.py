@@ -127,6 +127,23 @@ class TestImageFile:
         with pytest.raises(FormatError):
             read_image(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_pixel_outside_unit_range(self, tmp_path, value):
+        image = np.full((2, 3, 3), 0.5)
+        image[1, 2, 0] = value
+        path = tmp_path / "img.img"
+        write_image(path, image)
+        with pytest.raises(FormatError) as caught:
+            read_image(path)
+        assert str(path) in str(caught.value)
+
+    def test_unit_range_bounds_accepted(self, tmp_path):
+        image = np.zeros((2, 2, 3))
+        image[1] = 1.0
+        path = tmp_path / "img.img"
+        write_image(path, image)
+        assert np.array_equal(read_image(path), image)
+
 
 class TestDatasetDirectory:
     def test_write_then_ingest_round_trip(self, tmp_path):
