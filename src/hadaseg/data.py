@@ -221,11 +221,19 @@ def read_label_map(path) -> LabelMap:
     return LabelMap(labels.astype(np.int64))
 
 
+def _check_unit_range(image: np.ndarray, path) -> None:
+    """Raise FormatError unless every pixel of ``image`` lies in [0, 1]."""
+    low, high = image.min(), image.max()
+    if not (low >= 0.0 and high <= 1.0):  # a NaN makes both nan, failing both tests
+        raise FormatError(f"{path}: pixel values must lie in [0, 1], found {low} to {high}")
+
+
 def write_image(path, image: np.ndarray) -> None:
     """Serialize an [H, W, 3] real image to the binary SEGI format."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeError(f"image must be [H, W, 3], got {image.shape}")
+    if image.ndim != 3 or image.shape[2] != 3 or image.size == 0:
+        raise ShapeError(f"image must be a non-empty [H, W, 3] array, got {image.shape}")
+    _check_unit_range(image, path)
     header = _SEGI_MAGIC + bytes([_VERSION]) + struct.pack("<II", *image.shape[:2])
     with open(path, "wb") as fh:
         fh.write(header)
@@ -240,9 +248,7 @@ def read_image(path) -> np.ndarray:
     if len(body) != expected:
         raise FormatError(f"{path}: expected {expected} image bytes, found {len(body)}")
     image = np.frombuffer(body, dtype="<f8").reshape(height, width, 3).copy()
-    low, high = image.min(), image.max()
-    if not (low >= 0.0 and high <= 1.0):  # a NaN makes both nan, failing both tests
-        raise FormatError(f"{path}: pixel values must lie in [0, 1], found {low} to {high}")
+    _check_unit_range(image, path)
     return image
 
 

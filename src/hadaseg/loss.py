@@ -87,7 +87,8 @@ def cross_entropy_grad(z_hat: np.ndarray, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     _check_same_shape(z_hat, z)
     n = z.size
-    grad = np.where(z_hat > LOG_CLAMP, -z / (n * np.maximum(z_hat, LOG_CLAMP)), 0.0)
+    grad = -z / (n * np.maximum(z_hat, LOG_CLAMP))
+    grad *= z_hat > LOG_CLAMP
     return grad
 
 

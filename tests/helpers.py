@@ -1,5 +1,8 @@
 """Shared test utilities: gradient checking against central finite differences,
-and walking an autodiff tape."""
+walking an autodiff tape, and corrupting an image file."""
+
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -43,3 +46,14 @@ def reachable_nodes(roots) -> list:
             nodes.append(node)
             stack.extend(node.parents)
     return nodes
+
+
+def write_bad_pixel(path, index, value: float) -> None:
+    """Set pixel ``index`` (row, column, channel) of a valid `.img` file to
+    ``value`` by editing its bytes, since write_image refuses values outside
+    [0, 1]."""
+    data = bytearray(Path(path).read_bytes())
+    height, width = struct.unpack_from("<II", data, 5)
+    offset = 13 + 8 * int(np.ravel_multi_index(index, (height, width, 3)))
+    struct.pack_into("<d", data, offset, value)
+    Path(path).write_bytes(data)

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadaseg.codes import sylvester
 from hadaseg.errors import ShapeError
@@ -12,6 +15,16 @@ from hadaseg.netkit.models import (
 )
 
 from helpers import reachable_nodes, rel_error
+
+
+# The edge values every draw includes: signed zeros, subnormals and values
+# near the overflow range, then 12 arbitrary finite floats.
+_KINK_EDGES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.0, -1.0, 1e-300, -1e-300]
+)
+_kink_inputs = hnp.arrays(
+    np.float64, 12, elements=st.floats(allow_nan=False, allow_infinity=False)
+).map(lambda tail: np.concatenate([_KINK_EDGES, tail]))
 
 
 def _conv_oracle(x, w, b, stride):
@@ -171,6 +184,44 @@ class TestElementwiseOps:
     def test_relu_values(self):
         x = ad.constant(np.array([[-2.0, 0.5]]))
         assert np.allclose(ad.relu(x).value, [[0.0, 0.5]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=_kink_inputs,
+        g=hnp.arrays(np.float64, 24, elements=st.floats(-1e3, 1e3)),
+        slope=st.sampled_from([0.2, 0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    def test_relu_family_matches_the_masked_forms(self, x, g, slope):
+        # Bitwise: the forward and backward of leaky_relu and relu equal
+        # the np.where expressions they replace, signed zeros included.
+        def bits(a):
+            return np.asarray(a, dtype=np.float64).view(np.int64)
+
+        for op, forward, factor in (
+            (
+                lambda n: ad.leaky_relu(n, slope),
+                np.where(x > 0, x, slope * x),
+                np.where(x > 0, 1.0, slope),
+            ),
+            (ad.relu, np.where(x > 0, x, 0.0), x > 0),
+        ):
+            leaf = ad.constant(x)
+            out = op(leaf)
+            ad.backward([(out, g)])
+            assert np.array_equal(bits(out.value), bits(forward))
+            assert np.array_equal(bits(leaf.grad), bits(g * factor))
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan, np.inf])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="negative_slope"):
+            ad.leaky_relu(ad.constant(np.ones((1, 2))), slope)
+
+    def test_relu_propagates_nan(self):
+        # A NaN input used to come out as 0, hiding divergence from the
+        # training loop's finite checks.
+        out = ad.relu(ad.constant(np.array([np.nan, -1.0, 2.0]))).value
+        assert np.isnan(out[0])
+        assert np.array_equal(out[1:], [0.0, 2.0])
 
     def test_sigmoid_range_and_extremes(self):
         x = ad.constant(np.array([-1000.0, -1.0, 0.0, 1.0, 1000.0]))

@@ -6,7 +6,7 @@ import pytest
 from hadaseg.cli import _load_generator, main
 from hadaseg.data import ingest_index_maps, read_image, read_label_map
 from hadaseg.metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
-from hadaseg.data import gen_synthetic, write_dataset, write_image
+from hadaseg.data import gen_synthetic, write_dataset
 from hadaseg.netkit import (
     DiscriminatorConfig,
     GeneratorConfig,
@@ -16,7 +16,7 @@ from hadaseg.netkit import (
     save_models,
 )
 
-from helpers import reachable_nodes
+from helpers import reachable_nodes, write_bad_pixel
 
 H8_CSV = (
     "1,1,1,1,1,1,1,1\n"
@@ -466,9 +466,7 @@ class TestBadInputsExitCleanly:
         # One huge pixel once overflowed Adam's second moment while train
         # still exited 0; every command now rejects the file as it reads it.
         image_path = workdir / "data" / "000000.img"
-        image = read_image(image_path)
-        image[3, 4, 1] = 1e200
-        write_image(image_path, image)
+        write_bad_pixel(image_path, (3, 4, 1), 1e200)
         if command == "train":
             config = workdir / "exp.cfg"
             config.write_text(

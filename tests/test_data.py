@@ -20,9 +20,12 @@ from hadaseg.errors import (
     FormatError,
     GenerationError,
     IngestionError,
+    ShapeError,
 )
 from hadaseg.layer import hadamard_forward
 from hadaseg.metrics import LabelMap, argmax_map
+
+from helpers import write_bad_pixel
 
 
 class TestGenSynthetic:
@@ -129,13 +132,29 @@ class TestImageFile:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1, 1.5])
     def test_pixel_outside_unit_range(self, tmp_path, value):
-        image = np.full((2, 3, 3), 0.5)
-        image[1, 2, 0] = value
         path = tmp_path / "img.img"
-        write_image(path, image)
+        write_image(path, np.full((2, 3, 3), 0.5))
+        write_bad_pixel(path, (1, 2, 0), value)
         with pytest.raises(FormatError) as caught:
             read_image(path)
         assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_write_rejects_pixel_outside_unit_range(self, tmp_path, value):
+        image = np.full((2, 3, 3), 0.5)
+        image[1, 2, 0] = value
+        path = tmp_path / "img.img"
+        with pytest.raises(FormatError) as caught:
+            write_image(path, image)
+        assert str(path) in str(caught.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 2, 4)])
+    def test_write_rejects_empty_or_wrong_shape(self, tmp_path, shape):
+        path = tmp_path / "img.img"
+        with pytest.raises(ShapeError):
+            write_image(path, np.zeros(shape))
+        assert not path.exists()
 
     def test_unit_range_bounds_accepted(self, tmp_path):
         image = np.zeros((2, 2, 3))

@@ -1,16 +1,87 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadaseg.codes import sylvester
 from hadaseg.errors import ShapeError
-from hadaseg.layer import hadamard_backward, hadamard_forward
+from hadaseg.layer import (
+    _row_max,
+    _softmax_backward,
+    _softmax_last_axis,
+    hadamard_backward,
+    hadamard_forward,
+)
 
 from helpers import rel_error
+
+WIDTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64]
 
 
 def _softmax(v):
     e = np.exp(v - v.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward_reference(s, g):
+    return s * g - s * (s * g).sum(axis=-1, keepdims=True)
+
+
+def _rows(n, elements):
+    return hnp.arrays(np.float64, (2, n), elements=elements)
+
+
+class TestSoftmaxKernels:
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_row_max_finds_every_column(self, n):
+        # Row i holds its strict max in column i, the last column included.
+        x = np.where(np.eye(n), 2.0, -1.0)
+        got = _row_max(x)
+        assert got.shape == (n, 1)
+        assert np.array_equal(got[:, 0], np.full(n, 2.0))
+
+    # -0.0 is left out of the draws: where +0.0 and -0.0 tie for a row's
+    # max, either sign is a correct max and .max itself picks by order.
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.sampled_from(WIDTHS))
+    def test_row_max_equals_max_bitwise(self, data, n):
+        finite = st.floats(allow_nan=False).filter(lambda v: v != 0) | st.just(0.0)
+        x = data.draw(_rows(n, finite))
+        got = _row_max(x)[:, 0]
+        assert np.array_equal(got.view(np.int64), x.max(axis=-1).view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.sampled_from(WIDTHS))
+    def test_softmax_matches_the_reference_formulas(self, data, n):
+        logits = data.draw(_rows(n, st.floats(-1e3, 1e3)))
+        g = data.draw(_rows(n, st.floats(-1e3, 1e3)))
+        s = _softmax_last_axis(logits)
+        np.testing.assert_allclose(s, _softmax(logits), rtol=1e-14, atol=1e-300)
+        assert np.all(np.abs(s.sum(axis=-1) - 1.0) <= 1e-13)
+        # The backward cancels s*g against s*(s.g), so each row's error is
+        # judged against the size of the terms of s.g.
+        error = np.abs(_softmax_backward(s, g) - _softmax_backward_reference(s, g))
+        assert np.all(error <= 1e-14 * (s * np.abs(g)).sum(axis=-1, keepdims=True))
+
+    def test_extreme_logits_stay_finite(self):
+        logits = np.array([[1e3, -1e3, 1e3, -1e3], [-1e3, -1e3, -1e3, -1e3], [1e3, 0, 0, 0]])
+        s = _softmax_last_axis(logits)
+        assert np.all(np.isfinite(s))
+        np.testing.assert_allclose(s, _softmax(logits), rtol=1e-14, atol=0)
+        assert np.array_equal(s.sum(axis=-1), np.ones(3))
+        back = _softmax_backward(s, np.arange(12.0).reshape(3, 4))
+        assert np.all(np.isfinite(back))
+
+    def test_inputs_are_not_modified(self):
+        rng = np.random.default_rng(2)
+        logits, g = rng.standard_normal((2, 4, 8))
+        s = _softmax_last_axis(logits.copy())
+        before = (logits.copy(), s.copy(), g.copy())
+        _softmax_last_axis(logits)
+        _softmax_backward(s, g)
+        for kept, now in zip(before, (logits, s, g)):
+            assert np.array_equal(kept, now)
 
 
 class TestForward:

@@ -48,6 +48,13 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError):
             cross_entropy(np.zeros(3), np.zeros(4))
 
+    def test_gradient_equals_the_masked_form(self):
+        # Zero at and below the clamp, the exact quotient above it.
+        z_hat = np.array([0.0, 1e-13, LOG_CLAMP, 2e-12, 0.5, 1.0, 0.25])
+        z = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5])
+        expected = np.where(z_hat > LOG_CLAMP, -z / (z.size * np.maximum(z_hat, LOG_CLAMP)), 0.0)
+        assert np.array_equal(cross_entropy_grad(z_hat, z), expected)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         z_hat = rng.uniform(0.05, 0.95, size=(3, 4))

@@ -40,6 +40,14 @@ class TestGeneratorStructure:
         assert y_c.value.shape == (1, 64, 64, 8)
         assert np.abs(y_hat.value.sum(axis=-1) - 1.0).max() < 1e-9
 
+    def test_nan_in_decoder_reaches_the_codes(self):
+        # The decoder's ReLU passes a NaN on rather than zeroing it, so a
+        # diverged weight shows in the output instead of being hidden.
+        gen = build_generator(GeneratorConfig(depth=2, base_channels=4, code_bits=2), seed=1)
+        gen.parameters["dec1.b"].value[0] = np.nan
+        _, y_c = gen.forward(np.full((1, 8, 8, 3), 0.5))
+        assert np.isnan(y_c.value).all()
+
     def test_same_seed_reproduces_init(self):
         a = build_generator(GeneratorConfig(depth=2, base_channels=4), seed=3)
         b = build_generator(GeneratorConfig(depth=2, base_channels=4), seed=3)
