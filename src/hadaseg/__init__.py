@@ -12,7 +12,6 @@ from .codes import (
 )
 from .layer import LayerActivation, hadamard_backward, hadamard_forward
 from .loss import (
-    DiscriminatorOutput,
     GeneratorLossTerms,
     LossWeights,
     cross_entropy,
@@ -42,7 +41,6 @@ __all__ = [
     "cross_entropy",
     "decode_correlation",
     "discriminator_loss",
-    "DiscriminatorOutput",
     "encode_targets",
     "EncodedTargets",
     "fwht",

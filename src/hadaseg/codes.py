@@ -164,9 +164,10 @@ def min_pairwise_distance(cb: Codebook) -> int:
 def verify(cb: Codebook) -> None:
     """Check every codebook invariant, raising FormatError on violation.
 
-    Used by the CLI after construction or CSV import: entries are +/-1,
-    the matrix is symmetric with all-ones first row and column, rows are
-    orthogonal, and (for k >= 1) distinct rows are 2^(k-1) apart.
+    The CLI runs it after construction and ``read_codebook_csv`` after
+    import: entries are +/-1, the matrix is symmetric with all-ones first
+    row and column, rows are orthogonal, and (for k >= 1) distinct rows are
+    2^(k-1) apart.
     """
     m = cb.matrix
     if not np.all(np.abs(m) == 1):

@@ -22,18 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Codebook, fwht, fwht_apply
+from .codes import Codebook, fwht
 from .errors import ShapeError
 
 
 @dataclass(frozen=True)
 class LayerActivation:
-    """Cached forward state: raw input, H-transformed logits, probabilities."""
+    """The forward state that the backward pass reads."""
 
-    input: np.ndarray  # [..., n]
-    transformed: np.ndarray  # [..., n], scale * (H @ input) per pixel
     output: np.ndarray  # [..., n], rows are probability vectors
-    scale: float
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -68,24 +65,19 @@ def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return sg
 
 
-def hadamard_forward(cb: Codebook, y_c: np.ndarray, scale: float = 1.0) -> LayerActivation:
+def hadamard_forward(cb: Codebook, y_c: np.ndarray) -> LayerActivation:
     """Forward pass over the channel (last) axis of y_c.
 
     y_c may carry any leading axes ([H, W, n] or [B, H, W, n]); every pixel
-    is independent. ``scale`` multiplies the transformed logits before the
-    softmax and acts as an inverse temperature; the default 1 applies the
-    transform with no normalization.
+    is independent. The transform is unnormalized (no 1/n factor), so an
+    exact codeword gives logit n at its own class.
     """
     y_c = np.asarray(y_c, dtype=np.float64)
     if y_c.shape[-1] != cb.n:
         raise ShapeError(
             f"channel count {y_c.shape[-1]} != codebook order {cb.n}"
         )
-    transformed = fwht_apply(cb, y_c)
-    if scale != 1.0:
-        transformed = transformed * scale
-    output = _softmax_last_axis(transformed)
-    return LayerActivation(input=y_c, transformed=transformed, output=output, scale=scale)
+    return LayerActivation(output=_softmax_last_axis(fwht(y_c)))
 
 
 def hadamard_backward(act: LayerActivation, grad_out: np.ndarray) -> np.ndarray:
@@ -95,14 +87,11 @@ def hadamard_backward(act: LayerActivation, grad_out: np.ndarray) -> np.ndarray:
     the softmax Jacobian-vector product is s*g - s*(s.g), and the transform
     contributes another H application (H is symmetric), so
 
-        dL/dy_c = scale * H @ (s * g - s * (s . g)).
+        dL/dy_c = H @ (s * g - s * (s . g)).
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != act.output.shape:
         raise ShapeError(
             f"grad shape {grad_out.shape} != activation shape {act.output.shape}"
         )
-    grad_in = fwht(_softmax_backward(act.output, grad_out))
-    if act.scale != 1.0:
-        grad_in = grad_in * act.scale
-    return grad_in
+    return fwht(_softmax_backward(act.output, grad_out))

@@ -40,18 +40,6 @@ class LossWeights:
 
 
 @dataclass(frozen=True)
-class DiscriminatorOutput:
-    """A patch map of probabilities that each receptive field is real."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.alpha)
-        if not (np.all(a > 0.0) and np.all(a < 1.0)):
-            raise ValueError("alpha entries must lie strictly in (0, 1)")
-
-
-@dataclass(frozen=True)
 class GeneratorLossTerms:
     """Raw (unweighted) values of the four generator loss terms."""
 
@@ -59,12 +47,6 @@ class GeneratorLossTerms:
     cross_entropy: float
     mae_probability: float
     mae_code: float
-
-
-def _alpha_array(a) -> np.ndarray:
-    if isinstance(a, DiscriminatorOutput):
-        a = a.alpha
-    return np.asarray(a, dtype=np.float64)
 
 
 def _check_same_shape(z_hat: np.ndarray, z: np.ndarray) -> None:
@@ -123,15 +105,15 @@ def discriminator_loss(alpha_real, alpha_fake) -> float:
     S(1|a) is the cross-entropy of a against an all-ones target over the
     patch map, i.e. -(1/N) sum log a; S(0|a) is -(1/N) sum log(1 - a).
     """
-    a_real = _alpha_array(alpha_real)
-    a_fake = _alpha_array(alpha_fake)
+    a_real = np.asarray(alpha_real, dtype=np.float64)
+    a_fake = np.asarray(alpha_fake, dtype=np.float64)
     return -_mean_log(a_real) - _mean_log(1.0 - a_fake)
 
 
 def discriminator_loss_grads(alpha_real, alpha_fake) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of discriminator_loss w.r.t. both patch maps."""
-    a_real = _alpha_array(alpha_real)
-    a_fake = _alpha_array(alpha_fake)
+    a_real = np.asarray(alpha_real, dtype=np.float64)
+    a_fake = np.asarray(alpha_fake, dtype=np.float64)
     # d/da_fake of -_mean_log(1 - a_fake) is +1 / (N * (1 - a_fake)).
     return _clamped_log_grad(a_real, -1.0), _clamped_log_grad(1.0 - a_fake, 1.0)
 
@@ -149,7 +131,7 @@ def generator_loss(
     total = S(1|alpha_fake) + lambda1 * S(y_hat|y)
           + lambda2 * MAE(y_hat, y) + lambda3 * MAE(y_c_hat, y_c)
     """
-    a_fake = _alpha_array(alpha_fake)
+    a_fake = np.asarray(alpha_fake, dtype=np.float64)
     adversarial = -_mean_log(a_fake)
     ce = cross_entropy(y_hat, y)
     mae_y = mae(y_hat, y)
@@ -172,7 +154,7 @@ def generator_loss_grads(
     w: LossWeights = LossWeights(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of generator_loss w.r.t. (alpha_fake, y_hat, y_c_hat)."""
-    a_fake = _alpha_array(alpha_fake)
+    a_fake = np.asarray(alpha_fake, dtype=np.float64)
     g_alpha = _clamped_log_grad(a_fake, -1.0)
     g_y_hat = w.lambda1 * cross_entropy_grad(y_hat, y) + w.lambda2 * mae_grad(y_hat, y)
     g_y_c_hat = w.lambda3 * mae_grad(y_c_hat, y_c)

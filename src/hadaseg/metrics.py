@@ -28,6 +28,7 @@ class LabelMap:
             raise ShapeError(f"labels must be integers, got dtype {labels.dtype}")
         if labels.min() < 0:
             raise ClassIndexError("labels must be non-negative")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def height(self) -> int:
@@ -50,6 +51,7 @@ class ConfusionMatrix:
             raise ShapeError(f"counts must be square, got {counts.shape}")
         if counts.min(initial=0) < 0:
             raise ValueError("counts must be non-negative")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def num_classes(self) -> int:

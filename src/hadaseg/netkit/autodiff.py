@@ -27,8 +27,8 @@ branching path when the mask's signs are mixed. On a [4, 64, 64, 16] map of
 random signs, ``np.where(x > 0, x, 0.0)`` takes 1.3-1.9 ms, 0.4 ms on the
 same values sorted, and ``np.maximum(x, 0.0)`` 0.2 ms (one thread, 2-vCPU
 Xeon VM). So the forwards are maxima and the backward factors are mask
-arithmetic, equal bit for bit to the masked forms for a slope in [0, 1],
-except that ``relu`` passes a NaN on where the masked form gives 0.
+arithmetic, equal bit for bit to the masked forms, except that ``relu``
+passes a NaN on where the masked form gives 0.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..codes import Codebook
 from ..errors import ShapeError
 from ..layer import _softmax_backward, _softmax_last_axis, hadamard_backward, hadamard_forward
+
+# The negative-side slope of every leaky ReLU in the networks.
+LEAKY_SLOPE = 0.2
 
 
 class Node:
@@ -234,6 +237,7 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     cols, out_h, out_w = _im2col(xp, k, stride)
     w_mat = wv.reshape(k * k * cin, cout)
     out = (cols @ w_mat + bv).reshape(batch, out_h, out_w, cout)
+    xp_shape = xp.shape  # the backward keeps the shape, not the padded copy
 
     def backprop(node: Node) -> None:
         g = node.grad.reshape(-1, cout)
@@ -248,7 +252,7 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
             _accumulate(x, _input_gradient(node.grad, wv))
             return
         dcols = (g @ w_mat.T).reshape(batch, out_h, out_w, k, k, cin)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros(xp_shape)
         for i in range(k):
             for j in range(k):
                 dxp[
@@ -262,20 +266,18 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     return Node(out, parents=(x, w, b), backprop=backprop)
 
 
-def leaky_relu(x: Node, negative_slope: float = 0.2) -> Node:
-    """x where x > 0, negative_slope * x elsewhere, for a slope in [0, 1].
+def leaky_relu(x: Node) -> Node:
+    """x where x > 0, LEAKY_SLOPE * x elsewhere.
 
-    Within that range the larger of x and slope * x is the right branch,
-    which the maximum picks without a mask. The backward factor
+    The slope lies in [0, 1], so the larger of x and slope * x is the right
+    branch, which the maximum picks without a mask. The backward factor
     (x > 0) * (1 - slope) + slope is exactly 1 or exactly the slope.
     """
-    if not 0.0 <= negative_slope <= 1.0:
-        raise ValueError(f"negative_slope must lie in [0, 1], got {negative_slope}")
     xv = x.value
-    out = np.maximum(xv, negative_slope * xv)
+    out = np.maximum(xv, LEAKY_SLOPE * xv)
 
     def backprop(node: Node) -> None:
-        factor = (xv > 0) * (1.0 - negative_slope) + negative_slope
+        factor = (xv > 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
         factor *= node.grad
         _accumulate(x, factor)
 
@@ -469,9 +471,9 @@ def per_pixel_softmax(x: Node) -> Node:
     return Node(out, parents=(x,), backprop=backprop)
 
 
-def hadamard_head(x: Node, cb: Codebook, scale: float = 1.0) -> Node:
+def hadamard_head(x: Node, cb: Codebook) -> Node:
     """The parameter-free code-correlation head (see hadaseg.layer)."""
-    act = hadamard_forward(cb, x.value, scale=scale)
+    act = hadamard_forward(cb, x.value)
 
     def backprop(node: Node) -> None:
         _accumulate(x, hadamard_backward(act, node.grad))

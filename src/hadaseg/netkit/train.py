@@ -83,7 +83,6 @@ class TrainSettings:
     lr: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
-    eps: float = 1e-8
     log_every: int = 1
     metrics_every: int = 50
 
@@ -189,6 +188,7 @@ def train_cgan(
     disc_params = {name: p.value for name, p in disc.parameters.items()}
     gen_state = adam_init(gen_params)
     disc_state = adam_init(disc_params)
+    adam_settings = {"lr": settings.lr, "beta1": settings.beta1, "beta2": settings.beta2}
 
     for step in range(1, steps + 1):
         idx = sampler.take(settings.batch_size)
@@ -210,15 +210,7 @@ def train_cgan(
         ad.backward([(alpha_real, g_real), (alpha_fake, g_fake)])
         disc_grads = {name: p.grad for name, p in disc.parameters.items()}
         _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
-        adam_step(
-            disc_params,
-            disc_grads,
-            disc_state,
-            lr=settings.lr,
-            beta1=settings.beta1,
-            beta2=settings.beta2,
-            eps=settings.eps,
-        )
+        adam_step(disc_params, disc_grads, disc_state, **adam_settings)
         # Release the discriminator tape (both pairs' im2col buffers) before
         # the generator update builds its own.
         del alpha_real, alpha_fake
@@ -248,19 +240,10 @@ def train_cgan(
             f"(adv={terms.adversarial} ce={terms.cross_entropy} "
             f"mae_y={terms.mae_probability} mae_yc={terms.mae_code})",
         )
-        adam_step(
-            gen_params,
-            gen_grads,
-            gen_state,
-            lr=settings.lr,
-            beta1=settings.beta1,
-            beta2=settings.beta2,
-            eps=settings.eps,
-        )
+        adam_step(gen_params, gen_grads, gen_state, **adam_settings)
 
         # Raw code-MAE is logged for both heads; only the weighted total
         # depends on the head.
-        raw_mae_yc = terms.mae_code
         if step % settings.log_every == 0 or step == steps:
             history.loss_rows.append(
                 (
@@ -269,7 +252,7 @@ def train_cgan(
                     terms.adversarial,
                     terms.cross_entropy,
                     terms.mae_probability,
-                    raw_mae_yc,
+                    terms.mae_code,
                     total,
                 )
             )

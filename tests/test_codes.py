@@ -266,7 +266,7 @@ class TestTransformSpeed:
         # ordering separately).
         from hadaseg.cli import benchmark_fwht
 
-        result = benchmark_fwht(12, vectors=4, reps=3)
+        result = benchmark_fwht(12)
         assert result["max_abs_diff"] < 1e-9
         with capsys.disabled():
             print(

@@ -94,7 +94,7 @@ class TestForward:
         expected = np.exp(8.0) / (np.exp(8.0) + 7.0)
         assert np.allclose(act.output[..., 5], expected, atol=1e-12)
         assert np.all(np.argmax(act.output, axis=-1) == 5)
-        assert np.array_equal(act.transformed[0, 0], 8.0 * np.eye(8)[5])
+        assert np.allclose(act.output[0, 0], _softmax(8.0 * np.eye(8)[5]), atol=1e-12)
 
     def test_zero_input_is_uniform(self):
         act = hadamard_forward(sylvester(3), np.zeros((1, 1, 8)))
@@ -144,19 +144,11 @@ class TestForward:
         y_c = rng.standard_normal((2, 2, 4))
         act = hadamard_forward(cb, y_c)
         dense = y_c @ cb.matrix.astype(np.float64).T
-        assert np.allclose(act.transformed, dense, atol=1e-12)
+        assert np.allclose(act.output, _softmax(dense), atol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             hadamard_forward(sylvester(3), np.zeros((2, 2, 4)))
-
-    def test_scale_acts_as_temperature(self):
-        rng = np.random.default_rng(11)
-        cb = sylvester(2)
-        y_c = rng.standard_normal((1, 1, 4))
-        act = hadamard_forward(cb, y_c, scale=0.25)
-        dense = 0.25 * (cb.matrix.astype(np.float64) @ y_c[0, 0])
-        assert np.allclose(act.output[0, 0], _softmax(dense), atol=1e-12)
 
 
 class TestBackward:
@@ -191,25 +183,6 @@ class TestBackward:
                     value = (hadamard_forward(cb, shifted).output * grad).sum()
                     numeric[0, 0, i] += sign * value / (2 * step)
             assert rel_error(analytic, numeric) < 1e-5
-
-    def test_scale_propagates_to_gradient(self):
-        rng = np.random.default_rng(8)
-        cb = sylvester(2)
-        y_c = rng.standard_normal((1, 1, 4))
-        grad = rng.standard_normal((1, 1, 4))
-        step = 1e-5
-        act = hadamard_forward(cb, y_c, scale=0.5)
-        analytic = hadamard_backward(act, grad)
-        numeric = np.zeros_like(y_c)
-        for i in range(4):
-            plus, minus = y_c.copy(), y_c.copy()
-            plus[0, 0, i] += step
-            minus[0, 0, i] -= step
-            numeric[0, 0, i] = (
-                (hadamard_forward(cb, plus, scale=0.5).output * grad).sum()
-                - (hadamard_forward(cb, minus, scale=0.5).output * grad).sum()
-            ) / (2 * step)
-        assert rel_error(analytic, numeric) < 1e-5
 
     def test_gradient_shape_mismatch(self):
         act = hadamard_forward(sylvester(2), np.zeros((2, 2, 4)))

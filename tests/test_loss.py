@@ -8,7 +8,6 @@ from hadaseg.codes import sylvester
 from hadaseg.errors import ShapeError
 from hadaseg.loss import (
     LOG_CLAMP,
-    DiscriminatorOutput,
     LossWeights,
     cross_entropy,
     cross_entropy_grad,
@@ -105,10 +104,6 @@ class TestDiscriminatorLoss:
     def test_single_cell(self):
         value = discriminator_loss(np.array([[0.9]]), np.array([[0.1]]))
         assert math.isclose(value, -2 * math.log(0.9), rel_tol=1e-12)
-
-    def test_accepts_wrapper_type(self):
-        half = DiscriminatorOutput(np.full((2, 2), 0.5))
-        assert math.isclose(discriminator_loss(half, half), 2 * math.log(2), rel_tol=1e-12)
 
     def test_cross_entropy_identity(self):
         # S(1|a) + S(0|b) == CE(a, ones) + CE(1 - b, ones), algebraically.
@@ -265,14 +260,3 @@ class TestGeneratorLoss:
         alpha_fake, y_hat, y, y_c_hat, y_c = _single_pixel_fixture()
         with pytest.raises(ShapeError):
             generator_loss(alpha_fake, y_hat, y[:, :, :1], y_c_hat, y_c, LossWeights())
-
-
-class TestDiscriminatorOutput:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            DiscriminatorOutput(np.array([0.0, 0.5]))
-        with pytest.raises(ValueError):
-            DiscriminatorOutput(np.array([0.5, 1.0]))
-
-    def test_accepts_open_interval(self):
-        DiscriminatorOutput(np.array([[0.01, 0.99]]))

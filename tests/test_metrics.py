@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hadaseg.data import read_label_map, write_label_map
 from hadaseg.errors import (
     CapacityError,
     ClassIndexError,
@@ -41,6 +42,22 @@ class TestLabelMap:
             LabelMap(np.zeros(4, dtype=np.int64))
         with pytest.raises(ClassIndexError):
             LabelMap(np.array([[-1, 0]], dtype=np.int64))
+
+    def test_nested_list_is_stored_as_the_checked_array(self, tmp_path):
+        lm = LabelMap([[0, 1], [1, 0]])
+        assert isinstance(lm.labels, np.ndarray)
+        assert (lm.height, lm.width) == (2, 2)
+        assert np.array_equal(confusion(lm, lm, 2).counts, [[2, 0], [0, 2]])
+        write_label_map(tmp_path / "lm.segl", lm)
+        assert np.array_equal(read_label_map(tmp_path / "lm.segl").labels, lm.labels)
+
+
+class TestConfusionMatrix:
+    def test_nested_list_is_stored_as_the_checked_array(self):
+        cm = ConfusionMatrix([[3, 1], [0, 2]])
+        assert isinstance(cm.counts, np.ndarray)
+        assert cm.num_classes == 2
+        assert np.array_equal((cm + cm).counts, [[6, 2], [0, 4]])
 
 
 class TestArgmaxMap:
