@@ -118,6 +118,78 @@ def discriminator_loss_grads(alpha_real, alpha_fake) -> tuple[np.ndarray, np.nda
     return _clamped_log_grad(a_real, -1.0), _clamped_log_grad(1.0 - a_fake, 1.0)
 
 
+def generator_loss_and_grads(
+    alpha_fake,
+    y_hat: np.ndarray,
+    y: np.ndarray,
+    y_c_hat: np.ndarray,
+    y_c: np.ndarray,
+    w: LossWeights = LossWeights(),
+) -> tuple[float, GeneratorLossTerms, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Four-term generator loss, its raw per-term breakdown, and its
+    gradients w.r.t. (alpha_fake, y_hat, y_c_hat), in one pass.
+
+    total = S(1|alpha_fake) + lambda1 * S(y_hat|y)
+          + lambda2 * MAE(y_hat, y) + lambda3 * MAE(y_c_hat, y_c)
+
+    The clamped map, the log and the differences serve both the loss and
+    the gradients, and the gradients are built in place in them. Every value
+    equals, bit for bit, what ``cross_entropy``, ``mae`` and their ``_grad``
+    helpers give: the operations differ from theirs only in the operand
+    order of a product or a sum and in negating a quotient rather than its
+    numerator, all of which round the same.
+    """
+    a_fake = np.asarray(alpha_fake, dtype=np.float64)
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    y_c_hat = np.asarray(y_c_hat, dtype=np.float64)
+    y_c = np.asarray(y_c, dtype=np.float64)
+    _check_same_shape(y_hat, y)
+    _check_same_shape(y_c_hat, y_c)
+
+    adversarial = -_mean_log(a_fake)
+    g_alpha = _clamped_log_grad(a_fake, -1.0)
+
+    # Cross-entropy: -(1/N) sum y * log(clamped), and its gradient
+    # -y / (N * clamped), zero where the clamp is active.
+    clamped = np.maximum(y_hat, LOG_CLAMP)
+    log_term = np.log(clamped)
+    log_term *= y
+    ce = float(-log_term.mean())
+    del log_term
+    clamped *= y.size
+    g_y_hat = np.divide(y, clamped, out=clamped)
+    np.negative(g_y_hat, out=g_y_hat)
+    g_y_hat *= y_hat > LOG_CLAMP
+    g_y_hat *= w.lambda1
+
+    mae_y, mae_grad_y = _mae_and_grad(y_hat, y)
+    mae_grad_y *= w.lambda2
+    g_y_hat += mae_grad_y
+    del mae_grad_y
+
+    mae_yc, g_y_c_hat = _mae_and_grad(y_c_hat, y_c)
+    g_y_c_hat *= w.lambda3
+
+    total = adversarial + w.lambda1 * ce + w.lambda2 * mae_y + w.lambda3 * mae_yc
+    terms = GeneratorLossTerms(
+        adversarial=adversarial,
+        cross_entropy=ce,
+        mae_probability=mae_y,
+        mae_code=mae_yc,
+    )
+    return total, terms, (g_alpha, g_y_hat, g_y_c_hat)
+
+
+def _mae_and_grad(z_hat: np.ndarray, z: np.ndarray) -> tuple[float, np.ndarray]:
+    """``mae`` and ``mae_grad`` from one difference array."""
+    diff = z_hat - z
+    grad = np.sign(diff)
+    grad /= z.size
+    np.abs(diff, out=diff)
+    return float(diff.mean()), grad
+
+
 def generator_loss(
     alpha_fake,
     y_hat: np.ndarray,
@@ -126,23 +198,9 @@ def generator_loss(
     y_c: np.ndarray,
     w: LossWeights = LossWeights(),
 ) -> tuple[float, GeneratorLossTerms]:
-    """Four-term generator loss and its raw per-term breakdown.
-
-    total = S(1|alpha_fake) + lambda1 * S(y_hat|y)
-          + lambda2 * MAE(y_hat, y) + lambda3 * MAE(y_c_hat, y_c)
-    """
-    a_fake = np.asarray(alpha_fake, dtype=np.float64)
-    adversarial = -_mean_log(a_fake)
-    ce = cross_entropy(y_hat, y)
-    mae_y = mae(y_hat, y)
-    mae_yc = mae(y_c_hat, y_c)
-    total = adversarial + w.lambda1 * ce + w.lambda2 * mae_y + w.lambda3 * mae_yc
-    return total, GeneratorLossTerms(
-        adversarial=adversarial,
-        cross_entropy=ce,
-        mae_probability=mae_y,
-        mae_code=mae_yc,
-    )
+    """The total and the per-term breakdown of ``generator_loss_and_grads``."""
+    total, terms, _ = generator_loss_and_grads(alpha_fake, y_hat, y, y_c_hat, y_c, w)
+    return total, terms
 
 
 def generator_loss_grads(
@@ -154,8 +212,4 @@ def generator_loss_grads(
     w: LossWeights = LossWeights(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of generator_loss w.r.t. (alpha_fake, y_hat, y_c_hat)."""
-    a_fake = np.asarray(alpha_fake, dtype=np.float64)
-    g_alpha = _clamped_log_grad(a_fake, -1.0)
-    g_y_hat = w.lambda1 * cross_entropy_grad(y_hat, y) + w.lambda2 * mae_grad(y_hat, y)
-    g_y_c_hat = w.lambda3 * mae_grad(y_c_hat, y_c)
-    return g_alpha, g_y_hat, g_y_c_hat
+    return generator_loss_and_grads(alpha_fake, y_hat, y, y_c_hat, y_c, w)[2]

@@ -29,9 +29,25 @@ same values sorted, and ``np.maximum(x, 0.0)`` 0.2 ms (one thread, 2-vCPU
 Xeon VM). So the forwards are maxima and the backward factors are mask
 arithmetic, equal bit for bit to the masked forms, except that ``relu``
 passes a NaN on where the masked form gives 0.
+
+Concurrency. ``backward`` splits the seeded graph into components: sets of
+non-leaf nodes linked by ``parents``. Components share only leaves (nodes
+without parents, such as Parameters), so each non-leaf node's gradient is
+written by one component's walk alone. With ``workers`` above 1 the
+components are walked concurrently, the calling thread taking its own share
+and a module-level thread pool the rest; ``parallel_map`` runs independent
+forwards the same way. While a component is walked, its contributions to
+leaves are buffered, and the buffers are applied in component order once
+every walk is done. So the gradients do not depend on ``workers`` or on
+thread timing, and a graph of one component takes the serial path. This
+holds because the ops keep no shared mutable state: an op's backprop
+reads its own closure and writes only to its parents.
 """
 
 from __future__ import annotations
+
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -121,19 +137,112 @@ def _toposort(roots) -> list[Node]:
     return topo
 
 
+class _WalkState(threading.local):
+    """Per thread: the leaf-gradient buffer of the component being walked,
+    or None outside a component walk."""
+
+    leaf_grads: dict | None = None
+
+
+_walk_state = _WalkState()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's thread pool, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(thread_name_prefix="hadaseg-autodiff")
+        return _pool
+
+
+def parallel_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, run concurrently: the first item on
+    the calling thread, the others on the module's thread pool.
+
+    The calls must be independent (see the module docstring) and must not
+    themselves use the pool. Every call finishes before this returns or
+    raises; an exception of the first item wins, then the others in order.
+    """
+    items = list(items)
+    if len(items) < 2:
+        return [fn(item) for item in items]
+    futures = [_executor().submit(fn, item) for item in items[1:]]
+    try:
+        first = fn(items[0])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
+
+
 def _accumulate(node: Node, grad: np.ndarray) -> None:
     """Store the first contribution to ``node.grad``; add later ones to it.
 
     A stored contribution becomes the node's gradient buffer, so callers pass
-    arrays that nothing else holds.
+    arrays that nothing else holds. Inside a component walk, a contribution
+    to a leaf goes to the walk's buffer instead (see ``backward``).
     """
+    buffer = _walk_state.leaf_grads
+    if buffer is not None and not node.parents:
+        held = buffer.get(node)
+        if held is None:
+            buffer[node] = grad
+        else:
+            held += grad
+        return
     if node.grad is None:
         node.grad = grad
     else:
         node.grad += grad
 
 
-def backward(seeds) -> None:
+def _components(topo: list[Node]) -> list[list[Node]]:
+    """The non-leaf nodes of ``topo`` grouped into the components that
+    ``parents`` links, each in ``topo`` order; components are ordered by
+    their first node in ``topo``."""
+    root: dict[Node, Node] = {}
+
+    def find(node: Node) -> Node:
+        while root[node] is not node:
+            root[node] = root[root[node]]
+            node = root[node]
+        return node
+
+    inner = [node for node in topo if node.parents]
+    for node in inner:
+        root[node] = node
+    for node in inner:
+        for parent in node.parents:
+            if parent in root:
+                root[find(parent)] = find(node)
+    groups: dict[Node, list[Node]] = {}
+    for node in inner:
+        groups.setdefault(find(node), []).append(node)
+    return list(groups.values())
+
+
+def _walk(nodes: list[Node]) -> None:
+    for node in reversed(nodes):
+        if node._backprop is not None:
+            node._backprop(node)
+
+
+def _walk_buffered(components: list[list[Node]]) -> list[dict]:
+    """Walk each component in turn; returns each one's leaf contributions."""
+    buffers = []
+    try:
+        for nodes in components:
+            _walk_state.leaf_grads = buffer = {}
+            _walk(nodes)
+            buffers.append(buffer)
+    finally:
+        _walk_state.leaf_grads = None
+    return buffers
+
+
+def backward(seeds, workers: int = 1) -> None:
     """Run reverse-mode accumulation from ``seeds``: (node, gradient) pairs.
 
     Only nodes that need a gradient (see the module docstring) are visited;
@@ -142,6 +251,11 @@ def backward(seeds) -> None:
     pass. A node's first contribution is stored and later ones are added to
     it; a seed array is copied, never stored or modified. Seeding an
     interior node adds to whatever flows back into it from downstream seeds.
+
+    A graph of more than one component (see the module docstring) has its
+    components walked on up to ``workers`` threads, and their contributions
+    to leaves applied in component order after the walks, so the result is
+    the same for every ``workers``.
     """
     seeds = [(node, np.asarray(grad, dtype=np.float64)) for node, grad in seeds]
     for node, grad in seeds:
@@ -155,9 +269,19 @@ def backward(seeds) -> None:
     for node, grad in seeds:
         if node.needs_grad:
             _accumulate(node, grad.copy())
-    for node in reversed(topo):
-        if node._backprop is not None:
-            node._backprop(node)
+    components = _components(topo)
+    if len(components) < 2:
+        _walk(topo)
+        return
+    threads = max(1, min(workers, len(components)))
+    walked = parallel_map(_walk_buffered, [components[i::threads] for i in range(threads)])
+    # Share i walked components i, i + threads, ...: restore component order.
+    buffers: list = [None] * len(components)
+    for i, share_buffers in enumerate(walked):
+        buffers[i::threads] = share_buffers
+    for buffer in buffers:
+        for leaf, grad in buffer.items():
+            _accumulate(leaf, grad)
 
 
 def _check_image(x: Node, op: str) -> None:
@@ -211,9 +335,9 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
 
     Layout: input [B, H, W, Cin], kernel [kh, kw, Cin, Cout], bias [Cout].
     Implemented as im2col + one matmul; the column matrix is cached for the
-    weight gradient. At stride 1 the input gradient is the same-padded
-    convolution of the output gradient with the flipped kernel, its channel
-    axes swapped: one more im2col + matmul. At stride 2 the column gradient
+    weight gradient when the kernel needs one. At stride 1 the input
+    gradient is the same-padded convolution of the output gradient with the
+    flipped kernel, its channel axes swapped: one more im2col + matmul. At stride 2 the column gradient
     is scattered back tap by tap. An input that needs no gradient gets none
     computed.
     """
@@ -238,6 +362,8 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     w_mat = wv.reshape(k * k * cin, cout)
     out = (cols @ w_mat + bv).reshape(batch, out_h, out_w, cout)
     xp_shape = xp.shape  # the backward keeps the shape, not the padded copy
+    if not w.needs_grad:
+        cols = None  # only the weight gradient reads the columns
 
     def backprop(node: Node) -> None:
         g = node.grad.reshape(-1, cout)
@@ -392,13 +518,20 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
 
     Backward: the up branch places the output gradient's four phases at
     their offsets in a [B, h+1, w+1, 2, 2, Cout] array that is zero where a
-    window feeds no output of that phase. That array times the cached
+    window feeds no output of that phase. That array times the up branch's
     columns is the 2x2 kernel's gradient, folded back through the tap map;
     times the kernel's transpose it gives the window gradients, and four
     shifted slices of those sum to the gradient of ``x``. The skip branch's
-    weight gradient comes from its cached columns and its input gradient
-    from its own transposed-conv product, computed only when ``skip`` needs
-    one. Neither input gradient depends on which inputs need one.
+    weight gradient comes from its columns and its input gradient from its
+    own transposed-conv product, computed only when ``skip`` needs one.
+    Neither input gradient depends on which inputs need one.
+
+    The backward rebuilds both column matrices from the inputs instead of
+    keeping them from the forward. They are 4 and 9 times the size of
+    ``x`` and ``skip``, and a decoder stage's tape lives through a whole
+    training step. At the C7 smoke shapes the three stages' columns take
+    14.7 MB, and rebuilding them took 2.3 ms per step (one thread, 2-vCPU
+    Xeon VM).
     """
     _check_image(x, "upsample_concat_conv2d")
     _check_image(skip, "upsample_concat_conv2d")
@@ -443,8 +576,12 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
             if w.needs_grad:
                 dw = np.empty_like(wv)
                 # [N, M] x [M, K] runs faster in BLAS, as in conv2d.
+                cols_up, _, _ = _im2col(_pad_same(xv, 1), 2, 1)
                 dw[:, :, :cup] = _fold_subpixel_kernel((g_phases.T @ cols_up).T, cup, cout)
+                del cols_up
+                cols_skip, _, _ = _im2col(_pad_same(sv, 1), 3, 1)
                 dw[:, :, cup:] = (g.reshape(-1, cout).T @ cols_skip).T.reshape(3, 3, -1, cout)
+                del cols_skip
                 _accumulate(w, dw)
             if x.needs_grad:
                 # The window axes (s, t) take the place of the phase axes.

@@ -7,13 +7,27 @@ weighted cross-entropy / MAE terms). Losses are computed outside the graph;
 their analytic gradients seed the tape backward pass. Each update checks
 that its loss and gradients are finite before Adam applies them.
 
+A step is data-parallel. Nothing couples the samples of a batch before the
+losses (the networks have no batch statistics), so the batch is split into
+P chunks with ``np.array_split``, and each chunk gets its own generator and
+discriminator forwards, run concurrently by ``autodiff.parallel_map``. The
+losses are computed once, on the chunks' outputs joined back into the
+batch; each chunk's outputs are seeded with their slice of the loss
+gradients, and one ``autodiff.backward`` call per update walks the chunks'
+graphs concurrently. P is the number of usable CPUs that BLAS leaves idle
+(see ``thread_count``), so a BLAS that already runs a thread per CPU gets
+P = 1, a step of one chunk.
+
 Everything is derived from a single seed: weight init, batch order, and the
 synthetic data stream if the caller built one the same way. Rerunning with
-the same inputs reproduces the history byte for byte.
+the same inputs reproduces the history byte for byte. At P = 1 every value
+is what an unchunked step computes; other P change the last bits of the
+weight gradients, which sum over the chunks.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import dataclass, field, replace
 
@@ -26,8 +40,7 @@ from ..loss import (
     LossWeights,
     discriminator_loss,
     discriminator_loss_grads,
-    generator_loss,
-    generator_loss_grads,
+    generator_loss_and_grads,
 )
 from . import autodiff as ad
 from .models import (
@@ -45,12 +58,65 @@ LOSS_CSV_COLUMNS = ("step", "L_D", "S_adv", "S_ce", "MAE_y", "MAE_yc", "L_G_tota
 METRICS_CSV_COLUMNS = ("step", "batch_pixel_accuracy")
 
 
-def thread_count() -> int:
-    """Worker threads available to the array kernels (documented in history)."""
-    env = os.environ.get("OMP_NUM_THREADS")
-    if env and env.isdigit():
-        return int(env)
-    return os.cpu_count() or 1
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int | None:
+    """The thread count the loaded OpenBLAS reports, or None when no
+    OpenBLAS is loaded or it cannot be asked."""
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (
+            "scipy_openblas_get_num_threads64_",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def thread_count(batch_size: int, blas_threads: int | None) -> int:
+    """Threads a training step runs on, the P of the module docstring.
+
+    One per usable CPU that BLAS leaves idle when it runs ``blas_threads``
+    threads, and at most one per sample of the batch; 1 when the BLAS
+    thread count is unknown. More threads contend with BLAS for the CPUs:
+    on 2 CPUs with 2 BLAS threads, a step at the C7 smoke shapes took 94 ms
+    in two chunks against 69 ms in one.
+    """
+    if blas_threads is None or blas_threads < 1:
+        return 1
+    return max(1, min(batch_size, _usable_cpus() // blas_threads))
+
+
+def _joined(nodes: list[ad.Node]) -> np.ndarray:
+    """The chunks' values joined along the batch axis (one chunk: its value)."""
+    if len(nodes) == 1:
+        return nodes[0].value
+    return np.concatenate([node.value for node in nodes])
+
+
+def _chunk_seeds(*outputs: tuple[list[ad.Node], np.ndarray]) -> list:
+    """Backward seeds for (chunk nodes, batch gradient) pairs: chunk by
+    chunk, each output's node with its slice of the batch gradient."""
+    per_output = [zip(nodes, np.array_split(grad, len(nodes))) for nodes, grad in outputs]
+    return [seed for chunk in zip(*per_output) for seed in chunk]
 
 
 @dataclass
@@ -168,9 +234,12 @@ def train_cgan(
     codebook = sylvester(gen_cfg.code_bits, num_classes=num_classes)
     effective = weights if gen_cfg.head != HEAD_ONE_HOT else replace(weights, lambda3=0.0)
 
+    blas_threads = _blas_threads()
+    workers = thread_count(settings.batch_size, blas_threads)
     history = History(
         header={
-            "threads": str(thread_count()),
+            "threads": str(workers),
+            "blas-threads": "unknown" if blas_threads is None else str(blas_threads),
             "trainable-parameters": str(gen.parameter_count()),
             "head": gen_cfg.head,
             "seed": str(seed),
@@ -197,40 +266,59 @@ def train_cgan(
         y_one_hot = np.stack([e.one_hot for e in encoded])
         y_code = np.stack([e.hadamard for e in encoded])
         labels = np.stack([dataset[i].labels.labels for i in idx])
+        chunks = range(workers)
+        xs = np.array_split(x, workers)
 
-        # Generator forward (tape kept for the generator update).
-        y_hat, y_c = gen.forward(x)
+        # Generator forwards (tapes kept for the generator update).
+        outputs = ad.parallel_map(gen.forward, xs)
+        y_hats = [y_hat for y_hat, _ in outputs]
+        y_cs = [y_c for _, y_c in outputs]
+        del outputs
 
-        # Discriminator update: the predicted map enters as a raw array so
+        # Discriminator update: the predicted maps enter as raw arrays so
         # no gradient reaches the generator here.
-        alpha_real = disc.forward(np.concatenate((x, y_one_hot), axis=-1))
-        alpha_fake = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
-        loss_d = discriminator_loss(alpha_real.value, alpha_fake.value)
-        g_real, g_fake = discriminator_loss_grads(alpha_real.value, alpha_fake.value)
-        ad.backward([(alpha_real, g_real), (alpha_fake, g_fake)])
+        y_one_hots = np.array_split(y_one_hot, workers)
+
+        def score_pairs(i):
+            real = disc.forward(np.concatenate((xs[i], y_one_hots[i]), axis=-1))
+            fake = disc.forward(np.concatenate((xs[i], y_hats[i].value), axis=-1))
+            return real, fake
+
+        pairs = ad.parallel_map(score_pairs, chunks)
+        alpha_real = [real for real, _ in pairs]
+        alpha_fake = [fake for _, fake in pairs]
+        del pairs, y_one_hots
+        joined = _joined(alpha_real), _joined(alpha_fake)
+        loss_d = discriminator_loss(*joined)
+        g_real, g_fake = discriminator_loss_grads(*joined)
+        del joined
+        seeds_d = _chunk_seeds((alpha_real, g_real), (alpha_fake, g_fake))
+        ad.backward(seeds_d, workers)
         disc_grads = {name: p.grad for name, p in disc.parameters.items()}
         _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
         adam_step(disc_params, disc_grads, disc_state, **adam_settings)
-        # Release the discriminator tape (both pairs' im2col buffers) before
-        # the generator update builds its own.
-        del alpha_real, alpha_fake
+        # Release the discriminator tapes (every pair's im2col buffers)
+        # before the generator update builds its own.
+        del alpha_real, alpha_fake, seeds_d, g_real, g_fake
 
         # Generator update through the refreshed discriminator. Its
         # Parameters need no gradient until this update's backward is done,
         # so that backward computes no discriminator weight gradient.
         ad.set_needs_grad(disc.parameters.values(), False)
-        alpha_gen = disc.forward(ad.channel_concat(ad.as_node(x), y_hat))
-        total, terms = generator_loss(
-            alpha_gen.value, y_hat.value, y_one_hot, y_c.value, y_code, effective
+        alpha_gen = ad.parallel_map(
+            lambda i: disc.forward(ad.channel_concat(ad.as_node(xs[i]), y_hats[i])), chunks
         )
-        g_alpha, g_y_hat, g_y_c = generator_loss_grads(
-            alpha_gen.value, y_hat.value, y_one_hot, y_c.value, y_code, effective
+        total, terms, (g_alpha, g_y_hat, g_y_c) = generator_loss_and_grads(
+            _joined(alpha_gen), _joined(y_hats), y_one_hot, _joined(y_cs), y_code, effective
         )
-        seeds_g = [(alpha_gen, g_alpha), (y_hat, g_y_hat)]
+        seeded = [(alpha_gen, g_alpha), (y_hats, g_y_hat)]
         if effective.lambda3 != 0.0:
-            seeds_g.append((y_c, g_y_c))
-        ad.backward(seeds_g)
+            seeded.append((y_cs, g_y_c))
+        seeds_g = _chunk_seeds(*seeded)
+        del seeded, g_alpha, g_y_hat, g_y_c
+        ad.backward(seeds_g, workers)
         ad.set_needs_grad(disc.parameters.values(), True)
+        del seeds_g, alpha_gen
         gen_grads = {name: p.grad for name, p in gen.parameters.items()}
         _check_finite(
             step,
@@ -257,10 +345,12 @@ def train_cgan(
                 )
             )
         if step % settings.metrics_every == 0 or step == steps:
-            predicted = np.argmax(y_hat.value[..., :num_classes], axis=-1)
+            predicted = np.concatenate(
+                [np.argmax(y_hat.value[..., :num_classes], axis=-1) for y_hat in y_hats]
+            )
             accuracy = float((predicted == labels).mean())
             history.metric_rows.append((step, accuracy))
-        # Release this step's tape before the next step builds its own.
-        del y_hat, y_c, alpha_gen, seeds_g
+        # Release this step's tapes before the next step builds its own.
+        del y_hats, y_cs
 
     return gen, disc, history

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -517,6 +520,46 @@ class TestGradientNeeds:
         assert all(p.grad is None for p in disc.parameters.values())
         assert all(p.grad is not None for p in gen.parameters.values())
 
+    def test_frozen_conv_keeps_no_columns(self):
+        # Only the weight gradient reads the im2col matrix, so a conv whose
+        # kernel needs no gradient drops it when the node is built; the
+        # input gradient is unchanged.
+        rng = np.random.default_rng(45)
+        x = ad.constant(rng.standard_normal((2, 8, 8, 3)))
+        w = ad.Parameter("w", rng.standard_normal((3, 3, 3, 4)))
+        b = ad.Parameter("b", rng.standard_normal(4))
+        seed = rng.standard_normal((2, 4, 4, 4))
+        input_grads = []
+        for frozen in (False, True):
+            ad.set_needs_grad([w, b], not frozen)
+            out = ad.conv2d(x, w, b, stride=2)
+            held = [
+                cell.cell_contents
+                for cell in out._backprop.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)
+            ]
+            assert any(a.shape == (2 * 4 * 4, 27) for a in held) != frozen
+            ad.backward([(out, seed)])
+            input_grads.append(x.grad)
+        assert np.array_equal(input_grads[0], input_grads[1])
+
+    def test_decoder_stage_keeps_no_columns(self):
+        # The stage's tape lives through a training step, so its backward
+        # rebuilds the up and skip column matrices instead of keeping them.
+        rng = np.random.default_rng(46)
+        x = ad.constant(rng.standard_normal((2, 4, 4, 3)))
+        skip = ad.constant(rng.standard_normal((2, 8, 8, 2)))
+        w = ad.Parameter("w", rng.standard_normal((3, 3, 5, 4)))
+        b = ad.Parameter("b", rng.standard_normal(4))
+        out = ad.upsample_concat_conv2d(x, skip, w, b)
+        held = [
+            cell.cell_contents
+            for cell in out._backprop.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)
+        ]
+        column_shapes = {(2 * 5 * 5, 4 * 3), (2 * 8 * 8, 9 * 2)}
+        assert not any(a.shape in column_shapes for a in held)
+
     def test_generator_parameter_gradients_ignore_input_wrapping(self):
         gen, _ = _tiny_models()
         rng = np.random.default_rng(41)
@@ -533,3 +576,102 @@ class TestGradientNeeds:
             grads[wrap] = {name: p.grad.copy() for name, p in gen.parameters.items()}
         for name in gen.parameters:
             assert np.array_equal(grads[ad.as_node][name], grads[ad.constant][name]), name
+
+
+def _discriminator_update_seeds(disc, rng, chunks):
+    """The discriminator update of a training step split into ``chunks``:
+    a real and a fake pass per chunk, each seeded with a random gradient."""
+    seeds = []
+    for _ in range(2 * chunks):
+        alpha = disc.forward(rng.standard_normal((1, 16, 16, 7)))
+        seeds.append((alpha, rng.standard_normal(alpha.shape)))
+    return seeds
+
+
+def _parameter_grads(model):
+    return {name: p.grad.copy() for name, p in model.parameters.items()}
+
+
+class TestConcurrentBackward:
+    def test_components_share_only_leaves(self):
+        # A discriminator pass is one component; the passes share only the
+        # Parameters. A generator pass through a discriminator is one.
+        gen, disc = _tiny_models()
+        rng = np.random.default_rng(50)
+        seeds = _discriminator_update_seeds(disc, rng, chunks=2)
+        topo = ad._toposort([node for node, _ in seeds])
+        components = ad._components(topo)
+        assert len(components) == 4
+        assert all(node.parents for nodes in components for node in nodes)
+        inner = [node for nodes in components for node in nodes]
+        assert len(inner) == len({id(node) for node in inner})
+        y_hat, _ = gen.forward(rng.standard_normal((1, 16, 16, 3)))
+        alpha = disc.forward(ad.channel_concat(ad.as_node(np.zeros((1, 16, 16, 3))), y_hat))
+        assert len(ad._components(ad._toposort([alpha, y_hat]))) == 1
+
+    def test_two_passes_sum_like_separate_backwards(self):
+        # The discriminator update's two passes: the buffered walk gives
+        # each Parameter the sum of what each pass alone gives it.
+        _, disc = _tiny_models()
+        seeds = _discriminator_update_seeds(disc, np.random.default_rng(51), chunks=1)
+        separate = []
+        for seed in seeds:
+            ad.backward([seed])
+            separate.append(_parameter_grads(disc))
+        ad.backward(seeds, workers=2)
+        for name, p in disc.parameters.items():
+            assert np.array_equal(p.grad, separate[0][name] + separate[1][name]), name
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_gradients_do_not_depend_on_workers(self, chunks):
+        _, disc = _tiny_models()
+        seeds = _discriminator_update_seeds(disc, np.random.default_rng(52), chunks)
+        ad.backward(seeds, workers=1)
+        serial = _parameter_grads(disc)
+        for workers in (2, 3, 8):
+            ad.backward(seeds, workers=workers)
+            for name, p in disc.parameters.items():
+                assert np.array_equal(p.grad, serial[name]), (workers, name)
+
+    def test_stress_many_threads_short_switch_interval(self):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a lost or reordered leaf update would change the bits.
+        _, disc = _tiny_models()
+        seeds = _discriminator_update_seeds(disc, np.random.default_rng(53), chunks=4)
+        ad.backward(seeds, workers=1)
+        serial = _parameter_grads(disc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ad.backward(seeds, workers=8)
+                for name, p in disc.parameters.items():
+                    assert np.array_equal(p.grad, serial[name]), name
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestParallelMap:
+    def test_results_in_item_order_and_first_item_on_caller(self):
+        def work(i):
+            return i * i, threading.get_ident()
+
+        results = ad.parallel_map(work, range(4))
+        assert [value for value, _ in results] == [0, 1, 4, 9]
+        assert results[0][1] == threading.get_ident()
+        assert all(thread != threading.get_ident() for _, thread in results[1:])
+        assert ad.parallel_map(work, []) == []
+
+    def test_every_call_finishes_before_an_error_is_raised(self):
+        finished = []
+
+        def work(i):
+            if i == 0:
+                raise ValueError("first")
+            threading.Event().wait(0.05)
+            finished.append(i)
+            return i
+
+        with pytest.raises(ValueError, match="first"):
+            ad.parallel_map(work, range(3))
+        assert sorted(finished) == [1, 2]

@@ -14,6 +14,7 @@ from hadaseg.loss import (
     discriminator_loss,
     discriminator_loss_grads,
     generator_loss,
+    generator_loss_and_grads,
     generator_loss_grads,
     mae,
     mae_grad,
@@ -260,3 +261,60 @@ class TestGeneratorLoss:
         alpha_fake, y_hat, y, y_c_hat, y_c = _single_pixel_fixture()
         with pytest.raises(ShapeError):
             generator_loss(alpha_fake, y_hat, y[:, :, :1], y_c_hat, y_c, LossWeights())
+
+
+def _reference_generator_loss_and_grads(alpha, y_hat, y, y_c_hat, y_c, w):
+    """The generator loss and its gradients composed from the term functions."""
+    adversarial = -float(np.log(np.maximum(alpha, LOG_CLAMP)).mean())
+    ce, mae_y, mae_yc = cross_entropy(y_hat, y), mae(y_hat, y), mae(y_c_hat, y_c)
+    total = adversarial + w.lambda1 * ce + w.lambda2 * mae_y + w.lambda3 * mae_yc
+    g_alpha = np.where(alpha > LOG_CLAMP, -1.0 / (alpha.size * np.maximum(alpha, LOG_CLAMP)), 0.0)
+    g_y_hat = w.lambda1 * cross_entropy_grad(y_hat, y) + w.lambda2 * mae_grad(y_hat, y)
+    g_y_c_hat = w.lambda3 * mae_grad(y_c_hat, y_c)
+    return [total, adversarial, ce, mae_y, mae_yc], [g_alpha, g_y_hat, g_y_c_hat]
+
+
+class TestFusedGeneratorLoss:
+    def test_byte_identical_to_the_term_functions(self):
+        # Clamped and exactly-one probabilities, exact matches (MAE sign 0)
+        # and a saturated case whose cross-entropy is exactly zero.
+        rng = np.random.default_rng(60)
+        for case in range(6):
+            y = np.eye(8)[rng.integers(0, 8, (2, 3, 5))]
+            y_hat = rng.uniform(0.0, 1.0, y.shape)
+            y_hat[rng.random(y.shape) < 0.2] = 0.0
+            y_hat[rng.random(y.shape) < 0.2] = 1e-13
+            if case == 5:
+                y_hat = y.copy()
+            else:
+                y_hat[rng.random(y.shape) < 0.2] = y[rng.random(y.shape) < 0.2][0]
+            y_c = rng.choice([-1.0, 1.0], y.shape)
+            y_c_hat = rng.standard_normal(y.shape)
+            y_c_hat[rng.random(y.shape) < 0.2] = 1.0
+            alpha = rng.uniform(0.0, 1.0, (2, 2, 2, 1))
+            alpha[0, 0, 0, 0] = 0.0
+            w = LossWeights(3.0, 5.0, 0.0 if case == 4 else 7.0)
+            total, terms, grads = generator_loss_and_grads(alpha, y_hat, y, y_c_hat, y_c, w)
+            values = [
+                total,
+                terms.adversarial,
+                terms.cross_entropy,
+                terms.mae_probability,
+                terms.mae_code,
+            ]
+            expected_values, expected_grads = _reference_generator_loss_and_grads(
+                alpha, y_hat, y, y_c_hat, y_c, w
+            )
+            assert [repr(v) for v in values] == [repr(v) for v in expected_values]
+            for got, expected in zip(grads, expected_grads):
+                assert got.tobytes() == expected.tobytes()
+            assert (total, terms) == generator_loss(alpha, y_hat, y, y_c_hat, y_c, w)
+            for got, wrapped in zip(grads, generator_loss_grads(alpha, y_hat, y, y_c_hat, y_c, w)):
+                assert got.tobytes() == wrapped.tobytes()
+
+    def test_inputs_are_not_modified(self):
+        alpha_fake, y_hat, y, y_c_hat, y_c = _single_pixel_fixture()
+        copies = [a.copy() for a in (alpha_fake, y_hat, y, y_c_hat, y_c)]
+        generator_loss_and_grads(alpha_fake, y_hat, y, y_c_hat, y_c)
+        for before, after in zip(copies, (alpha_fake, y_hat, y, y_c_hat, y_c)):
+            assert np.array_equal(before, after)

@@ -5,7 +5,7 @@ import pytest
 
 from hadaseg.data import gen_synthetic
 from hadaseg.errors import ConfigError, ShapeError, TrainingDivergedError
-from hadaseg.loss import generator_loss
+from hadaseg.loss import generator_loss_and_grads
 from hadaseg.netkit import (
     DiscriminatorConfig,
     GeneratorConfig,
@@ -164,11 +164,11 @@ class TestTrainLoop:
             return adam_step(params, grads, state, **kwargs)
 
         def nan_generator_loss(*args):
-            _, terms = generator_loss(*args)
-            return float("nan"), terms
+            _, terms, grads = generator_loss_and_grads(*args)
+            return float("nan"), terms, grads
 
         monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
-        monkeypatch.setattr(train_module, "generator_loss", nan_generator_loss)
+        monkeypatch.setattr(train_module, "generator_loss_and_grads", nan_generator_loss)
         gen_cfg, disc_cfg = _tiny_configs()
         with pytest.raises(TrainingDivergedError) as excinfo:
             train_cgan(
@@ -202,13 +202,70 @@ class TestTrainLoop:
             with pytest.raises(ConfigError, match="capacity"):
                 train_cgan(gen_cfg, disc_cfg, _tiny_dataset(), 1, seed=0, num_classes=num_classes)
 
-    def test_header_documents_threads_and_parameters(self):
+    def test_header_documents_threads_and_parameters(self, monkeypatch):
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(train_module, "_blas_threads", lambda: 2)
         gen_cfg, disc_cfg = _tiny_configs()
         gen, _, history = train_cgan(gen_cfg, disc_cfg, _tiny_dataset(), 0, seed=1)
-        assert int(history.header["threads"]) >= 1
+        assert history.header["threads"] == "2"
+        assert history.header["blas-threads"] == "2"
         assert history.header["trainable-parameters"] == str(gen.parameter_count())
         first_line = history.loss_csv().splitlines()[0]
         assert first_line.startswith("# threads=")
+
+
+def _train_with_threads(monkeypatch, usable_cpus, blas_threads, head="hadamard"):
+    monkeypatch.setattr(train_module, "_usable_cpus", lambda: usable_cpus)
+    monkeypatch.setattr(train_module, "_blas_threads", lambda: blas_threads)
+    gen_cfg, disc_cfg = _tiny_configs(head)
+    gen, _, history = train_cgan(
+        gen_cfg,
+        disc_cfg,
+        _tiny_dataset(),
+        4,
+        seed=9,
+        settings=TrainSettings(batch_size=3, metrics_every=2),
+    )
+    return gen, history
+
+
+class TestDataParallelSteps:
+    @pytest.mark.parametrize(
+        ("usable_cpus", "blas_threads", "batch_size", "expected"),
+        [
+            (2, 1, 4, 2),
+            (8, 2, 4, 4),
+            (8, 1, 3, 3),
+            (2, 2, 4, 1),
+            (2, 4, 4, 1),
+            (1, 1, 4, 1),
+            (4, None, 4, 1),
+            (4, 0, 4, 1),
+        ],
+    )
+    def test_thread_count(self, monkeypatch, usable_cpus, blas_threads, batch_size, expected):
+        # One chunk per CPU that BLAS leaves idle, at most one per sample;
+        # one chunk when BLAS fills the CPUs or its thread count is unknown.
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: usable_cpus)
+        assert train_module.thread_count(batch_size, blas_threads) == expected
+
+    @pytest.mark.parametrize("head", ["hadamard", "one_hot"])
+    def test_chunked_steps_repeat_and_match_one_chunk(self, monkeypatch, head):
+        # Batch 3 in 2 chunks (2 + 1 samples): the run repeats byte for
+        # byte, and its losses equal the one-chunk run's up to the order in
+        # which the chunks' weight gradients are summed.
+        runs = [_train_with_threads(monkeypatch, 2, 1, head) for _ in range(2)]
+        assert all(history.header["threads"] == "2" for _, history in runs)
+        assert runs[0][1].loss_csv() == runs[1][1].loss_csv()
+        assert runs[0][1].metrics_csv() == runs[1][1].metrics_csv()
+        for name, p in runs[0][0].parameters.items():
+            assert np.array_equal(p.value, runs[1][0].parameters[name].value), name
+        _, serial = _train_with_threads(monkeypatch, 2, 2, head)
+        assert serial.header["threads"] == "1"
+        assert serial.metric_rows == runs[0][1].metric_rows
+        np.testing.assert_allclose(
+            np.array(runs[0][1].loss_rows), np.array(serial.loss_rows), rtol=1e-12, atol=0
+        )
 
 
 class TestCheckpointRoundTrip:
