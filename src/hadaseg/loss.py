@@ -9,11 +9,19 @@ Every loss has a matching analytic gradient helper so the training loop can
 seed the network backward pass without the losses living inside the graph.
 All means are over total element count, which keeps magnitudes independent
 of resolution; see the README note on the weight calibration this implies.
+
+The discriminator and generator losses are computed per chunk of a batch:
+``*_loss_sums`` returns a chunk's raw per-term sums and the gradients of the
+whole batch's loss w.r.t. the chunk's maps, given the batch's element
+counts, and ``*_loss_from_sums`` combines the chunks' sums. The plain loss
+functions are the one-chunk case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import astuple, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -41,7 +49,8 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class GeneratorLossTerms:
-    """Raw (unweighted) values of the four generator loss terms."""
+    """Raw (unweighted) values of the four generator loss terms: their
+    means over a batch, or one chunk's sums (``generator_loss_sums``)."""
 
     adversarial: float
     cross_entropy: float
@@ -90,13 +99,48 @@ def mae_grad(z_hat: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.sign(z_hat - z) / z.size
 
 
-def _mean_log(a: np.ndarray) -> float:
-    return float(np.log(np.maximum(a, LOG_CLAMP)).mean())
+def _log_sum(a: np.ndarray) -> float:
+    return float(np.log(np.maximum(a, LOG_CLAMP)).sum())
 
 
-def _clamped_log_grad(a: np.ndarray, sign: float) -> np.ndarray:
-    """d/da of sign * _mean_log(a): sign / (N * a), and 0 where the clamp is active."""
-    return np.where(a > LOG_CLAMP, sign / (a.size * np.maximum(a, LOG_CLAMP)), 0.0)
+def _clamped_log_grad(a: np.ndarray, sign: float, count: int) -> np.ndarray:
+    """d/da of sign * (1/count) sum log(max(a, clamp)): sign / (count * a),
+    and 0 where the clamp is active."""
+    return np.where(a > LOG_CLAMP, sign / (count * np.maximum(a, LOG_CLAMP)), 0.0)
+
+
+def _means(chunk_sums, counts) -> list[float]:
+    """Each term's batch mean: its chunk sums, added in chunk order, over
+    its count. With one chunk this is sum / count, which is bit for bit
+    what ``np.mean`` gives."""
+    return [reduce(operator.add, sums) / count for sums, count in zip(zip(*chunk_sums), counts)]
+
+
+def discriminator_loss_sums(
+    alpha_real, alpha_fake, counts: tuple[int, int]
+) -> tuple[tuple[float, float], tuple[np.ndarray, np.ndarray]]:
+    """One chunk's part of ``discriminator_loss`` over a batch.
+
+    ``counts`` are the element counts of the batch's real and fake patch
+    maps. Returns the chunk's sums of -log(a_real) and -log(1 - a_fake)
+    (clamped as in the loss), which ``discriminator_loss_from_sums``
+    combines, and the gradients of the batch loss w.r.t. the chunk's maps.
+    """
+    a_real = np.asarray(alpha_real, dtype=np.float64)
+    one_minus = 1.0 - np.asarray(alpha_fake, dtype=np.float64)
+    sums = (-_log_sum(a_real), -_log_sum(one_minus))
+    # d/da_fake of -mean log(1 - a_fake) is +1 / (N * (1 - a_fake)).
+    grads = (
+        _clamped_log_grad(a_real, -1.0, counts[0]),
+        _clamped_log_grad(one_minus, 1.0, counts[1]),
+    )
+    return sums, grads
+
+
+def discriminator_loss_from_sums(chunk_sums, counts: tuple[int, int]) -> float:
+    """``discriminator_loss`` of a batch from its chunks' sums."""
+    real, fake = _means(chunk_sums, counts)
+    return real + fake
 
 
 def discriminator_loss(alpha_real, alpha_fake) -> float:
@@ -105,17 +149,96 @@ def discriminator_loss(alpha_real, alpha_fake) -> float:
     S(1|a) is the cross-entropy of a against an all-ones target over the
     patch map, i.e. -(1/N) sum log a; S(0|a) is -(1/N) sum log(1 - a).
     """
-    a_real = np.asarray(alpha_real, dtype=np.float64)
-    a_fake = np.asarray(alpha_fake, dtype=np.float64)
-    return -_mean_log(a_real) - _mean_log(1.0 - a_fake)
+    counts = (np.size(alpha_real), np.size(alpha_fake))
+    sums, _ = discriminator_loss_sums(alpha_real, alpha_fake, counts)
+    return discriminator_loss_from_sums([sums], counts)
 
 
 def discriminator_loss_grads(alpha_real, alpha_fake) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of discriminator_loss w.r.t. both patch maps."""
-    a_real = np.asarray(alpha_real, dtype=np.float64)
+    counts = (np.size(alpha_real), np.size(alpha_fake))
+    return discriminator_loss_sums(alpha_real, alpha_fake, counts)[1]
+
+
+def generator_loss_sums(
+    alpha_fake,
+    y_hat: np.ndarray,
+    y: np.ndarray,
+    y_c_hat: np.ndarray,
+    y_c: np.ndarray,
+    counts: tuple[int, int, int],
+    w: LossWeights = LossWeights(),
+) -> tuple[GeneratorLossTerms, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One chunk's part of the generator loss over a batch, in one pass.
+
+    ``counts`` are the element counts of the batch's patch map, probability
+    map and code map. Returns the chunk's sum of each raw term, each the
+    term's mean times its count (``generator_loss_from_sums`` combines
+    them), and the gradients of the batch's weighted total w.r.t. the
+    chunk's (alpha_fake, y_hat, y_c_hat).
+
+    The clamped map, the log and the differences serve both the sums and
+    the gradients, and the gradients are built in place in them. Every
+    value equals, bit for bit, what ``cross_entropy``, ``mae`` and their
+    ``_grad`` helpers give for a one-chunk batch: the operations differ from
+    theirs only in the operand order of a product or a sum and in negating
+    a quotient rather than its numerator, all of which round the same.
+    """
     a_fake = np.asarray(alpha_fake, dtype=np.float64)
-    # d/da_fake of -_mean_log(1 - a_fake) is +1 / (N * (1 - a_fake)).
-    return _clamped_log_grad(a_real, -1.0), _clamped_log_grad(1.0 - a_fake, 1.0)
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    y_c_hat = np.asarray(y_c_hat, dtype=np.float64)
+    y_c = np.asarray(y_c, dtype=np.float64)
+    _check_same_shape(y_hat, y)
+    _check_same_shape(y_c_hat, y_c)
+    n_alpha, n_y, n_code = counts
+
+    adversarial = -_log_sum(a_fake)
+    g_alpha = _clamped_log_grad(a_fake, -1.0, n_alpha)
+
+    # Cross-entropy: -sum y * log(clamped), and its gradient
+    # -y / (N * clamped), zero where the clamp is active.
+    clamped = np.maximum(y_hat, LOG_CLAMP)
+    log_term = np.log(clamped)
+    log_term *= y
+    ce = -float(log_term.sum())
+    del log_term
+    clamped *= n_y
+    g_y_hat = np.divide(y, clamped, out=clamped)
+    np.negative(g_y_hat, out=g_y_hat)
+    g_y_hat *= y_hat > LOG_CLAMP
+    g_y_hat *= w.lambda1
+
+    mae_y, mae_grad_y = _mae_sum_and_grad(y_hat, y, n_y)
+    mae_grad_y *= w.lambda2
+    g_y_hat += mae_grad_y
+    del mae_grad_y
+
+    mae_yc, g_y_c_hat = _mae_sum_and_grad(y_c_hat, y_c, n_code)
+    g_y_c_hat *= w.lambda3
+
+    return GeneratorLossTerms(adversarial, ce, mae_y, mae_yc), (g_alpha, g_y_hat, g_y_c_hat)
+
+
+def _mae_sum_and_grad(z_hat: np.ndarray, z: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+    """sum |z_hat - z| and ``mae_grad`` over ``count`` elements, from one
+    difference array."""
+    diff = z_hat - z
+    grad = np.sign(diff)
+    grad /= count
+    np.abs(diff, out=diff)
+    return float(diff.sum()), grad
+
+
+def generator_loss_from_sums(
+    chunk_sums, counts: tuple[int, int, int], w: LossWeights = LossWeights()
+) -> tuple[float, GeneratorLossTerms]:
+    """The weighted total and the raw per-term means of a batch's generator
+    loss, from its chunks' ``generator_loss_sums``."""
+    n_alpha, n_y, n_code = counts
+    adversarial, ce, mae_y, mae_yc = _means(map(astuple, chunk_sums), (n_alpha, n_y, n_y, n_code))
+    total = adversarial + w.lambda1 * ce + w.lambda2 * mae_y + w.lambda3 * mae_yc
+    return total, GeneratorLossTerms(adversarial, ce, mae_y, mae_yc)
 
 
 def generator_loss_and_grads(
@@ -127,67 +250,16 @@ def generator_loss_and_grads(
     w: LossWeights = LossWeights(),
 ) -> tuple[float, GeneratorLossTerms, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Four-term generator loss, its raw per-term breakdown, and its
-    gradients w.r.t. (alpha_fake, y_hat, y_c_hat), in one pass.
+    gradients w.r.t. (alpha_fake, y_hat, y_c_hat): the one-chunk case of
+    ``generator_loss_sums``.
 
     total = S(1|alpha_fake) + lambda1 * S(y_hat|y)
           + lambda2 * MAE(y_hat, y) + lambda3 * MAE(y_c_hat, y_c)
-
-    The clamped map, the log and the differences serve both the loss and
-    the gradients, and the gradients are built in place in them. Every value
-    equals, bit for bit, what ``cross_entropy``, ``mae`` and their ``_grad``
-    helpers give: the operations differ from theirs only in the operand
-    order of a product or a sum and in negating a quotient rather than its
-    numerator, all of which round the same.
     """
-    a_fake = np.asarray(alpha_fake, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    y_c_hat = np.asarray(y_c_hat, dtype=np.float64)
-    y_c = np.asarray(y_c, dtype=np.float64)
-    _check_same_shape(y_hat, y)
-    _check_same_shape(y_c_hat, y_c)
-
-    adversarial = -_mean_log(a_fake)
-    g_alpha = _clamped_log_grad(a_fake, -1.0)
-
-    # Cross-entropy: -(1/N) sum y * log(clamped), and its gradient
-    # -y / (N * clamped), zero where the clamp is active.
-    clamped = np.maximum(y_hat, LOG_CLAMP)
-    log_term = np.log(clamped)
-    log_term *= y
-    ce = float(-log_term.mean())
-    del log_term
-    clamped *= y.size
-    g_y_hat = np.divide(y, clamped, out=clamped)
-    np.negative(g_y_hat, out=g_y_hat)
-    g_y_hat *= y_hat > LOG_CLAMP
-    g_y_hat *= w.lambda1
-
-    mae_y, mae_grad_y = _mae_and_grad(y_hat, y)
-    mae_grad_y *= w.lambda2
-    g_y_hat += mae_grad_y
-    del mae_grad_y
-
-    mae_yc, g_y_c_hat = _mae_and_grad(y_c_hat, y_c)
-    g_y_c_hat *= w.lambda3
-
-    total = adversarial + w.lambda1 * ce + w.lambda2 * mae_y + w.lambda3 * mae_yc
-    terms = GeneratorLossTerms(
-        adversarial=adversarial,
-        cross_entropy=ce,
-        mae_probability=mae_y,
-        mae_code=mae_yc,
-    )
-    return total, terms, (g_alpha, g_y_hat, g_y_c_hat)
-
-
-def _mae_and_grad(z_hat: np.ndarray, z: np.ndarray) -> tuple[float, np.ndarray]:
-    """``mae`` and ``mae_grad`` from one difference array."""
-    diff = z_hat - z
-    grad = np.sign(diff)
-    grad /= z.size
-    np.abs(diff, out=diff)
-    return float(diff.mean()), grad
+    counts = (np.size(alpha_fake), np.size(y), np.size(y_c))
+    sums, grads = generator_loss_sums(alpha_fake, y_hat, y, y_c_hat, y_c, counts, w)
+    total, terms = generator_loss_from_sums([sums], counts, w)
+    return total, terms, grads
 
 
 def generator_loss(

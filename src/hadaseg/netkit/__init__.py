@@ -1,7 +1,7 @@
 """Minimal autodiff, toy Pix2Pix-style networks, Adam, and the training loop."""
 
 from . import autodiff
-from .checkpoint import load_checkpoint, load_models, save_checkpoint, save_models
+from .checkpoint import load_models, save_models
 from .models import (
     HEAD_HADAMARD,
     HEAD_ONE_HOT,
@@ -31,11 +31,9 @@ __all__ = [
     "HEAD_HADAMARD",
     "HEAD_ONE_HOT",
     "History",
-    "load_checkpoint",
     "load_models",
     "receptive_field",
     "ReceptiveField",
-    "save_checkpoint",
     "save_models",
     "thread_count",
     "TrainSettings",

@@ -309,7 +309,10 @@ def _pad_same(v: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad both spatial axes; 1x1 kernels (pad 0) get ``v`` uncopied."""
     if pad == 0:
         return v
-    return np.pad(v, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    batch, height, width, channels = v.shape
+    out = np.zeros((batch, height + 2 * pad, width + 2 * pad, channels), dtype=v.dtype)
+    out[:, pad:-pad, pad:-pad] = v
+    return out
 
 
 def _input_gradient(g: np.ndarray, wv: np.ndarray) -> np.ndarray:
@@ -435,24 +438,6 @@ def sigmoid(x: Node) -> Node:
     return Node(out, parents=(x,), backprop=backprop)
 
 
-def nearest_upsample_2x(x: Node) -> Node:
-    """Double both spatial axes by pixel repetition.
-
-    The generator's decoder uses ``upsample_concat_conv2d`` instead; this op
-    is the reference that its tests compose against.
-    """
-    _check_image(x, "nearest_upsample_2x")
-    xv = x.value
-    out = xv.repeat(2, axis=1).repeat(2, axis=2)
-
-    def backprop(node: Node) -> None:
-        batch, height, width, channels = xv.shape
-        g = node.grad.reshape(batch, height, 2, width, 2, channels)
-        _accumulate(x, g.sum(axis=(2, 4)))
-
-    return Node(out, parents=(x,), backprop=backprop)
-
-
 def channel_concat(a: Node, b: Node) -> Node:
     """Concatenate along the channel (last) axis."""
     av, bv = a.value, b.value
@@ -502,8 +487,9 @@ def _fold_subpixel_kernel(d_kernel: np.ndarray, cup: int, cout: int) -> np.ndarr
 
 
 def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
-    """``conv2d(channel_concat(nearest_upsample_2x(x), skip), w, b)`` for a
-    3x3 kernel at stride 1, computed without the upsampled map.
+    """``conv2d(channel_concat(up, skip), w, b)``, where ``up`` is ``x``
+    upsampled 2x by pixel repetition, for a 3x3 kernel at stride 1, computed
+    without the upsampled map.
 
     Layout: ``x`` [B, h, w, Cup], ``skip`` [B, 2h, 2w, Cskip], kernel
     [3, 3, Cup + Cskip, Cout] (its first Cup input channels act on the

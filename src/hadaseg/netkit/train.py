@@ -7,22 +7,27 @@ weighted cross-entropy / MAE terms). Losses are computed outside the graph;
 their analytic gradients seed the tape backward pass. Each update checks
 that its loss and gradients are finite before Adam applies them.
 
-A step is data-parallel. Nothing couples the samples of a batch before the
-losses (the networks have no batch statistics), so the batch is split into
-P chunks with ``np.array_split``, and each chunk gets its own generator and
-discriminator forwards, run concurrently by ``autodiff.parallel_map``. The
-losses are computed once, on the chunks' outputs joined back into the
-batch; each chunk's outputs are seeded with their slice of the loss
-gradients, and one ``autodiff.backward`` call per update walks the chunks'
-graphs concurrently. P is the number of usable CPUs that BLAS leaves idle
-(see ``thread_count``), so a BLAS that already runs a thread per CPU gets
-P = 1, a step of one chunk.
+A step is data-parallel up to Adam. Nothing couples the samples of a batch
+before the losses (the networks have no batch statistics), and every loss
+term is a mean over the batch, so the batch is split into P chunks with
+``np.array_split`` and each chunk does its own part of both updates:
+``autodiff.parallel_map`` runs the chunks concurrently, each encoding its
+own targets, running its forwards and computing its loss terms' sums and
+their gradients (``loss.*_loss_sums``). Only those sums cross threads:
+they are added in chunk order and divided by the whole batch's element
+counts. Each chunk's outputs are seeded with its own gradients, and one
+``autodiff.backward`` call per update walks the chunks' graphs
+concurrently. P is the number of usable CPUs that BLAS leaves idle (see
+``thread_count``), so a BLAS that already runs a thread per CPU gets P = 1,
+a step of one chunk.
 
 Everything is derived from a single seed: weight init, batch order, and the
 synthetic data stream if the caller built one the same way. Rerunning with
 the same inputs reproduces the history byte for byte. At P = 1 every value
-is what an unchunked step computes; other P change the last bits of the
-weight gradients, which sum over the chunks.
+is what an unchunked step computes. At other P every per-element loss
+gradient is still the same, but the logged loss values are sums of
+per-chunk sums and the weight gradients sum over the chunks, so both may
+differ in the last bits.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ from ..data import Sample, common_resolution, encode_targets
 from ..errors import ConfigError, TrainingDivergedError
 from ..loss import (
     LossWeights,
-    discriminator_loss,
-    discriminator_loss_grads,
-    generator_loss_and_grads,
+    discriminator_loss_from_sums,
+    discriminator_loss_sums,
+    generator_loss_from_sums,
+    generator_loss_sums,
 )
 from . import autodiff as ad
 from .models import (
@@ -105,18 +111,9 @@ def thread_count(batch_size: int, blas_threads: int | None) -> int:
     return max(1, min(batch_size, _usable_cpus() // blas_threads))
 
 
-def _joined(nodes: list[ad.Node]) -> np.ndarray:
-    """The chunks' values joined along the batch axis (one chunk: its value)."""
-    if len(nodes) == 1:
-        return nodes[0].value
-    return np.concatenate([node.value for node in nodes])
-
-
-def _chunk_seeds(*outputs: tuple[list[ad.Node], np.ndarray]) -> list:
-    """Backward seeds for (chunk nodes, batch gradient) pairs: chunk by
-    chunk, each output's node with its slice of the batch gradient."""
-    per_output = [zip(nodes, np.array_split(grad, len(nodes))) for nodes, grad in outputs]
-    return [seed for chunk in zip(*per_output) for seed in chunk]
+def _batch_counts(batch_size: int, *maps: np.ndarray) -> tuple[int, ...]:
+    """Element counts of the whole batch's maps, from one chunk's maps."""
+    return tuple(m.size // len(m) * batch_size for m in maps)
 
 
 @dataclass
@@ -174,6 +171,18 @@ def _check_finite(
     what = "loss" if not np.isfinite(loss) else "gradient"
     names = f"; non-finite gradients: {', '.join(bad)}" if bad else ""
     raise TrainingDivergedError(f"non-finite {what} at step {step}: {diagnostic}{names}")
+
+
+@dataclass
+class _Chunk:
+    """One chunk of a step's batch: its inputs, targets and generator
+    outputs, shared by both updates."""
+
+    x: np.ndarray
+    y_one_hot: np.ndarray
+    y_code: np.ndarray
+    y_hat: ad.Node
+    y_c: ad.Node
 
 
 class _BatchSampler:
@@ -259,66 +268,66 @@ def train_cgan(
     disc_state = adam_init(disc_params)
     adam_settings = {"lr": settings.lr, "beta1": settings.beta1, "beta2": settings.beta2}
 
-    for step in range(1, steps + 1):
-        idx = sampler.take(settings.batch_size)
+    def discriminator_part(idx):
+        """A chunk's targets, its generator forward (tape kept for the
+        generator update), and its part of the discriminator loss. The
+        predicted map enters the discriminator as a raw array so no
+        gradient reaches the generator here."""
         x = np.stack([dataset[i].image for i in idx])
         encoded = [encode_targets(dataset[i].labels, codebook) for i in idx]
         y_one_hot = np.stack([e.one_hot for e in encoded])
         y_code = np.stack([e.hadamard for e in encoded])
-        labels = np.stack([dataset[i].labels.labels for i in idx])
-        chunks = range(workers)
-        xs = np.array_split(x, workers)
+        y_hat, y_c = gen.forward(x)
+        real = disc.forward(np.concatenate((x, y_one_hot), axis=-1))
+        fake = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
+        counts = _batch_counts(settings.batch_size, real.value, fake.value)
+        sums, (g_real, g_fake) = discriminator_loss_sums(real.value, fake.value, counts)
+        chunk = _Chunk(x, y_one_hot, y_code, y_hat, y_c)
+        return chunk, counts, sums, [(real, g_real), (fake, g_fake)]
 
-        # Generator forwards (tapes kept for the generator update).
-        outputs = ad.parallel_map(gen.forward, xs)
-        y_hats = [y_hat for y_hat, _ in outputs]
-        y_cs = [y_c for _, y_c in outputs]
-        del outputs
+    def generator_part(chunk):
+        """A chunk's forward through the refreshed discriminator and its
+        part of the generator loss."""
+        alpha = disc.forward(ad.channel_concat(ad.as_node(chunk.x), chunk.y_hat))
+        y, y_code = chunk.y_one_hot, chunk.y_code
+        counts = _batch_counts(settings.batch_size, alpha.value, y, y_code)
+        sums, (g_alpha, g_y_hat, g_y_c) = generator_loss_sums(
+            alpha.value, chunk.y_hat.value, y, chunk.y_c.value, y_code, counts, effective
+        )
+        seeds = [(alpha, g_alpha), (chunk.y_hat, g_y_hat)]
+        if effective.lambda3 != 0.0:
+            seeds.append((chunk.y_c, g_y_c))
+        return counts, sums, seeds
 
-        # Discriminator update: the predicted maps enter as raw arrays so
-        # no gradient reaches the generator here.
-        y_one_hots = np.array_split(y_one_hot, workers)
+    for step in range(1, steps + 1):
+        idx = sampler.take(settings.batch_size)
 
-        def score_pairs(i):
-            real = disc.forward(np.concatenate((xs[i], y_one_hots[i]), axis=-1))
-            fake = disc.forward(np.concatenate((xs[i], y_hats[i].value), axis=-1))
-            return real, fake
-
-        pairs = ad.parallel_map(score_pairs, chunks)
-        alpha_real = [real for real, _ in pairs]
-        alpha_fake = [fake for _, fake in pairs]
-        del pairs, y_one_hots
-        joined = _joined(alpha_real), _joined(alpha_fake)
-        loss_d = discriminator_loss(*joined)
-        g_real, g_fake = discriminator_loss_grads(*joined)
-        del joined
-        seeds_d = _chunk_seeds((alpha_real, g_real), (alpha_fake, g_fake))
+        # Discriminator update.
+        chunks, counts, sums, seeds = zip(
+            *ad.parallel_map(discriminator_part, np.array_split(idx, workers))
+        )
+        loss_d = discriminator_loss_from_sums(sums, counts[0])
+        seeds_d = [seed for chunk_seeds in seeds for seed in chunk_seeds]
+        del seeds
         ad.backward(seeds_d, workers)
         disc_grads = {name: p.grad for name, p in disc.parameters.items()}
         _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
         adam_step(disc_params, disc_grads, disc_state, **adam_settings)
         # Release the discriminator tapes (every pair's im2col buffers)
         # before the generator update builds its own.
-        del alpha_real, alpha_fake, seeds_d, g_real, g_fake
+        del seeds_d
 
         # Generator update through the refreshed discriminator. Its
         # Parameters need no gradient until this update's backward is done,
         # so that backward computes no discriminator weight gradient.
         ad.set_needs_grad(disc.parameters.values(), False)
-        alpha_gen = ad.parallel_map(
-            lambda i: disc.forward(ad.channel_concat(ad.as_node(xs[i]), y_hats[i])), chunks
-        )
-        total, terms, (g_alpha, g_y_hat, g_y_c) = generator_loss_and_grads(
-            _joined(alpha_gen), _joined(y_hats), y_one_hot, _joined(y_cs), y_code, effective
-        )
-        seeded = [(alpha_gen, g_alpha), (y_hats, g_y_hat)]
-        if effective.lambda3 != 0.0:
-            seeded.append((y_cs, g_y_c))
-        seeds_g = _chunk_seeds(*seeded)
-        del seeded, g_alpha, g_y_hat, g_y_c
+        counts, sums, seeds = zip(*ad.parallel_map(generator_part, chunks))
+        total, terms = generator_loss_from_sums(sums, counts[0], effective)
+        seeds_g = [seed for chunk_seeds in seeds for seed in chunk_seeds]
+        del seeds
         ad.backward(seeds_g, workers)
         ad.set_needs_grad(disc.parameters.values(), True)
-        del seeds_g, alpha_gen
+        del seeds_g
         gen_grads = {name: p.grad for name, p in gen.parameters.items()}
         _check_finite(
             step,
@@ -346,11 +355,12 @@ def train_cgan(
             )
         if step % settings.metrics_every == 0 or step == steps:
             predicted = np.concatenate(
-                [np.argmax(y_hat.value[..., :num_classes], axis=-1) for y_hat in y_hats]
+                [np.argmax(chunk.y_hat.value[..., :num_classes], axis=-1) for chunk in chunks]
             )
+            labels = np.stack([dataset[i].labels.labels for i in idx])
             accuracy = float((predicted == labels).mean())
             history.metric_rows.append((step, accuracy))
         # Release this step's tapes before the next step builds its own.
-        del y_hats, y_cs
+        del chunks
 
     return gen, disc, history

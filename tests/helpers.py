@@ -1,10 +1,13 @@
 """Shared test utilities: gradient checking against central finite differences,
-walking an autodiff tape, and corrupting an image file."""
+walking an autodiff tape, a reference upsampling op, and corrupting an image
+file."""
 
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from hadaseg.netkit import autodiff as ad
 
 
 def rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
@@ -46,6 +49,21 @@ def reachable_nodes(roots) -> list:
             nodes.append(node)
             stack.extend(node.parents)
     return nodes
+
+
+def nearest_upsample_2x(x):
+    """Double both spatial axes of the autodiff node ``x`` [B, H, W, C] by
+    pixel repetition: the reference that ``upsample_concat_conv2d`` is
+    composed against."""
+    xv = x.value
+    out = xv.repeat(2, axis=1).repeat(2, axis=2)
+
+    def backprop(node):
+        batch, height, width, channels = xv.shape
+        g = node.grad.reshape(batch, height, 2, width, 2, channels)
+        ad._accumulate(x, g.sum(axis=(2, 4)))
+
+    return ad.Node(out, parents=(x,), backprop=backprop)
 
 
 def write_bad_pixel(path, index, value: float) -> None:

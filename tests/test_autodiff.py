@@ -17,7 +17,7 @@ from hadaseg.netkit.models import (
     GeneratorConfig,
 )
 
-from helpers import reachable_nodes, rel_error
+from helpers import nearest_upsample_2x, reachable_nodes, rel_error
 
 
 # The edge values every draw includes: signed zeros, subnormals and values
@@ -179,6 +179,19 @@ class TestConv2d:
             )
 
 
+class TestPadSame:
+    @pytest.mark.parametrize(
+        "shape", [(2, 64, 64, 3), (2, 32, 32, 16), (1, 3, 5, 2)]
+    )
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_equals_np_pad_bitwise(self, shape, pad):
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal(shape)
+        v.reshape(-1)[:2] = -0.0, np.nan
+        expected = np.pad(v, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        assert ad._pad_same(v, pad).tobytes() == expected.tobytes()
+
+
 class TestElementwiseOps:
     def test_leaky_relu_values(self):
         x = ad.constant(np.array([[-2.0, 0.5]]))
@@ -243,7 +256,7 @@ class TestElementwiseOps:
 class TestUpsampleAndConcat:
     def test_upsample_values(self):
         x = ad.constant(np.arange(4.0).reshape(1, 2, 2, 1))
-        out = ad.nearest_upsample_2x(x).value
+        out = nearest_upsample_2x(x).value
         assert np.array_equal(
             out[0, :, :, 0],
             [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]],
@@ -252,7 +265,7 @@ class TestUpsampleAndConcat:
     def test_upsample_gradient(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 3, 4, 2))
-        _gradcheck_op(lambda leaves: ad.nearest_upsample_2x(leaves[0]), [x], seed=7, tol=1e-4)
+        _gradcheck_op(lambda leaves: nearest_upsample_2x(leaves[0]), [x], seed=7, tol=1e-4)
 
     def test_concat_values_and_split(self):
         rng = np.random.default_rng(8)
@@ -279,7 +292,7 @@ class TestUpsampleAndConcat:
 
 
 def _composed_decoder_stage(x, skip, w, b):
-    return ad.conv2d(ad.channel_concat(ad.nearest_upsample_2x(x), skip), w, b)
+    return ad.conv2d(ad.channel_concat(nearest_upsample_2x(x), skip), w, b)
 
 
 class TestUpsampleConcatConv2d:

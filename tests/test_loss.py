@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hadaseg.codes import sylvester
+from hadaseg.data import encode_targets, gen_synthetic
 from hadaseg.errors import ShapeError
 from hadaseg.loss import (
     LOG_CLAMP,
@@ -12,12 +13,22 @@ from hadaseg.loss import (
     cross_entropy,
     cross_entropy_grad,
     discriminator_loss,
+    discriminator_loss_from_sums,
     discriminator_loss_grads,
+    discriminator_loss_sums,
     generator_loss,
     generator_loss_and_grads,
+    generator_loss_from_sums,
     generator_loss_grads,
+    generator_loss_sums,
     mae,
     mae_grad,
+)
+from hadaseg.netkit import (
+    DiscriminatorConfig,
+    GeneratorConfig,
+    build_discriminator,
+    build_generator,
 )
 
 from helpers import finite_difference, rel_error
@@ -318,3 +329,75 @@ class TestFusedGeneratorLoss:
         generator_loss_and_grads(alpha_fake, y_hat, y, y_c_hat, y_c)
         for before, after in zip(copies, (alpha_fake, y_hat, y, y_c_hat, y_c)):
             assert np.array_equal(before, after)
+
+
+def _batch_of_three(head):
+    """The loss inputs of a batch of 3 as a training step makes them, with
+    clamped and saturated entries added."""
+    gen_cfg = GeneratorConfig(depth=2, base_channels=4, code_bits=2, head=head)
+    gen = build_generator(gen_cfg, seed=70)
+    disc = build_discriminator(
+        DiscriminatorConfig(layers=2, base_channels=4),
+        input_channels=gen_cfg.input_channels + gen_cfg.output_channels,
+        seed=71,
+    )
+    samples = gen_synthetic(seed=72, count=3, size=16, num_classes=4)
+    encoded = [encode_targets(s.labels, sylvester(2)) for s in samples]
+    x = np.stack([s.image for s in samples])
+    y = np.stack([e.one_hot for e in encoded])
+    y_c = np.stack([e.hadamard for e in encoded])
+    y_hat, y_c_hat = (node.value for node in gen.forward(x))
+    a_real = disc.forward(np.concatenate((x, y), axis=-1)).value
+    a_fake = disc.forward(np.concatenate((x, y_hat), axis=-1)).value
+    a_real[0, 0, 0, 0], a_fake[1, 0, 0, 0], a_fake[2, 1, 1, 0] = 1.0, 1.0, 0.0
+    y_hat[0, 0, 0] = 0.0
+    y_hat[2, 3, 3] = y[2, 3, 3]
+    return a_real, a_fake, y_hat, y, y_c_hat, y_c
+
+
+def _chunk_slices(sizes):
+    bounds = np.cumsum((0,) + sizes)
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class TestChunkSums:
+    @pytest.mark.parametrize("head", ["hadamard", "one_hot"])
+    @pytest.mark.parametrize("sizes", [(3,), (2, 1), (1, 1, 1)])
+    def test_discriminator_chunks_combine_to_the_batch_loss(self, head, sizes):
+        a_real, a_fake = _batch_of_three(head)[:2]
+        counts = (a_real.size, a_fake.size)
+        whole = discriminator_loss_grads(a_real, a_fake)
+        chunk_sums = []
+        for part in _chunk_slices(sizes):
+            sums, grads = discriminator_loss_sums(a_real[part], a_fake[part], counts)
+            chunk_sums.append(sums)
+            for got, expected in zip(grads, whole):
+                assert got.tobytes() == expected[part].tobytes()
+        assert math.isclose(
+            discriminator_loss_from_sums(chunk_sums, counts),
+            discriminator_loss(a_real, a_fake),
+            rel_tol=1e-15,
+        )
+
+    @pytest.mark.parametrize("head", ["hadamard", "one_hot"])
+    @pytest.mark.parametrize("lambda3", [0.0, 250.0])
+    @pytest.mark.parametrize("sizes", [(3,), (2, 1), (1, 1, 1)])
+    def test_generator_chunks_combine_to_the_batch_loss(self, head, lambda3, sizes):
+        a_fake, y_hat, y, y_c_hat, y_c = _batch_of_three(head)[1:]
+        w = LossWeights(lambda3=lambda3)
+        counts = (a_fake.size, y.size, y_c.size)
+        total, terms, whole = generator_loss_and_grads(a_fake, y_hat, y, y_c_hat, y_c, w)
+        chunk_sums = []
+        for part in _chunk_slices(sizes):
+            sums, grads = generator_loss_sums(
+                a_fake[part], y_hat[part], y[part], y_c_hat[part], y_c[part], counts, w
+            )
+            chunk_sums.append(sums)
+            for got, expected in zip(grads, whole):
+                assert got.tobytes() == expected[part].tobytes()
+        chunked_total, chunked_terms = generator_loss_from_sums(chunk_sums, counts, w)
+        assert math.isclose(chunked_total, total, rel_tol=1e-15)
+        for name in ("adversarial", "cross_entropy", "mae_probability", "mae_code"):
+            assert math.isclose(
+                getattr(chunked_terms, name), getattr(terms, name), rel_tol=1e-15
+            ), name

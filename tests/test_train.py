@@ -5,7 +5,7 @@ import pytest
 
 from hadaseg.data import gen_synthetic
 from hadaseg.errors import ConfigError, ShapeError, TrainingDivergedError
-from hadaseg.loss import generator_loss_and_grads
+from hadaseg.loss import generator_loss_from_sums
 from hadaseg.netkit import (
     DiscriminatorConfig,
     GeneratorConfig,
@@ -164,11 +164,11 @@ class TestTrainLoop:
             return adam_step(params, grads, state, **kwargs)
 
         def nan_generator_loss(*args):
-            _, terms, grads = generator_loss_and_grads(*args)
-            return float("nan"), terms, grads
+            _, terms = generator_loss_from_sums(*args)
+            return float("nan"), terms
 
         monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
-        monkeypatch.setattr(train_module, "generator_loss_and_grads", nan_generator_loss)
+        monkeypatch.setattr(train_module, "generator_loss_from_sums", nan_generator_loss)
         gen_cfg, disc_cfg = _tiny_configs()
         with pytest.raises(TrainingDivergedError) as excinfo:
             train_cgan(
