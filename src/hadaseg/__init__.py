@@ -6,7 +6,6 @@ from .codes import (
     fwht,
     fwht_apply,
     min_pairwise_distance,
-    read_codebook_csv,
     sylvester,
     write_codebook_csv,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "metrics_report",
     "min_pairwise_distance",
     "pixel_accuracy",
-    "read_codebook_csv",
     "Sample",
     "sylvester",
     "write_codebook_csv",

@@ -164,10 +164,9 @@ def min_pairwise_distance(cb: Codebook) -> int:
 def verify(cb: Codebook) -> None:
     """Check every codebook invariant, raising FormatError on violation.
 
-    The CLI runs it after construction and ``read_codebook_csv`` after
-    import: entries are +/-1, the matrix is symmetric with all-ones first
-    row and column, rows are orthogonal, and (for k >= 1) distinct rows are
-    2^(k-1) apart.
+    The CLI runs it after construction: entries are +/-1, the matrix is
+    symmetric with all-ones first row and column, rows are orthogonal, and
+    (for k >= 1) distinct rows are 2^(k-1) apart.
     """
     m = cb.matrix
     if not np.all(np.abs(m) == 1):
@@ -192,24 +191,3 @@ def write_codebook_csv(cb: Codebook, path) -> None:
 def codebook_csv(cb: Codebook) -> str:
     """The CSV text for cb's matrix."""
     return "\n".join(",".join(str(int(e)) for e in row) for row in cb.matrix) + "\n"
-
-
-def read_codebook_csv(path) -> Codebook:
-    """Import a codebook from CSV, validating every invariant."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty codebook file")
-    try:
-        rows = [[int(tok) for tok in line.split(",")] for line in lines]
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-integer entry ({exc})") from exc
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise FormatError(f"{path}: matrix is not square")
-    k = n.bit_length() - 1
-    if 2**k != n:
-        raise FormatError(f"{path}: order {n} is not a power of two")
-    cb = Codebook(k=k, n=n, matrix=np.array(rows, dtype=np.int8), num_classes=n)
-    verify(cb)
-    return cb

@@ -1,21 +1,22 @@
 """Reverse-mode autodiff over a fixed set of dense tensor ops.
 
 Tensors are float64 channels-last numpy arrays. Each operation appends a
-node to an implicit tape (the node graph itself); ``backward`` topologically
-sorts the ancestors of the seeded outputs and walks them in reverse,
-accumulating gradients into every node it visits. Shape problems surface at
-graph build time, not inside backward.
+node to an implicit tape (the node graph itself); ``gradients``
+topologically sorts the ancestors of the seeded outputs and walks them in
+reverse, accumulating gradients into every node it visits. It returns the
+leaves' gradients (nodes without parents, such as Parameters) and
+``backward`` stores them as the leaves' ``.grad``. Shape problems surface
+at graph build time, not inside the walk.
 
 Every node records at construction whether it needs a gradient. Parameters
 and ``constant`` leaves do unless ``set_needs_grad`` cleared their flag (a
 frozen network); a raw array that ``as_node`` wraps does not; an op node
 does when any of its parents does, and otherwise keeps no backprop, so a
-frozen network's forward on a raw input builds no tape. ``backward`` never
+frozen network's forward on a raw input builds no tape. ``gradients`` never
 visits a node that needs no gradient, so its ``.grad`` stays None, and the
 conv ops skip the gradient of any input, weight or bias that needs none. A
-node's first gradient contribution is stored as its ``.grad`` and later
-ones are added to it; no ``.grad`` shares memory with another node's or
-with a caller's seed.
+node's first gradient contribution is stored and later ones are added to
+it; no gradient shares memory with another node's or with a caller's seed.
 
 ``upsample_concat_conv2d`` is a UNet decoder stage, nearest 2x upsampling,
 skip concatenation and a 3x3 conv, computed as one op at the low resolution:
@@ -30,18 +31,16 @@ Xeon VM). So the forwards are maxima and the backward factors are mask
 arithmetic, equal bit for bit to the masked forms, except that ``relu``
 passes a NaN on where the masked form gives 0.
 
-Concurrency. ``backward`` splits the seeded graph into components: sets of
-non-leaf nodes linked by ``parents``. Components share only leaves (nodes
-without parents, such as Parameters), so each non-leaf node's gradient is
-written by one component's walk alone. With ``workers`` above 1 the
-components are walked concurrently, the calling thread taking its own share
-and a module-level thread pool the rest; ``parallel_map`` runs independent
-forwards the same way. While a component is walked, its contributions to
-leaves are buffered, and the buffers are applied in component order once
-every walk is done. So the gradients do not depend on ``workers`` or on
-thread timing, and a graph of one component takes the serial path. This
-holds because the ops keep no shared mutable state: an op's backprop
-reads its own closure and writes only to its parents.
+Concurrency. Graphs that share only leaves can be walked at the same time,
+one ``gradients`` call per thread; ``parallel_map`` runs such calls, each
+building and walking its own graph. A call keeps the leaf gradients it
+collects in a buffer of its own thread and never writes a leaf's
+``.grad``, and every interior node's ``.grad`` is written by the one call
+whose graph holds it. So no array is written by two threads, and the
+caller adds the returned leaf gradients in an order it chooses, which
+keeps the sums independent of thread timing. This holds because the ops
+keep no shared mutable state: an op's backprop reads its own closure and
+writes only to its parents.
 """
 
 from __future__ import annotations
@@ -107,8 +106,8 @@ def set_needs_grad(parameters, needs_grad: bool) -> None:
     """Set the ``needs_grad`` flag of every Parameter in ``parameters``.
 
     With the flag cleared, ops on a network's Parameters and a raw input
-    keep no backprop, and ``backward`` computes no gradient for the
-    Parameters. ``backward`` reads the flags, so a graph built while they
+    keep no backprop, and ``gradients`` computes no gradient for the
+    Parameters. ``gradients`` reads the flags, so a graph built while they
     were cleared must be walked before they are set again.
     """
     for parameter in parameters:
@@ -138,8 +137,8 @@ def _toposort(roots) -> list[Node]:
 
 
 class _WalkState(threading.local):
-    """Per thread: the leaf-gradient buffer of the component being walked,
-    or None outside a component walk."""
+    """Per thread: the leaf gradients of the ``gradients`` call running on
+    it, or None outside one."""
 
     leaf_grads: dict | None = None
 
@@ -162,9 +161,10 @@ def parallel_map(fn, items) -> list:
     """``[fn(item) for item in items]``, run concurrently: the first item on
     the calling thread, the others on the module's thread pool.
 
-    The calls must be independent (see the module docstring) and must not
-    themselves use the pool. Every call finishes before this returns or
-    raises; an exception of the first item wins, then the others in order.
+    The calls must be independent: each may build and walk its own graph
+    (see the module docstring) but must not use the pool itself. Every call
+    finishes before this returns or raises; an exception of the first item
+    wins, then the others in order.
     """
     items = list(items)
     if len(items) < 2:
@@ -178,84 +178,39 @@ def parallel_map(fn, items) -> list:
 
 
 def _accumulate(node: Node, grad: np.ndarray) -> None:
-    """Store the first contribution to ``node.grad``; add later ones to it.
+    """Store the first contribution to a node's gradient; add later ones to it.
 
-    A stored contribution becomes the node's gradient buffer, so callers pass
-    arrays that nothing else holds. Inside a component walk, a contribution
-    to a leaf goes to the walk's buffer instead (see ``backward``).
+    A stored contribution becomes the gradient buffer, so callers pass
+    arrays that nothing else holds. An interior node's gradient is its
+    ``.grad``; a leaf's goes to the ``gradients`` call running on this
+    thread, so no leaf's ``.grad`` is written during a walk.
     """
-    buffer = _walk_state.leaf_grads
-    if buffer is not None and not node.parents:
-        held = buffer.get(node)
-        if held is None:
-            buffer[node] = grad
+    if node.parents:
+        if node.grad is None:
+            node.grad = grad
         else:
-            held += grad
+            node.grad += grad
         return
-    if node.grad is None:
-        node.grad = grad
+    leaf_grads = _walk_state.leaf_grads
+    held = leaf_grads.get(node)
+    if held is None:
+        leaf_grads[node] = grad
     else:
-        node.grad += grad
+        held += grad
 
 
-def _components(topo: list[Node]) -> list[list[Node]]:
-    """The non-leaf nodes of ``topo`` grouped into the components that
-    ``parents`` links, each in ``topo`` order; components are ordered by
-    their first node in ``topo``."""
-    root: dict[Node, Node] = {}
-
-    def find(node: Node) -> Node:
-        while root[node] is not node:
-            root[node] = root[root[node]]
-            node = root[node]
-        return node
-
-    inner = [node for node in topo if node.parents]
-    for node in inner:
-        root[node] = node
-    for node in inner:
-        for parent in node.parents:
-            if parent in root:
-                root[find(parent)] = find(node)
-    groups: dict[Node, list[Node]] = {}
-    for node in inner:
-        groups.setdefault(find(node), []).append(node)
-    return list(groups.values())
-
-
-def _walk(nodes: list[Node]) -> None:
-    for node in reversed(nodes):
-        if node._backprop is not None:
-            node._backprop(node)
-
-
-def _walk_buffered(components: list[list[Node]]) -> list[dict]:
-    """Walk each component in turn; returns each one's leaf contributions."""
-    buffers = []
-    try:
-        for nodes in components:
-            _walk_state.leaf_grads = buffer = {}
-            _walk(nodes)
-            buffers.append(buffer)
-    finally:
-        _walk_state.leaf_grads = None
-    return buffers
-
-
-def backward(seeds, workers: int = 1) -> None:
+def gradients(seeds) -> dict[Node, np.ndarray | None]:
     """Run reverse-mode accumulation from ``seeds``: (node, gradient) pairs.
 
-    Only nodes that need a gradient (see the module docstring) are visited;
-    every other node keeps ``.grad`` None. Gradients of the visited nodes
-    are reset to None first, so a fresh call never mixes with a previous
-    pass. A node's first contribution is stored and later ones are added to
-    it; a seed array is copied, never stored or modified. Seeding an
-    interior node adds to whatever flows back into it from downstream seeds.
-
-    A graph of more than one component (see the module docstring) has its
-    components walked on up to ``workers`` threads, and their contributions
-    to leaves applied in component order after the walks, so the result is
-    the same for every ``workers``.
+    Returns the gradient of every visited leaf, None where none arrived,
+    and leaves the leaves' ``.grad`` untouched. Interior nodes keep theirs
+    as ``.grad``. Only nodes that need a gradient (see the module docstring)
+    are visited; every other node keeps ``.grad`` None. Gradients of the
+    visited interior nodes are reset to None first, so a fresh call never
+    mixes with a previous pass. A node's first contribution is stored and
+    later ones are added to it; a seed array is copied, never stored or
+    modified. Seeding an interior node adds to whatever flows back into it
+    from downstream seeds.
     """
     seeds = [(node, np.asarray(grad, dtype=np.float64)) for node, grad in seeds]
     for node, grad in seeds:
@@ -264,24 +219,30 @@ def backward(seeds, workers: int = 1) -> None:
                 f"seed gradient shape {grad.shape} != node shape {node.value.shape}"
             )
     topo = _toposort([node for node, _ in seeds])
+    leaf_grads = {}
     for node in topo:
-        node.grad = None
-    for node, grad in seeds:
-        if node.needs_grad:
-            _accumulate(node, grad.copy())
-    components = _components(topo)
-    if len(components) < 2:
-        _walk(topo)
-        return
-    threads = max(1, min(workers, len(components)))
-    walked = parallel_map(_walk_buffered, [components[i::threads] for i in range(threads)])
-    # Share i walked components i, i + threads, ...: restore component order.
-    buffers: list = [None] * len(components)
-    for i, share_buffers in enumerate(walked):
-        buffers[i::threads] = share_buffers
-    for buffer in buffers:
-        for leaf, grad in buffer.items():
-            _accumulate(leaf, grad)
+        if node.parents:
+            node.grad = None
+        else:
+            leaf_grads[node] = None
+    _walk_state.leaf_grads = leaf_grads
+    try:
+        for node, grad in seeds:
+            if node.needs_grad:
+                _accumulate(node, grad.copy())
+        for node in reversed(topo):
+            if node._backprop is not None:
+                node._backprop(node)
+    finally:
+        _walk_state.leaf_grads = None
+    return leaf_grads
+
+
+def backward(seeds) -> None:
+    """``gradients(seeds)``, with each visited leaf's gradient stored as its
+    ``.grad`` (None where none arrived)."""
+    for leaf, grad in gradients(seeds).items():
+        leaf.grad = grad
 
 
 def _check_image(x: Node, op: str) -> None:

@@ -12,14 +12,13 @@ before the losses (the networks have no batch statistics), and every loss
 term is a mean over the batch, so the batch is split into P chunks with
 ``np.array_split`` and each chunk does its own part of both updates:
 ``autodiff.parallel_map`` runs the chunks concurrently, each encoding its
-own targets, running its forwards and computing its loss terms' sums and
-their gradients (``loss.*_loss_sums``). Only those sums cross threads:
-they are added in chunk order and divided by the whole batch's element
-counts. Each chunk's outputs are seeded with its own gradients, and one
-``autodiff.backward`` call per update walks the chunks' graphs
-concurrently. P is the number of usable CPUs that BLAS leaves idle (see
-``thread_count``), so a BLAS that already runs a thread per CPU gets P = 1,
-a step of one chunk.
+own targets, running its forwards, computing its loss terms' sums and
+their gradients (``loss.*_loss_sums``) and walking its own backward
+(``autodiff.gradients``). Only the loss sums and the Parameters' gradients
+cross threads. Both are added in chunk order; the sums are then divided by
+the whole batch's element counts. P is the number of usable CPUs that BLAS
+leaves idle (see ``thread_count``), so a BLAS that already runs a thread
+per CPU gets P = 1, a step of one chunk.
 
 Everything is derived from a single seed: weight init, batch order, and the
 synthetic data stream if the caller built one the same way. Rerunning with
@@ -27,7 +26,10 @@ the same inputs reproduces the history byte for byte. At P = 1 every value
 is what an unchunked step computes. At other P every per-element loss
 gradient is still the same, but the logged loss values are sums of
 per-chunk sums and the weight gradients sum over the chunks, so both may
-differ in the last bits.
+differ in the last bits. A chunk's discriminator gradient sums its real
+and fake passes before the chunks are added: at P = 2 it is
+(r0 + f0) + (r1 + f1), for the real and fake passes r and f of chunks 0
+and 1.
 """
 
 from __future__ import annotations
@@ -173,6 +175,17 @@ def _check_finite(
     raise TrainingDivergedError(f"non-finite {what} at step {step}: {diagnostic}{names}")
 
 
+def _sum_chunk_grads(parameters: dict[str, ad.Parameter], chunk_grads) -> dict[str, np.ndarray]:
+    """Each Parameter's gradients from the chunks' ``autodiff.gradients``
+    calls, added in chunk order and stored as its ``.grad``; returns them
+    by name."""
+    for p in parameters.values():
+        p.grad = chunk_grads[0][p]
+        for leaf_grads in chunk_grads[1:]:
+            p.grad += leaf_grads[p]
+    return {name: p.grad for name, p in parameters.items()}
+
+
 @dataclass
 class _Chunk:
     """One chunk of a step's batch: its inputs, targets and generator
@@ -270,9 +283,9 @@ def train_cgan(
 
     def discriminator_part(idx):
         """A chunk's targets, its generator forward (tape kept for the
-        generator update), and its part of the discriminator loss. The
-        predicted map enters the discriminator as a raw array so no
-        gradient reaches the generator here."""
+        generator update), its part of the discriminator loss and its
+        discriminator gradients. The predicted map enters the discriminator
+        as a raw array so no gradient reaches the generator here."""
         x = np.stack([dataset[i].image for i in idx])
         encoded = [encode_targets(dataset[i].labels, codebook) for i in idx]
         y_one_hot = np.stack([e.one_hot for e in encoded])
@@ -282,12 +295,12 @@ def train_cgan(
         fake = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
         counts = _batch_counts(settings.batch_size, real.value, fake.value)
         sums, (g_real, g_fake) = discriminator_loss_sums(real.value, fake.value, counts)
-        chunk = _Chunk(x, y_one_hot, y_code, y_hat, y_c)
-        return chunk, counts, sums, [(real, g_real), (fake, g_fake)]
+        grads = ad.gradients([(real, g_real), (fake, g_fake)])
+        return _Chunk(x, y_one_hot, y_code, y_hat, y_c), counts, sums, grads
 
     def generator_part(chunk):
-        """A chunk's forward through the refreshed discriminator and its
-        part of the generator loss."""
+        """A chunk's forward through the refreshed discriminator, its part
+        of the generator loss and its generator gradients."""
         alpha = disc.forward(ad.channel_concat(ad.as_node(chunk.x), chunk.y_hat))
         y, y_code = chunk.y_one_hot, chunk.y_code
         counts = _batch_counts(settings.batch_size, alpha.value, y, y_code)
@@ -297,38 +310,28 @@ def train_cgan(
         seeds = [(alpha, g_alpha), (chunk.y_hat, g_y_hat)]
         if effective.lambda3 != 0.0:
             seeds.append((chunk.y_c, g_y_c))
-        return counts, sums, seeds
+        return counts, sums, ad.gradients(seeds)
 
     for step in range(1, steps + 1):
         idx = sampler.take(settings.batch_size)
 
         # Discriminator update.
-        chunks, counts, sums, seeds = zip(
+        chunks, counts, sums, grads = zip(
             *ad.parallel_map(discriminator_part, np.array_split(idx, workers))
         )
         loss_d = discriminator_loss_from_sums(sums, counts[0])
-        seeds_d = [seed for chunk_seeds in seeds for seed in chunk_seeds]
-        del seeds
-        ad.backward(seeds_d, workers)
-        disc_grads = {name: p.grad for name, p in disc.parameters.items()}
+        disc_grads = _sum_chunk_grads(disc.parameters, grads)
         _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
         adam_step(disc_params, disc_grads, disc_state, **adam_settings)
-        # Release the discriminator tapes (every pair's im2col buffers)
-        # before the generator update builds its own.
-        del seeds_d
 
         # Generator update through the refreshed discriminator. Its
-        # Parameters need no gradient until this update's backward is done,
-        # so that backward computes no discriminator weight gradient.
+        # Parameters need no gradient until the chunks' backwards are done,
+        # so those compute no discriminator weight gradient.
         ad.set_needs_grad(disc.parameters.values(), False)
-        counts, sums, seeds = zip(*ad.parallel_map(generator_part, chunks))
-        total, terms = generator_loss_from_sums(sums, counts[0], effective)
-        seeds_g = [seed for chunk_seeds in seeds for seed in chunk_seeds]
-        del seeds
-        ad.backward(seeds_g, workers)
+        counts, sums, grads = zip(*ad.parallel_map(generator_part, chunks))
         ad.set_needs_grad(disc.parameters.values(), True)
-        del seeds_g
-        gen_grads = {name: p.grad for name, p in gen.parameters.items()}
+        total, terms = generator_loss_from_sums(sums, counts[0], effective)
+        gen_grads = _sum_chunk_grads(gen.parameters, grads)
         _check_finite(
             step,
             total,

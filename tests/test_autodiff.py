@@ -593,73 +593,67 @@ class TestGradientNeeds:
 
 def _discriminator_update_seeds(disc, rng, chunks):
     """The discriminator update of a training step split into ``chunks``:
-    a real and a fake pass per chunk, each seeded with a random gradient."""
-    seeds = []
-    for _ in range(2 * chunks):
-        alpha = disc.forward(rng.standard_normal((1, 16, 16, 7)))
-        seeds.append((alpha, rng.standard_normal(alpha.shape)))
-    return seeds
-
-
-def _parameter_grads(model):
-    return {name: p.grad.copy() for name, p in model.parameters.items()}
+    per chunk, a real and a fake pass, each seeded with a random gradient."""
+    per_chunk = []
+    for _ in range(chunks):
+        seeds = []
+        for _ in range(2):
+            alpha = disc.forward(rng.standard_normal((1, 16, 16, 7)))
+            seeds.append((alpha, rng.standard_normal(alpha.shape)))
+        per_chunk.append(seeds)
+    return per_chunk
 
 
 class TestConcurrentBackward:
-    def test_components_share_only_leaves(self):
-        # A discriminator pass is one component; the passes share only the
-        # Parameters. A generator pass through a discriminator is one.
-        gen, disc = _tiny_models()
-        rng = np.random.default_rng(50)
-        seeds = _discriminator_update_seeds(disc, rng, chunks=2)
-        topo = ad._toposort([node for node, _ in seeds])
-        components = ad._components(topo)
-        assert len(components) == 4
-        assert all(node.parents for nodes in components for node in nodes)
-        inner = [node for nodes in components for node in nodes]
-        assert len(inner) == len({id(node) for node in inner})
-        y_hat, _ = gen.forward(rng.standard_normal((1, 16, 16, 3)))
-        alpha = disc.forward(ad.channel_concat(ad.as_node(np.zeros((1, 16, 16, 3))), y_hat))
-        assert len(ad._components(ad._toposort([alpha, y_hat]))) == 1
+    def test_gradients_returns_visited_leaves_and_writes_no_leaf_grad(self):
+        # Each visited leaf is returned, None where nothing arrived (here,
+        # through a node with no backprop). No leaf's .grad is written;
+        # interior nodes still get theirs.
+        x = ad.constant(np.array([1.0, -2.0]))
+        cut = ad.constant(np.array([3.0, 4.0]))
+        marker = np.zeros(2)
+        x.grad = cut.grad = marker
+        y = ad.leaky_relu(x)
+        z = ad.channel_concat(y, ad.Node(cut.value, parents=(cut,)))
+        raw_out = ad.relu(ad.as_node(np.ones(2)))
+        grads = ad.gradients([(z, np.ones(4)), (y, np.ones(2)), (raw_out, np.ones(2))])
+        assert set(grads) == {x, cut}
+        assert np.array_equal(grads[x], [2.0, 0.4])
+        assert grads[cut] is None
+        assert x.grad is marker and cut.grad is marker
+        assert np.array_equal(y.grad, [2.0, 2.0])
+        # A seeded leaf gets its seed back as a copy, not as its .grad.
+        seed = np.full(2, 5.0)
+        leaf_grad = ad.gradients([(cut, seed)])[cut]
+        assert np.array_equal(leaf_grad, seed) and not np.shares_memory(leaf_grad, seed)
+        assert cut.grad is marker
 
     def test_two_passes_sum_like_separate_backwards(self):
-        # The discriminator update's two passes: the buffered walk gives
-        # each Parameter the sum of what each pass alone gives it.
+        # The discriminator update's two passes: one call gives each
+        # Parameter the sum of what each pass alone gives it.
         _, disc = _tiny_models()
-        seeds = _discriminator_update_seeds(disc, np.random.default_rng(51), chunks=1)
-        separate = []
-        for seed in seeds:
-            ad.backward([seed])
-            separate.append(_parameter_grads(disc))
-        ad.backward(seeds, workers=2)
-        for name, p in disc.parameters.items():
-            assert np.array_equal(p.grad, separate[0][name] + separate[1][name]), name
-
-    @pytest.mark.parametrize("chunks", [1, 2, 3])
-    def test_gradients_do_not_depend_on_workers(self, chunks):
-        _, disc = _tiny_models()
-        seeds = _discriminator_update_seeds(disc, np.random.default_rng(52), chunks)
-        ad.backward(seeds, workers=1)
-        serial = _parameter_grads(disc)
-        for workers in (2, 3, 8):
-            ad.backward(seeds, workers=workers)
-            for name, p in disc.parameters.items():
-                assert np.array_equal(p.grad, serial[name]), (workers, name)
+        (seeds,) = _discriminator_update_seeds(disc, np.random.default_rng(51), chunks=1)
+        separate = [ad.gradients([seed]) for seed in seeds]
+        both = ad.gradients(seeds)
+        for p in disc.parameters.values():
+            assert np.array_equal(both[p], separate[0][p] + separate[1][p]), p.name
+            assert p.grad is None, p.name
 
     def test_stress_many_threads_short_switch_interval(self):
-        # More threads than cores, switching as often as the interpreter
-        # allows: a lost or reordered leaf update would change the bits.
+        # One call per chunk on concurrent threads, switching as often as
+        # the interpreter allows: a leaf update that went to another
+        # thread's call would change the bits.
         _, disc = _tiny_models()
-        seeds = _discriminator_update_seeds(disc, np.random.default_rng(53), chunks=4)
-        ad.backward(seeds, workers=1)
-        serial = _parameter_grads(disc)
+        per_chunk = _discriminator_update_seeds(disc, np.random.default_rng(53), chunks=4)
+        serial = [ad.gradients(seeds) for seeds in per_chunk]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                ad.backward(seeds, workers=8)
-                for name, p in disc.parameters.items():
-                    assert np.array_equal(p.grad, serial[name]), name
+                for got, expected in zip(ad.parallel_map(ad.gradients, per_chunk), serial):
+                    assert list(got) == list(expected)
+                    for p, grad in expected.items():
+                        assert np.array_equal(got[p], grad), p.name
         finally:
             sys.setswitchinterval(interval)
 

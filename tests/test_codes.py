@@ -8,7 +8,6 @@ from hadaseg.codes import (
     fwht,
     fwht_apply,
     min_pairwise_distance,
-    read_codebook_csv,
     sylvester,
     verify,
     write_codebook_csv,
@@ -221,31 +220,12 @@ class TestCsvAndVerify:
         cb = sylvester(4)
         path = tmp_path / "h16.csv"
         write_codebook_csv(cb, path)
-        loaded = read_codebook_csv(path)
-        assert np.array_equal(loaded.matrix, cb.matrix)
-        assert (loaded.k, loaded.n) == (4, 16)
+        rows = [[int(e) for e in line.split(",")] for line in path.read_text().splitlines()]
+        assert np.array_equal(np.array(rows), cb.matrix)
 
     def test_csv_text_shape(self):
         text = codebook_csv(sylvester(1))
         assert text == "1,1\n1,-1\n"
-
-    def test_rejects_non_hadamard(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,1\n1,1\n")
-        with pytest.raises(FormatError):
-            read_codebook_csv(path)
-
-    def test_rejects_ragged(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("1,1\n1\n")
-        with pytest.raises(FormatError):
-            read_codebook_csv(path)
-
-    def test_rejects_non_power_of_two(self, tmp_path):
-        path = tmp_path / "odd.csv"
-        path.write_text("1,1,1\n1,1,1\n1,1,1\n")
-        with pytest.raises(FormatError):
-            read_codebook_csv(path)
 
     def test_verify_flags_tampering(self):
         tampered = H8.copy()

@@ -249,13 +249,18 @@ class TestDataParallelSteps:
         monkeypatch.setattr(train_module, "_usable_cpus", lambda: usable_cpus)
         assert train_module.thread_count(batch_size, blas_threads) == expected
 
-    @pytest.mark.parametrize("head", ["hadamard", "one_hot"])
-    def test_chunked_steps_repeat_and_match_one_chunk(self, monkeypatch, head):
-        # Batch 3 in 2 chunks (2 + 1 samples): the run repeats byte for
-        # byte, and its losses equal the one-chunk run's up to the order in
-        # which the chunks' weight gradients are summed.
-        runs = [_train_with_threads(monkeypatch, 2, 1, head) for _ in range(2)]
-        assert all(history.header["threads"] == "2" for _, history in runs)
+    @pytest.mark.parametrize(
+        ("head", "chunks"),
+        [("hadamard", 2), ("one_hot", 2), ("hadamard", 3)],
+        ids=["hadamard", "one_hot", "hadamard-3-chunks"],
+    )
+    def test_chunked_steps_repeat_and_match_one_chunk(self, monkeypatch, head, chunks):
+        # Batch 3 in 2 chunks (2 + 1 samples) or 3 (one sample each): the
+        # run repeats byte for byte, and its losses equal the one-chunk
+        # run's up to the order in which the chunks' weight gradients are
+        # summed.
+        runs = [_train_with_threads(monkeypatch, chunks, 1, head) for _ in range(2)]
+        assert all(history.header["threads"] == str(chunks) for _, history in runs)
         assert runs[0][1].loss_csv() == runs[1][1].loss_csv()
         assert runs[0][1].metrics_csv() == runs[1][1].metrics_csv()
         for name, p in runs[0][0].parameters.items():
