@@ -7,8 +7,7 @@ exactly the same masks as the colors, so ground truth is pixel-exact.
 On disk, label maps use the ``.segl`` format (magic "SEGL", version byte,
 u32 height and width little-endian, then one class byte per pixel
 row-major) and images use ``.img``/"SEGI" (same header, then H*W*3
-little-endian float64 values). A plain-text ``manifest.txt`` lists the
-sample ids of a dataset directory.
+little-endian float64 values).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .metrics import LabelMap
 _SEGL_MAGIC = b"SEGL"
 _SEGI_MAGIC = b"SEGI"
 _VERSION = 1
-MANIFEST_NAME = "manifest.txt"
 
 
 @dataclass(frozen=True)
@@ -253,7 +251,7 @@ def read_image(path) -> np.ndarray:
 
 
 def write_dataset(directory, samples: list[Sample]) -> list[str]:
-    """Write samples as paired <id>.img / <id>.segl files plus a manifest."""
+    """Write samples as paired <id>.img / <id>.segl files; returns the ids."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ids = []
@@ -262,8 +260,6 @@ def write_dataset(directory, samples: list[Sample]) -> list[str]:
         write_image(directory / f"{sample_id}.img", sample.image)
         write_label_map(directory / f"{sample_id}.segl", sample.labels)
         ids.append(sample_id)
-    with open(directory / MANIFEST_NAME, "w", encoding="ascii") as fh:
-        fh.write("".join(f"{sample_id}\n" for sample_id in ids))
     return ids
 
 

@@ -241,27 +241,6 @@ def generator_loss_from_sums(
     return total, GeneratorLossTerms(adversarial, ce, mae_y, mae_yc)
 
 
-def generator_loss_and_grads(
-    alpha_fake,
-    y_hat: np.ndarray,
-    y: np.ndarray,
-    y_c_hat: np.ndarray,
-    y_c: np.ndarray,
-    w: LossWeights = LossWeights(),
-) -> tuple[float, GeneratorLossTerms, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Four-term generator loss, its raw per-term breakdown, and its
-    gradients w.r.t. (alpha_fake, y_hat, y_c_hat): the one-chunk case of
-    ``generator_loss_sums``.
-
-    total = S(1|alpha_fake) + lambda1 * S(y_hat|y)
-          + lambda2 * MAE(y_hat, y) + lambda3 * MAE(y_c_hat, y_c)
-    """
-    counts = (np.size(alpha_fake), np.size(y), np.size(y_c))
-    sums, grads = generator_loss_sums(alpha_fake, y_hat, y, y_c_hat, y_c, counts, w)
-    total, terms = generator_loss_from_sums([sums], counts, w)
-    return total, terms, grads
-
-
 def generator_loss(
     alpha_fake,
     y_hat: np.ndarray,
@@ -270,9 +249,15 @@ def generator_loss(
     y_c: np.ndarray,
     w: LossWeights = LossWeights(),
 ) -> tuple[float, GeneratorLossTerms]:
-    """The total and the per-term breakdown of ``generator_loss_and_grads``."""
-    total, terms, _ = generator_loss_and_grads(alpha_fake, y_hat, y, y_c_hat, y_c, w)
-    return total, terms
+    """Four-term generator loss and its raw per-term breakdown: the
+    one-chunk case of ``generator_loss_sums``.
+
+    total = S(1|alpha_fake) + lambda1 * S(y_hat|y)
+          + lambda2 * MAE(y_hat, y) + lambda3 * MAE(y_c_hat, y_c)
+    """
+    counts = (np.size(alpha_fake), np.size(y), np.size(y_c))
+    sums, _ = generator_loss_sums(alpha_fake, y_hat, y, y_c_hat, y_c, counts, w)
+    return generator_loss_from_sums([sums], counts, w)
 
 
 def generator_loss_grads(
@@ -284,4 +269,5 @@ def generator_loss_grads(
     w: LossWeights = LossWeights(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of generator_loss w.r.t. (alpha_fake, y_hat, y_c_hat)."""
-    return generator_loss_and_grads(alpha_fake, y_hat, y, y_c_hat, y_c, w)[2]
+    counts = (np.size(alpha_fake), np.size(y), np.size(y_c))
+    return generator_loss_sums(alpha_fake, y_hat, y, y_c_hat, y_c, counts, w)[1]

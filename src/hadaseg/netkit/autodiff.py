@@ -1,22 +1,27 @@
 """Reverse-mode autodiff over a fixed set of dense tensor ops.
 
 Tensors are float64 channels-last numpy arrays. Each operation appends a
-node to an implicit tape (the node graph itself); ``gradients``
-topologically sorts the ancestors of the seeded outputs and walks them in
-reverse, accumulating gradients into every node it visits. It returns the
-leaves' gradients (nodes without parents, such as Parameters) and
-``backward`` stores them as the leaves' ``.grad``. Shape problems surface
-at graph build time, not inside the walk.
+node to an implicit tape (the node graph itself) with a backprop closure
+that maps the node's gradient to a tuple of gradients, one per parent in
+``parents`` order: a fresh array that nothing else holds, or None for a
+parent that needs none. ``gradients`` topologically sorts the ancestors of
+the seeded outputs, walks them in reverse and returns the leaves'
+gradients (leaves are nodes without parents, such as Parameters);
+``backward`` stores them as the leaves' ``.grad``, the only place the
+engine writes one. Shape problems surface at graph build time, not inside
+the walk.
 
 Every node records at construction whether it needs a gradient. Parameters
 and ``constant`` leaves do unless ``set_needs_grad`` cleared their flag (a
 frozen network); a raw array that ``as_node`` wraps does not; an op node
 does when any of its parents does, and otherwise keeps no backprop, so a
 frozen network's forward on a raw input builds no tape. ``gradients`` never
-visits a node that needs no gradient, so its ``.grad`` stays None, and the
-conv ops skip the gradient of any input, weight or bias that needs none. A
-node's first gradient contribution is stored and later ones are added to
-it; no gradient shares memory with another node's or with a caller's seed.
+visits a node that needs no gradient, and the conv ops skip the gradient of
+any input, weight or bias that needs none. A walk keeps its gradients in a
+dict of its own: a node's first contribution is stored and later ones are
+added to it, and an interior node's gradient is dropped as soon as its
+backprop has read it, so no interior node keeps a gradient after the walk.
+No gradient shares memory with another node's or with a caller's seed.
 
 ``upsample_concat_conv2d`` is a UNet decoder stage, nearest 2x upsampling,
 skip concatenation and a 3x3 conv, computed as one op at the low resolution:
@@ -33,14 +38,12 @@ passes a NaN on where the masked form gives 0.
 
 Concurrency. Graphs that share only leaves can be walked at the same time,
 one ``gradients`` call per thread; ``parallel_map`` runs such calls, each
-building and walking its own graph. A call keeps the leaf gradients it
-collects in a buffer of its own thread and never writes a leaf's
-``.grad``, and every interior node's ``.grad`` is written by the one call
-whose graph holds it. So no array is written by two threads, and the
-caller adds the returned leaf gradients in an order it chooses, which
-keeps the sums independent of thread timing. This holds because the ops
-keep no shared mutable state: an op's backprop reads its own closure and
-writes only to its parents.
+building and walking its own graph. The engine has no thread-local or
+other shared mutable state: a walk writes only to its own dict, an op's
+backprop reads only its closure and its argument, and ``gradients`` writes
+no node's ``.grad``. So no array is written by two threads, and the caller
+adds the returned leaf gradients in an order it chooses, which keeps the
+sums independent of thread timing.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ LEAKY_SLOPE = 0.2
 
 
 class Node:
-    """One tensor on the tape: a value, a gradient slot, and its parents.
+    """One tensor on the tape: a value, its parents, and a ``.grad`` slot
+    that ``backward`` fills on leaves.
 
     A leaf needs a gradient unless built with ``needs_grad=False``; an op
     node needs one when any parent does, and otherwise keeps no backprop.
@@ -136,14 +140,6 @@ def _toposort(roots) -> list[Node]:
     return topo
 
 
-class _WalkState(threading.local):
-    """Per thread: the leaf gradients of the ``gradients`` call running on
-    it, or None outside one."""
-
-    leaf_grads: dict | None = None
-
-
-_walk_state = _WalkState()
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -177,40 +173,29 @@ def parallel_map(fn, items) -> list:
     return [first] + [future.result() for future in futures]
 
 
-def _accumulate(node: Node, grad: np.ndarray) -> None:
-    """Store the first contribution to a node's gradient; add later ones to it.
-
-    A stored contribution becomes the gradient buffer, so callers pass
-    arrays that nothing else holds. An interior node's gradient is its
-    ``.grad``; a leaf's goes to the ``gradients`` call running on this
-    thread, so no leaf's ``.grad`` is written during a walk.
-    """
-    if node.parents:
-        if node.grad is None:
-            node.grad = grad
+def _add(grads: dict, contributions) -> None:
+    """Store each (node, gradient) contribution as the node's gradient in
+    ``grads`` if it is the first, else add it in place; skip None."""
+    for node, grad in contributions:
+        if grad is None:
+            continue
+        held = grads.get(node)
+        if held is None:
+            grads[node] = grad
         else:
-            node.grad += grad
-        return
-    leaf_grads = _walk_state.leaf_grads
-    held = leaf_grads.get(node)
-    if held is None:
-        leaf_grads[node] = grad
-    else:
-        held += grad
+            held += grad
 
 
 def gradients(seeds) -> dict[Node, np.ndarray | None]:
     """Run reverse-mode accumulation from ``seeds``: (node, gradient) pairs.
 
     Returns the gradient of every visited leaf, None where none arrived,
-    and leaves the leaves' ``.grad`` untouched. Interior nodes keep theirs
-    as ``.grad``. Only nodes that need a gradient (see the module docstring)
-    are visited; every other node keeps ``.grad`` None. Gradients of the
-    visited interior nodes are reset to None first, so a fresh call never
-    mixes with a previous pass. A node's first contribution is stored and
-    later ones are added to it; a seed array is copied, never stored or
-    modified. Seeding an interior node adds to whatever flows back into it
-    from downstream seeds.
+    and writes no node's ``.grad``. Only nodes that need a gradient (see the
+    module docstring) are visited. The gradients live in one dict local to
+    the call: a node's first contribution is stored and later ones are added
+    to it, and an interior node's gradient leaves the dict when its backprop
+    reads it. A seed array is copied, never stored or modified. Seeding an
+    interior node adds to whatever flows back into it from downstream seeds.
     """
     seeds = [(node, np.asarray(grad, dtype=np.float64)) for node, grad in seeds]
     for node, grad in seeds:
@@ -219,28 +204,17 @@ def gradients(seeds) -> dict[Node, np.ndarray | None]:
                 f"seed gradient shape {grad.shape} != node shape {node.value.shape}"
             )
     topo = _toposort([node for node, _ in seeds])
-    leaf_grads = {}
-    for node in topo:
-        if node.parents:
-            node.grad = None
-        else:
-            leaf_grads[node] = None
-    _walk_state.leaf_grads = leaf_grads
-    try:
-        for node, grad in seeds:
-            if node.needs_grad:
-                _accumulate(node, grad.copy())
-        for node in reversed(topo):
-            if node._backprop is not None:
-                node._backprop(node)
-    finally:
-        _walk_state.leaf_grads = None
-    return leaf_grads
+    grads: dict[Node, np.ndarray] = {}
+    _add(grads, ((node, grad.copy()) for node, grad in seeds if node.needs_grad))
+    for node in reversed(topo):
+        if node._backprop is not None:
+            _add(grads, zip(node.parents, node._backprop(grads.pop(node))))
+    return {node: grads.get(node) for node in topo if not node.parents}
 
 
 def backward(seeds) -> None:
     """``gradients(seeds)``, with each visited leaf's gradient stored as its
-    ``.grad`` (None where none arrived)."""
+    ``.grad`` (None where none arrived). Interior nodes keep ``.grad`` None."""
     for leaf, grad in gradients(seeds).items():
         leaf.grad = grad
 
@@ -329,19 +303,16 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     if not w.needs_grad:
         cols = None  # only the weight gradient reads the columns
 
-    def backprop(node: Node) -> None:
-        g = node.grad.reshape(-1, cout)
-        if b.needs_grad:
-            _accumulate(b, _bias_gradient(node.grad))
-        if w.needs_grad:
-            # [Cout, M] x [M, K] runs faster in BLAS than cols.T @ g.
-            _accumulate(w, (g.T @ cols).T.reshape(wv.shape))
+    def backprop(g: np.ndarray) -> tuple:
+        g_mat = g.reshape(-1, cout)
+        db = _bias_gradient(g) if b.needs_grad else None
+        # [Cout, M] x [M, K] runs faster in BLAS than cols.T @ g.
+        dw = (g_mat.T @ cols).T.reshape(wv.shape) if w.needs_grad else None
         if not x.needs_grad:
-            return
+            return None, dw, db
         if stride == 1:
-            _accumulate(x, _input_gradient(node.grad, wv))
-            return
-        dcols = (g @ w_mat.T).reshape(batch, out_h, out_w, k, k, cin)
+            return _input_gradient(g, wv), dw, db
+        dcols = (g_mat @ w_mat.T).reshape(batch, out_h, out_w, k, k, cin)
         dxp = np.zeros(xp_shape)
         for i in range(k):
             for j in range(k):
@@ -351,7 +322,7 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
                     j : j + stride * out_w : stride,
                     :,
                 ] += dcols[:, :, :, i, j, :]
-        _accumulate(x, dxp[:, pad : pad + height, pad : pad + width, :])
+        return dxp[:, pad : pad + height, pad : pad + width, :], dw, db
 
     return Node(out, parents=(x, w, b), backprop=backprop)
 
@@ -366,10 +337,10 @@ def leaky_relu(x: Node) -> Node:
     xv = x.value
     out = np.maximum(xv, LEAKY_SLOPE * xv)
 
-    def backprop(node: Node) -> None:
+    def backprop(g: np.ndarray) -> tuple:
         factor = (xv > 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
-        factor *= node.grad
-        _accumulate(x, factor)
+        factor *= g
+        return (factor,)
 
     return Node(out, parents=(x,), backprop=backprop)
 
@@ -379,8 +350,8 @@ def relu(x: Node) -> Node:
     xv = x.value
     out = np.maximum(xv, 0.0)
 
-    def backprop(node: Node) -> None:
-        _accumulate(x, node.grad * (xv > 0))
+    def backprop(g: np.ndarray) -> tuple:
+        return (g * (xv > 0),)
 
     return Node(out, parents=(x,), backprop=backprop)
 
@@ -393,8 +364,8 @@ def sigmoid(x: Node) -> Node:
     ex = np.exp(xv[~positive])
     out[~positive] = ex / (1.0 + ex)
 
-    def backprop(node: Node) -> None:
-        _accumulate(x, node.grad * out * (1.0 - out))
+    def backprop(g: np.ndarray) -> tuple:
+        return (g * out * (1.0 - out),)
 
     return Node(out, parents=(x,), backprop=backprop)
 
@@ -409,11 +380,11 @@ def channel_concat(a: Node, b: Node) -> Node:
     out = np.concatenate((av, bv), axis=-1)
     split = av.shape[-1]
 
-    def backprop(node: Node) -> None:
-        if a.needs_grad:
-            _accumulate(a, node.grad[..., :split].copy())
-        if b.needs_grad:
-            _accumulate(b, node.grad[..., split:].copy())
+    def backprop(g: np.ndarray) -> tuple:
+        return (
+            g[..., :split].copy() if a.needs_grad else None,
+            g[..., split:].copy() if b.needs_grad else None,
+        )
 
     return Node(out, parents=(a, b), backprop=backprop)
 
@@ -509,10 +480,9 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
             blocks[:, :, a, :, c] += phases[:, a : a + height, c : c + width, a, c]
     out = out.reshape(batch, 2 * height, 2 * width, cout)
 
-    def backprop(node: Node) -> None:
-        g = node.grad
-        if b.needs_grad:
-            _accumulate(b, _bias_gradient(g))
+    def backprop(g: np.ndarray) -> tuple:
+        db = _bias_gradient(g) if b.needs_grad else None
+        dw = dx = dskip = None
         if w.needs_grad or x.needs_grad:
             g_blocks = g.reshape(batch, height, 2, width, 2, cout)
             g_phases = np.zeros(grid + (cout,))
@@ -529,7 +499,6 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
                 cols_skip, _, _ = _im2col(_pad_same(sv, 1), 3, 1)
                 dw[:, :, cup:] = (g.reshape(-1, cout).T @ cols_skip).T.reshape(3, 3, -1, cout)
                 del cols_skip
-                _accumulate(w, dw)
             if x.needs_grad:
                 # The window axes (s, t) take the place of the phase axes.
                 d_windows = (g_phases @ kernel_up.T).reshape(grid + (cup,))
@@ -538,9 +507,9 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
                 dx = d_windows[:, 1:, 1:, 0, 0] + d_windows[:, 1:, :-1, 0, 1]
                 dx += d_windows[:, :-1, 1:, 1, 0]
                 dx += d_windows[:, :-1, :-1, 1, 1]
-                _accumulate(x, dx)
         if skip.needs_grad:
-            _accumulate(skip, _input_gradient(g, wv[:, :, cup:]))
+            dskip = _input_gradient(g, wv[:, :, cup:])
+        return dx, dskip, dw, db
 
     return Node(out, parents=(x, skip, w, b), backprop=backprop)
 
@@ -549,8 +518,8 @@ def per_pixel_softmax(x: Node) -> Node:
     """Numerically stable softmax over the channel (last) axis."""
     out = _softmax_last_axis(x.value)
 
-    def backprop(node: Node) -> None:
-        _accumulate(x, _softmax_backward(out, node.grad))
+    def backprop(g: np.ndarray) -> tuple:
+        return (_softmax_backward(out, g),)
 
     return Node(out, parents=(x,), backprop=backprop)
 
@@ -559,7 +528,7 @@ def hadamard_head(x: Node, cb: Codebook) -> Node:
     """The parameter-free code-correlation head (see hadaseg.layer)."""
     act = hadamard_forward(cb, x.value)
 
-    def backprop(node: Node) -> None:
-        _accumulate(x, hadamard_backward(act, node.grad))
+    def backprop(g: np.ndarray) -> tuple:
+        return (hadamard_backward(act, g),)
 
     return Node(act.output, parents=(x,), backprop=backprop)

@@ -58,10 +58,9 @@ def nearest_upsample_2x(x):
     xv = x.value
     out = xv.repeat(2, axis=1).repeat(2, axis=2)
 
-    def backprop(node):
+    def backprop(g):
         batch, height, width, channels = xv.shape
-        g = node.grad.reshape(batch, height, 2, width, 2, channels)
-        ad._accumulate(x, g.sum(axis=(2, 4)))
+        return (g.reshape(batch, height, 2, width, 2, channels).sum(axis=(2, 4)),)
 
     return ad.Node(out, parents=(x,), backprop=backprop)
 

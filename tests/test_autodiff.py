@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -431,14 +432,15 @@ class TestBackward:
         z = ad.relu(y)
         seed_z, seed_y = np.ones(2), np.full(2, 10.0)
         ad.backward([(z, seed_z), (y, seed_y)])
-        assert np.allclose(y.grad, [11.0, 11.0])
+        # y's gradient is 1 from z plus its seed of 10, and x gets all of it.
         assert np.allclose(x.grad, [11.0, 11.0])
-        # The seeds are copied, not stored: accumulating into y.grad left
-        # the caller's arrays unchanged.
+        # The seeds are copied, not stored: adding z's contribution to y's
+        # gradient left the caller's arrays unchanged.
         assert np.array_equal(seed_z, [1.0, 1.0])
         assert np.array_equal(seed_y, [10.0, 10.0])
-        assert not np.shares_memory(z.grad, seed_z)
-        assert not np.shares_memory(y.grad, seed_y)
+        assert not np.shares_memory(x.grad, seed_z)
+        assert not np.shares_memory(x.grad, seed_y)
+        assert y.grad is None and z.grad is None
 
     def test_seed_shape_checked(self):
         x = ad.constant(np.zeros((2, 2)))
@@ -452,6 +454,31 @@ class TestBackward:
         first = x.grad.copy()
         ad.backward([(y, np.ones(2))])
         assert np.array_equal(x.grad, first)
+
+    def test_interior_gradient_freed_once_read(self):
+        # On x -> first -> middle -> last, the gradient middle's backprop
+        # receives is freed before first's backprop runs, and no interior
+        # node keeps a .grad after the walk.
+        x = ad.constant(np.array([0.5, -1.0, 2.0]))
+        first = ad.relu(x)
+        middle = ad.relu(first)
+        last = ad.relu(middle)
+        received, freed = [], []
+        middle_backprop, first_backprop = middle._backprop, first._backprop
+
+        def record(g):
+            received.append(weakref.ref(g))
+            return middle_backprop(g)
+
+        def check(g):
+            freed.append(received[0]() is None)
+            return first_backprop(g)
+
+        middle._backprop, first._backprop = record, check
+        ad.backward([(last, np.full(3, 2.0))])
+        assert freed == [True]
+        assert all(node.grad is None for node in (first, middle, last))
+        assert np.array_equal(x.grad, [2.0, 0.0, 2.0])
 
 
 def _tiny_models():
@@ -479,8 +506,9 @@ class TestGradientNeeds:
         assert np.array_equal(const.grad, [[2.0, 3.0]])
 
     def test_no_two_gradients_share_memory(self):
-        # One generator and one discriminator backward, as in a training
-        # step: every stored gradient owns its buffer.
+        # One generator and one discriminator walk, as in a training step:
+        # every leaf gradient owns its buffer, apart from the seeds and
+        # from the other walk's gradients.
         gen, disc = _tiny_models()
         rng = np.random.default_rng(40)
         x = rng.standard_normal((2, 16, 16, 3))
@@ -491,17 +519,15 @@ class TestGradientNeeds:
             (y_hat, rng.standard_normal(y_hat.shape)),
             (y_c, rng.standard_normal(y_c.shape)),
         ]
-        ad.backward(seeds)
+        walks = [ad.gradients(seeds)]
         d_seed = rng.standard_normal(alpha.shape)
         alpha_real = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
-        ad.backward([(alpha_real, d_seed)])
+        walks.append(ad.gradients([(alpha_real, d_seed)]))
         arrays = [seed for _, seed in seeds] + [d_seed]
-        arrays += [
-            node.grad
-            for node in reachable_nodes([alpha, y_c, alpha_real])
-            if node.grad is not None
-        ]
-        assert len(arrays) > 40
+        arrays += [grad for grads in walks for grad in grads.values() if grad is not None]
+        # Both walks reach every discriminator Parameter, the first also
+        # every generator Parameter.
+        assert len(arrays) == 4 + len(gen.parameters) + 2 * len(disc.parameters)
         for i, first in enumerate(arrays):
             for second in arrays[i + 1 :]:
                 assert not np.shares_memory(first, second)
@@ -607,8 +633,7 @@ def _discriminator_update_seeds(disc, rng, chunks):
 class TestConcurrentBackward:
     def test_gradients_returns_visited_leaves_and_writes_no_leaf_grad(self):
         # Each visited leaf is returned, None where nothing arrived (here,
-        # through a node with no backprop). No leaf's .grad is written;
-        # interior nodes still get theirs.
+        # through a node with no backprop). No node's .grad is written.
         x = ad.constant(np.array([1.0, -2.0]))
         cut = ad.constant(np.array([3.0, 4.0]))
         marker = np.zeros(2)
@@ -621,7 +646,7 @@ class TestConcurrentBackward:
         assert np.array_equal(grads[x], [2.0, 0.4])
         assert grads[cut] is None
         assert x.grad is marker and cut.grad is marker
-        assert np.array_equal(y.grad, [2.0, 2.0])
+        assert y.grad is None and z.grad is None
         # A seeded leaf gets its seed back as a copy, not as its .grad.
         seed = np.full(2, 5.0)
         leaf_grad = ad.gradients([(cut, seed)])[cut]

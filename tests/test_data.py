@@ -169,8 +169,11 @@ class TestDatasetDirectory:
         samples = gen_synthetic(seed=9, count=5, size=16, num_classes=4)
         ids = write_dataset(tmp_path, samples)
         assert ids == [f"{i:06d}" for i in range(5)]
-        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert manifest == ids
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{i}{ext}" for i in ids for ext in (".img", ".segl")
+        )
+        # Earlier versions also wrote a manifest.txt; ingestion ignores it.
+        (tmp_path / "manifest.txt").write_text("".join(f"{i}\n" for i in ids))
         loaded = ingest_index_maps(tmp_path, num_classes=4)
         assert len(loaded) == 5
         for original, read_back in zip(samples, loaded):
@@ -199,7 +202,7 @@ class TestDatasetDirectory:
     def test_byte_identical_across_runs(self, tmp_path):
         for run in ("a", "b"):
             write_dataset(tmp_path / run, gen_synthetic(seed=33, count=3, size=16, num_classes=3))
-        for name in ("manifest.txt", "000000.img", "000002.segl"):
+        for name in ("000000.img", "000001.img", "000002.segl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_common_resolution_names_index_without_path(self):
