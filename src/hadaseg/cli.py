@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: codebook, gen-data, train, eval, predict, render, fwht-bench.
-Exit codes: 0 ok, 2 configuration/usage error, 3 data or format error,
-4 numeric failure. Every failure prints a single ``error:<class>: <detail>``
-line to stderr.
+Exit codes: 0 ok, 2 configuration/usage error (out of memory included),
+3 data or format error, 4 numeric failure. Every failure prints a single
+``error:<class>: <detail>`` line to stderr.
 """
 
 from __future__ import annotations
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error:config: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

@@ -33,6 +33,8 @@ from .metrics import LabelMap
 _SEGL_MAGIC = b"SEGL"
 _SEGI_MAGIC = b"SEGI"
 _VERSION = 1
+# Tries to place each primitive of a synthetic sample clear of the others.
+MAX_PLACE_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,6 @@ def gen_synthetic(
     count: int,
     size: int,
     num_classes: int,
-    max_place_retries: int = 100,
 ) -> list[Sample]:
     """Deterministic synthetic dataset: noisy background plus 1..4
     non-overlapping primitives, each with a class-correlated fill color.
@@ -152,7 +153,7 @@ def gen_synthetic(
         placed: list[tuple[int, int, int, int]] = []
         for _ in range(n_shapes):
             box = None
-            for _ in range(max(max_place_retries, 1)):
+            for _ in range(MAX_PLACE_RETRIES):
                 # Sides scale with the canvas so up to four boxes always fit.
                 side_min = max(4, size // 8)
                 side_max = max(side_min, size // 4)
@@ -166,7 +167,7 @@ def gen_synthetic(
                     break
             if box is None:
                 raise GenerationError(
-                    f"could not place shape after {max_place_retries} retries "
+                    f"could not place shape after {MAX_PLACE_RETRIES} retries "
                     f"(size={size}, shapes placed={len(placed)})"
                 )
             placed.append(box)

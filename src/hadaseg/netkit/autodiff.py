@@ -36,20 +36,16 @@ Xeon VM). So the forwards are maxima and the backward factors are mask
 arithmetic, equal bit for bit to the masked forms, except that ``relu``
 passes a NaN on where the masked form gives 0.
 
-Concurrency. Graphs that share only leaves can be walked at the same time,
-one ``gradients`` call per thread; ``parallel_map`` runs such calls, each
-building and walking its own graph. The engine has no thread-local or
-other shared mutable state: a walk writes only to its own dict, an op's
-backprop reads only its closure and its argument, and ``gradients`` writes
-no node's ``.grad``. So no array is written by two threads, and the caller
-adds the returned leaf gradients in an order it chooses, which keeps the
-sums independent of thread timing.
+Concurrency. Graphs that share only leaves can be built and walked at the
+same time, one ``gradients`` call per thread. The engine starts no thread
+and has no thread-local or other shared mutable state: a walk writes only
+to its own dict, an op's backprop reads only its closure and its argument,
+and ``gradients`` writes no node's ``.grad``. So no array is written by two
+threads, and the caller adds the returned leaf gradients in an order it
+chooses, which keeps the sums independent of thread timing.
 """
 
 from __future__ import annotations
-
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -138,39 +134,6 @@ def _toposort(roots) -> list[Node]:
                 if parent.needs_grad and id(parent) not in visited:
                     stack.append((parent, False))
     return topo
-
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The module's thread pool, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(thread_name_prefix="hadaseg-autodiff")
-        return _pool
-
-
-def parallel_map(fn, items) -> list:
-    """``[fn(item) for item in items]``, run concurrently: the first item on
-    the calling thread, the others on the module's thread pool.
-
-    The calls must be independent: each may build and walk its own graph
-    (see the module docstring) but must not use the pool itself. Every call
-    finishes before this returns or raises; an exception of the first item
-    wins, then the others in order.
-    """
-    items = list(items)
-    if len(items) < 2:
-        return [fn(item) for item in items]
-    futures = [_executor().submit(fn, item) for item in items[1:]]
-    try:
-        first = fn(items[0])
-    finally:
-        wait(futures)
-    return [first] + [future.result() for future in futures]
 
 
 def _add(grads: dict, contributions) -> None:

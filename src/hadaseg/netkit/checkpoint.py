@@ -3,7 +3,8 @@
 A checkpoint is a directory holding ``tensors.bin`` (the concatenated raw
 values) and ``manifest.txt``. The manifest starts with an identifying line,
 then ``meta <key> <value>`` lines, then one ``tensor <name> <offset>
-<count> <ndim> <dims...>`` line per tensor, offsets in elements.
+<count> <ndim> <dims...>`` line per tensor, offsets in elements. A key or
+tensor name appears at most once.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             continue
         parts = line.split()
         if parts[0] == "meta" and len(parts) == 3:
+            if parts[1] in meta:
+                raise FormatError(f"{manifest}: duplicate meta key {parts[1]!r}")
             meta[parts[1]] = parts[2]
         elif parts[0] == "tensor" and len(parts) >= 4:
             try:
@@ -93,6 +96,8 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 raise FormatError(f"{manifest}: negative offset or dimension in {line!r}")
             if offset + count > raw.size:
                 raise FormatError(f"{manifest}: {name} overruns the tensor blob")
+            if name in tensors:
+                raise FormatError(f"{manifest}: duplicate tensor {name!r}")
             tensors[name] = raw[offset : offset + count].reshape(dims).copy()
         else:
             raise FormatError(f"{manifest}: unrecognized line {line!r}")

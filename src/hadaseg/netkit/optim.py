@@ -8,6 +8,9 @@ import numpy as np
 
 from ..errors import ShapeError
 
+# Added to the root of the second moment so a zero gradient divides safely.
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -33,7 +36,6 @@ def adam_step(
     lr: float = 2e-4,
     beta1: float = 0.5,
     beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One Adam update; mutates ``params`` and ``state`` and returns them."""
     state.t += 1
@@ -50,5 +52,5 @@ def adam_step(
         v += (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state

@@ -10,15 +10,16 @@ that its loss and gradients are finite before Adam applies them.
 A step is data-parallel up to Adam. Nothing couples the samples of a batch
 before the losses (the networks have no batch statistics), and every loss
 term is a mean over the batch, so the batch is split into P chunks with
-``np.array_split`` and each chunk does its own part of both updates:
-``autodiff.parallel_map`` runs the chunks concurrently, each encoding its
-own targets, running its forwards, computing its loss terms' sums and
-their gradients (``loss.*_loss_sums``) and walking its own backward
+``np.array_split`` and each chunk does its own part of both updates. The
+chunks run concurrently, the first on the calling thread and the others on
+a pool that ``train_cgan`` owns and joins before it returns or raises. Each
+encodes its own targets, runs its forwards, computes its loss terms' sums
+and gradients (``loss.*_loss_sums``) and walks its own backward
 (``autodiff.gradients``). Only the loss sums and the Parameters' gradients
 cross threads. Both are added in chunk order; the sums are then divided by
 the whole batch's element counts. P is the number of usable CPUs that BLAS
 leaves idle (see ``thread_count``), so a BLAS that already runs a thread
-per CPU gets P = 1, a step of one chunk.
+per CPU gets P = 1, a step of one chunk, and starts no thread.
 
 Everything is derived from a single seed: weight init, batch order, and the
 synthetic data stream if the caller built one the same way. Rerunning with
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -175,15 +177,28 @@ def _check_finite(
     raise TrainingDivergedError(f"non-finite {what} at step {step}: {diagnostic}{names}")
 
 
+def _map_chunks(pool: ThreadPoolExecutor, fn, chunks) -> list:
+    """``[fn(chunk) for chunk in chunks]``, the first chunk on the calling
+    thread and the others on ``pool``, which a single chunk never touches.
+    Every call finishes before this returns or raises; the first chunk's
+    exception wins, then the others' in chunk order."""
+    futures = [pool.submit(fn, chunk) for chunk in chunks[1:]]
+    try:
+        results = [fn(chunk) for chunk in chunks[:1]]
+    finally:
+        wait(futures)
+    return results + [future.result() for future in futures]
+
+
 def _sum_chunk_grads(parameters: dict[str, ad.Parameter], chunk_grads) -> dict[str, np.ndarray]:
     """Each Parameter's gradients from the chunks' ``autodiff.gradients``
-    calls, added in chunk order and stored as its ``.grad``; returns them
-    by name."""
-    for p in parameters.values():
-        p.grad = chunk_grads[0][p]
-        for leaf_grads in chunk_grads[1:]:
-            p.grad += leaf_grads[p]
-    return {name: p.grad for name, p in parameters.items()}
+    calls, added in chunk order; returns the sums by name. No Parameter's
+    ``.grad`` is written."""
+    sums = {name: chunk_grads[0][p] for name, p in parameters.items()}
+    for leaf_grads in chunk_grads[1:]:
+        for name, p in parameters.items():
+            sums[name] += leaf_grads[p]
+    return sums
 
 
 @dataclass
@@ -312,58 +327,59 @@ def train_cgan(
             seeds.append((chunk.y_c, g_y_c))
         return counts, sums, ad.gradients(seeds)
 
-    for step in range(1, steps + 1):
-        idx = sampler.take(settings.batch_size)
+    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="hadaseg-train") as pool:
+        for step in range(1, steps + 1):
+            idx = sampler.take(settings.batch_size)
 
-        # Discriminator update.
-        chunks, counts, sums, grads = zip(
-            *ad.parallel_map(discriminator_part, np.array_split(idx, workers))
-        )
-        loss_d = discriminator_loss_from_sums(sums, counts[0])
-        disc_grads = _sum_chunk_grads(disc.parameters, grads)
-        _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
-        adam_step(disc_params, disc_grads, disc_state, **adam_settings)
+            # Discriminator update.
+            chunks, counts, sums, grads = zip(
+                *_map_chunks(pool, discriminator_part, np.array_split(idx, workers))
+            )
+            loss_d = discriminator_loss_from_sums(sums, counts[0])
+            disc_grads = _sum_chunk_grads(disc.parameters, grads)
+            _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
+            adam_step(disc_params, disc_grads, disc_state, **adam_settings)
 
-        # Generator update through the refreshed discriminator. Its
-        # Parameters need no gradient until the chunks' backwards are done,
-        # so those compute no discriminator weight gradient.
-        ad.set_needs_grad(disc.parameters.values(), False)
-        counts, sums, grads = zip(*ad.parallel_map(generator_part, chunks))
-        ad.set_needs_grad(disc.parameters.values(), True)
-        total, terms = generator_loss_from_sums(sums, counts[0], effective)
-        gen_grads = _sum_chunk_grads(gen.parameters, grads)
-        _check_finite(
-            step,
-            total,
-            gen_grads,
-            f"L_D={loss_d} L_G={total} "
-            f"(adv={terms.adversarial} ce={terms.cross_entropy} "
-            f"mae_y={terms.mae_probability} mae_yc={terms.mae_code})",
-        )
-        adam_step(gen_params, gen_grads, gen_state, **adam_settings)
+            # Generator update through the refreshed discriminator. Its
+            # Parameters need no gradient until the chunks' backwards are
+            # done, so those compute no discriminator weight gradient.
+            ad.set_needs_grad(disc.parameters.values(), False)
+            counts, sums, grads = zip(*_map_chunks(pool, generator_part, chunks))
+            ad.set_needs_grad(disc.parameters.values(), True)
+            total, terms = generator_loss_from_sums(sums, counts[0], effective)
+            gen_grads = _sum_chunk_grads(gen.parameters, grads)
+            _check_finite(
+                step,
+                total,
+                gen_grads,
+                f"L_D={loss_d} L_G={total} "
+                f"(adv={terms.adversarial} ce={terms.cross_entropy} "
+                f"mae_y={terms.mae_probability} mae_yc={terms.mae_code})",
+            )
+            adam_step(gen_params, gen_grads, gen_state, **adam_settings)
 
-        # Raw code-MAE is logged for both heads; only the weighted total
-        # depends on the head.
-        if step % settings.log_every == 0 or step == steps:
-            history.loss_rows.append(
-                (
-                    step,
-                    loss_d,
-                    terms.adversarial,
-                    terms.cross_entropy,
-                    terms.mae_probability,
-                    terms.mae_code,
-                    total,
+            # Raw code-MAE is logged for both heads; only the weighted total
+            # depends on the head.
+            if step % settings.log_every == 0 or step == steps:
+                history.loss_rows.append(
+                    (
+                        step,
+                        loss_d,
+                        terms.adversarial,
+                        terms.cross_entropy,
+                        terms.mae_probability,
+                        terms.mae_code,
+                        total,
+                    )
                 )
-            )
-        if step % settings.metrics_every == 0 or step == steps:
-            predicted = np.concatenate(
-                [np.argmax(chunk.y_hat.value[..., :num_classes], axis=-1) for chunk in chunks]
-            )
-            labels = np.stack([dataset[i].labels.labels for i in idx])
-            accuracy = float((predicted == labels).mean())
-            history.metric_rows.append((step, accuracy))
-        # Release this step's tapes before the next step builds its own.
-        del chunks
+            if step % settings.metrics_every == 0 or step == steps:
+                predicted = np.concatenate(
+                    [np.argmax(chunk.y_hat.value[..., :num_classes], axis=-1) for chunk in chunks]
+                )
+                labels = np.stack([dataset[i].labels.labels for i in idx])
+                accuracy = float((predicted == labels).mean())
+                history.metric_rows.append((step, accuracy))
+            # Release this step's tapes before the next step builds its own.
+            del chunks
 
     return gen, disc, history

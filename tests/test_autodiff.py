@@ -1,6 +1,6 @@
 import sys
-import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -17,6 +17,7 @@ from hadaseg.netkit.models import (
     Generator,
     GeneratorConfig,
 )
+from hadaseg.netkit.train import _map_chunks
 
 from helpers import nearest_upsample_2x, reachable_nodes, rel_error
 
@@ -665,45 +666,21 @@ class TestConcurrentBackward:
             assert p.grad is None, p.name
 
     def test_stress_many_threads_short_switch_interval(self):
-        # One call per chunk on concurrent threads, switching as often as
-        # the interpreter allows: a leaf update that went to another
-        # thread's call would change the bits.
+        # One call per chunk on concurrent threads (the training loop's
+        # chunk map), switching as often as the interpreter allows: a leaf
+        # update that went to another thread's call would change the bits.
         _, disc = _tiny_models()
         per_chunk = _discriminator_update_seeds(disc, np.random.default_rng(53), chunks=4)
         serial = [ad.gradients(seeds) for seeds in per_chunk]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):
-                for got, expected in zip(ad.parallel_map(ad.gradients, per_chunk), serial):
-                    assert list(got) == list(expected)
-                    for p, grad in expected.items():
-                        assert np.array_equal(got[p], grad), p.name
+            with ThreadPoolExecutor(len(per_chunk) - 1) as pool:
+                for _ in range(5):
+                    concurrent = _map_chunks(pool, ad.gradients, per_chunk)
+                    for got, expected in zip(concurrent, serial):
+                        assert list(got) == list(expected)
+                        for p, grad in expected.items():
+                            assert np.array_equal(got[p], grad), p.name
         finally:
             sys.setswitchinterval(interval)
-
-
-class TestParallelMap:
-    def test_results_in_item_order_and_first_item_on_caller(self):
-        def work(i):
-            return i * i, threading.get_ident()
-
-        results = ad.parallel_map(work, range(4))
-        assert [value for value, _ in results] == [0, 1, 4, 9]
-        assert results[0][1] == threading.get_ident()
-        assert all(thread != threading.get_ident() for _, thread in results[1:])
-        assert ad.parallel_map(work, []) == []
-
-    def test_every_call_finishes_before_an_error_is_raised(self):
-        finished = []
-
-        def work(i):
-            if i == 0:
-                raise ValueError("first")
-            threading.Event().wait(0.05)
-            finished.append(i)
-            return i
-
-        with pytest.raises(ValueError, match="first"):
-            ad.parallel_map(work, range(3))
-        assert sorted(finished) == [1, 2]

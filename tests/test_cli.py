@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hadaseg import cli
 from hadaseg.cli import _load_generator, main
 from hadaseg.data import ingest_index_maps, read_image, read_label_map
 from hadaseg.metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
@@ -114,6 +115,17 @@ class TestFwhtBenchCommand:
         assert float(values["dense_seconds"]) > 0
         assert float(values["fwht_seconds"]) > 0
         assert int(values["n"]) == 2**k
+
+    def test_out_of_memory_is_one_config_error(self, capsys, monkeypatch):
+        # k=15 asks for an 8 GiB dense matrix; the stub fails as that
+        # allocation would, without making it.
+        def no_memory(k):
+            raise MemoryError(f"Unable to allocate the 2^{k} dense matrix")
+
+        monkeypatch.setattr(cli, "benchmark_fwht", no_memory)
+        code, out, err = run(capsys, "fwht-bench", "--k", "15")
+        assert code == 2 and out == ""
+        assert err == "error:config: out of memory: Unable to allocate the 2^15 dense matrix\n"
 
 
 class TestRenderCommand:
@@ -394,6 +406,24 @@ class TestBadInputsExitCleanly:
         code, _, err = self._run_model_command(capsys, workdir, "eval")
         assert_one_data_error(code, err)
         assert "negative" in err
+
+    @pytest.mark.parametrize(
+        "name, named",
+        [("meta num_classes", "meta key 'num_classes'"), ("tensor gen.out.b", "tensor 'gen.out.b'")],
+    )
+    def test_duplicate_manifest_line(self, capsys, workdir, name, named):
+        # A second line for a key or a tensor, here with another value or
+        # offset, is a bad file: neither line is taken over the other.
+        def repeat(text):
+            (line,) = [line for line in text.splitlines() if line.startswith(name + " ")]
+            fields = line.split()
+            fields[2] = "3" if fields[0] == "meta" else "0"  # the value or the offset
+            return text + " ".join(fields) + "\n"
+
+        self._edit_manifest(workdir, repeat)
+        code, _, err = self._run_model_command(capsys, workdir, "eval")
+        assert_one_data_error(code, err)
+        assert f"duplicate {named}" in err
 
     @pytest.mark.parametrize("key", ["gen.depth", "num_classes"])
     @pytest.mark.parametrize("command", ["eval", "predict"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hadaseg import data as data_module
 from hadaseg.codes import sylvester
 from hadaseg.data import (
     class_histogram,
@@ -64,9 +65,10 @@ class TestGenSynthetic:
         histogram = class_histogram(samples, 8)
         assert histogram[0] > histogram[1:].sum()
 
-    def test_impossible_placement_raises(self):
+    def test_impossible_placement_raises(self, monkeypatch):
+        monkeypatch.setattr(data_module, "MAX_PLACE_RETRIES", 1)
         with pytest.raises(GenerationError):
-            gen_synthetic(seed=0, count=1, size=16, num_classes=4, max_place_retries=1)
+            gen_synthetic(seed=0, count=1, size=16, num_classes=4)
 
     def test_parameter_validation(self):
         with pytest.raises(GenerationError):

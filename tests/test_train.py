@@ -1,4 +1,6 @@
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hadaseg.netkit import (
     save_models,
     train_cgan,
 )
+from hadaseg.netkit import autodiff as ad
 from hadaseg.netkit import train as train_module
 from hadaseg.netkit.optim import adam_step
 from hadaseg.netkit.train import LOSS_CSV_COLUMNS
@@ -137,24 +140,32 @@ class TestTrainLoop:
 
     def test_generator_update_computes_no_discriminator_gradient(self, monkeypatch):
         # The generator backward runs with the discriminator's flags cleared:
-        # it leaves each D Parameter's gradient as the array the D update
-        # gave Adam, and the flags are set again for the next D update.
-        disc_grads = []
+        # the gradients of the generator phase hold no discriminator
+        # Parameter, the flags are set again for the next D update, and
+        # training writes no Parameter's .grad.
+        returned = []
+        gradients = ad.gradients
 
-        def recording_adam_step(params, grads, state, **kwargs):
-            if "d0.w" in grads:
-                disc_grads.append(dict(grads))
-            return adam_step(params, grads, state, **kwargs)
+        def recording_gradients(seeds):
+            returned.append(gradients(seeds))
+            return returned[-1]
 
-        monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
+        monkeypatch.setattr(ad, "gradients", recording_gradients)
         gen_cfg, disc_cfg = _tiny_configs()
-        _, disc, _ = train_cgan(
+        gen, disc, history = train_cgan(
             gen_cfg, disc_cfg, _tiny_dataset(), 2, seed=5, settings=TrainSettings(batch_size=2)
         )
-        assert len(disc_grads) == 2
-        for name, param in disc.parameters.items():
-            assert param.grad is disc_grads[-1][name], name
-            assert param.needs_grad, name
+        gen_params = set(gen.parameters.values())
+        disc_params = set(disc.parameters.values())
+        generator_phase = [grads for grads in returned if gen_params & set(grads)]
+        assert len(generator_phase) == 2 * int(history.header["threads"])
+        assert len(returned) == 2 * len(generator_phase)
+        for grads in generator_phase:
+            assert not disc_params & set(grads)
+        for param in disc_params:
+            assert param.needs_grad, param.name
+        for param in gen_params | disc_params:
+            assert param.grad is None, param.name
 
     def test_non_finite_generator_loss_stops_before_generator_update(self, monkeypatch):
         calls = []
@@ -271,6 +282,84 @@ class TestDataParallelSteps:
         np.testing.assert_allclose(
             np.array(runs[0][1].loss_rows), np.array(serial.loss_rows), rtol=1e-12, atol=0
         )
+
+
+class TestMapChunks:
+    def test_results_in_item_order_and_first_item_on_caller(self):
+        def work(i):
+            return i * i, threading.get_ident()
+
+        with ThreadPoolExecutor(3) as pool:
+            results = train_module._map_chunks(pool, work, range(4))
+            assert train_module._map_chunks(pool, work, []) == []
+        assert [value for value, _ in results] == [0, 1, 4, 9]
+        assert results[0][1] == threading.get_ident()
+        assert all(thread != threading.get_ident() for _, thread in results[1:])
+
+    def test_every_call_finishes_before_an_error_is_raised(self):
+        finished = []
+
+        def work(i):
+            if i == 0:
+                raise ValueError("first")
+            threading.Event().wait(0.05)
+            finished.append(i)
+            return i
+
+        with ThreadPoolExecutor(2) as pool:
+            with pytest.raises(ValueError, match="first"):
+                train_module._map_chunks(pool, work, range(3))
+            assert sorted(finished) == [1, 2]
+
+    def test_single_chunk_never_touches_the_pool(self):
+        pool = ThreadPoolExecutor(1)
+        pool.shutdown()  # a submit would raise RuntimeError
+        assert train_module._map_chunks(pool, lambda i: i + 1, [4]) == [5]
+
+
+def _record_started_threads(monkeypatch) -> list:
+    """Patch ``Thread.start`` to record every thread started from now on."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+class TestWorkerThreads:
+    def test_no_thread_outlives_a_returning_call(self, monkeypatch):
+        started = _record_started_threads(monkeypatch)
+        _, history = _train_with_threads(monkeypatch, 2, 1)
+        assert history.header["threads"] == "2"
+        assert started, "a two-chunk step runs its second chunk on a worker thread"
+        assert not [t.name for t in started if t.is_alive()]
+
+    def test_no_thread_outlives_a_diverged_call(self, monkeypatch):
+        started = _record_started_threads(monkeypatch)
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(train_module, "_blas_threads", lambda: 1)
+        dataset = _tiny_dataset()
+        for sample in dataset:
+            sample.image[3, 5, 1] = np.nan
+        gen_cfg, disc_cfg = _tiny_configs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError):
+                train_cgan(
+                    gen_cfg, disc_cfg, dataset, 3, seed=5, settings=TrainSettings(batch_size=2)
+                )
+        assert started, "a two-chunk step runs its second chunk on a worker thread"
+        assert not [t.name for t in started if t.is_alive()]
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        started = _record_started_threads(monkeypatch)
+        _, history = _train_with_threads(monkeypatch, 2, 2)
+        assert history.header["threads"] == "1"
+        assert started == []
 
 
 class TestCheckpointRoundTrip:
