@@ -42,7 +42,8 @@ and has no thread-local or other shared mutable state: a walk writes only
 to its own dict, an op's backprop reads only its closure and its argument,
 and ``gradients`` writes no node's ``.grad``. So no array is written by two
 threads, and the caller adds the returned leaf gradients in an order it
-chooses, which keeps the sums independent of thread timing.
+chooses, which keeps the sums independent of thread timing. Training does
+not rely on this: it runs its chunks in separate processes (see train.py).
 """
 
 from __future__ import annotations

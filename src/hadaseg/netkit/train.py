@@ -11,15 +11,24 @@ A step is data-parallel up to Adam. Nothing couples the samples of a batch
 before the losses (the networks have no batch statistics), and every loss
 term is a mean over the batch, so the batch is split into P chunks with
 ``np.array_split`` and each chunk does its own part of both updates. The
-chunks run concurrently, the first on the calling thread and the others on
-a pool that ``train_cgan`` owns and joins before it returns or raises. Each
-encodes its own targets, runs its forwards, computes its loss terms' sums
-and gradients (``loss.*_loss_sums``) and walks its own backward
-(``autodiff.gradients``). Only the loss sums and the Parameters' gradients
-cross threads. Both are added in chunk order; the sums are then divided by
-the whole batch's element counts. P is the number of usable CPUs that BLAS
-leaves idle (see ``thread_count``), so a BLAS that already runs a thread
-per CPU gets P = 1, a step of one chunk, and starts no thread.
+calling process fetches every sample of the step first and runs the first
+chunk itself. The others run at the same time in P - 1 worker processes
+that ``train_cgan`` forks once per call and joins before it returns or
+raises; processes, unlike threads, do not wait on each other for the
+interpreter lock. Each chunk encodes its own targets, runs its forwards,
+computes its loss terms' sums and gradients (``loss.*_loss_sums``) and
+walks its own backward (``autodiff.gradients``), and a worker keeps its
+chunk's generator tape between the two parts. Only the loss sums and the
+Parameters' gradients cross processes: the parameter values live in a
+shared mapping that Adam updates in place, each worker writes its
+gradients into a shared buffer of its own, and the rest goes through a
+pipe. Both are added in chunk order; the sums are then divided by the whole
+batch's element counts. P is the number of usable CPUs that BLAS leaves
+idle (see ``thread_count``), so a BLAS that already runs a thread per CPU
+gets P = 1, a step of one chunk, which forks nothing and shares nothing.
+Workers are forked, not spawned, so that a call does not re-import numpy
+and the package; P > 1 needs ``/proc`` to read the BLAS thread count, so
+it arises only where ``fork`` exists.
 
 Everything is derived from a single seed: weight init, batch order, and the
 synthetic data stream if the caller built one the same way. Rerunning with
@@ -36,9 +45,12 @@ and 1.
 from __future__ import annotations
 
 import ctypes
+import mmap
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import signal
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -102,11 +114,12 @@ def _blas_threads() -> int | None:
 
 
 def thread_count(batch_size: int, blas_threads: int | None) -> int:
-    """Threads a training step runs on, the P of the module docstring.
+    """Chunks a training step runs as, each in its own process, the P of
+    the module docstring.
 
     One per usable CPU that BLAS leaves idle when it runs ``blas_threads``
     threads, and at most one per sample of the batch; 1 when the BLAS
-    thread count is unknown. More threads contend with BLAS for the CPUs:
+    thread count is unknown. More chunks contend with BLAS for the CPUs:
     on 2 CPUs with 2 BLAS threads, a step at the C7 smoke shapes took 94 ms
     in two chunks against 69 ms in one.
     """
@@ -177,23 +190,157 @@ def _check_finite(
     raise TrainingDivergedError(f"non-finite {what} at step {step}: {diagnostic}{names}")
 
 
-def _map_chunks(pool: ThreadPoolExecutor, fn, chunks) -> list:
-    """``[fn(chunk) for chunk in chunks]``, the first chunk on the calling
-    thread and the others on ``pool``, which a single chunk never touches.
-    Every call finishes before this returns or raises; the first chunk's
-    exception wins, then the others' in chunk order."""
-    futures = [pool.submit(fn, chunk) for chunk in chunks[1:]]
+def _trim_heap() -> None:
+    """Return the free pages of glibc's heap to the system; a no-op where
+    there is no glibc. A forked worker calls it first: the heap pages it
+    gives back are no longer shared, so the parent's next writes to them
+    do not copy them. On a 2-vCPU VM with perfbench's allocator settings,
+    the first step of a k=6 call at P = 2 took 58-68 ms longer than the
+    call's other steps without it and 30-33 ms longer with it."""
     try:
-        results = [fn(chunk) for chunk in chunks[:1]]
-    finally:
-        wait(futures)
-    return results + [future.result() for future in futures]
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    libc.malloc_trim.argtypes = [ctypes.c_size_t]
+    libc.malloc_trim.restype = ctypes.c_int
+    libc.malloc_trim(0)
+
+
+def _serve(conn, fn, inherited) -> None:
+    """A chunk worker's loop: answer each message on ``conn`` with
+    ``(None, fn(message))``, or ``(exception, None)`` when ``fn`` raises,
+    until the parent closes its end. ``inherited`` are the parent's pipe
+    ends that the fork copied; closing them lets this worker, and every
+    other, see EOF when the parent dies."""
+    for end in inherited:
+        end.close()
+    # Ctrl-C reaches the whole process group; the parent handles it and
+    # closes the pipes.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _trim_heap()
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, ConnectionError):  # the parent is gone
+            return
+        try:
+            reply = (None, fn(message))
+        except Exception as exc:  # sent back for the parent to raise
+            reply = (exc, None)
+        try:
+            conn.send(reply)
+        except ConnectionError:  # the parent is gone
+            return
+
+
+class _ChunkWorkers:
+    """Forked processes that run the chunks after the first of each step,
+    one process per chunk, each calling its function of ``fns`` on the
+    messages it is sent. The parent runs the first chunk itself.
+
+    Worker processes share no state with the parent after the fork except
+    what the caller puts in shared memory beforehand, and replies are
+    pickled. Closing the workers (the ``with`` block does) stops and joins
+    every process, killing one that has not exited after
+    ``_STOP_SECONDS``. A worker also exits when the parent dies.
+    """
+
+    _STOP_SECONDS = 5.0
+
+    def __init__(self, fns):
+        context = multiprocessing.get_context("fork")
+        self._conns: list = []
+        self._processes: list = []
+        try:
+            for fn in fns:
+                conn, child_conn = context.Pipe()
+                process = context.Process(
+                    target=_serve, args=(child_conn, fn, [*self._conns, conn]), daemon=True
+                )
+                process.start()
+                child_conn.close()
+                self._conns.append(conn)
+                self._processes.append(process)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> _ChunkWorkers:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        for conn in self._conns:
+            conn.close()
+        for process in self._processes:
+            process.join(self._STOP_SECONDS)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        self._conns, self._processes = [], []
+
+    def map(self, first, messages: list) -> list:
+        """``first()``, run in this process, followed by each worker's
+        result for its message, in worker order.
+
+        Every chunk finishes before this returns or raises. The first
+        chunk's exception wins, then the workers' in order. A worker that
+        died raises MemoryError if SIGKILL ended it (the out-of-memory
+        killer's signal), otherwise ChildProcessError; either names its
+        exit status.
+        """
+        for conn, message in zip(self._conns, messages):
+            try:
+                conn.send(message)
+            except ConnectionError:  # a dead worker, reported by _receive
+                pass
+        try:
+            results = [first()]
+        finally:
+            replies = [self._receive(i) for i in range(len(messages))]
+        for error, _ in replies:
+            if error is not None:
+                raise error
+        return results + [result for _, result in replies]
+
+    def _receive(self, i: int) -> tuple:
+        try:
+            return self._conns[i].recv()
+        except (EOFError, ConnectionError):
+            process = self._processes[i]
+            process.join(self._STOP_SECONDS)
+            status = process.exitcode
+            what = f"chunk worker {i + 1} died (exit status {status})"
+            if status == -signal.SIGKILL:
+                return MemoryError(f"{what}: killed by SIGKILL"), None
+            return ChildProcessError(what), None
+
+
+def _share_parameters(parameters: list[ad.Parameter], rows: int) -> list[dict]:
+    """Move every Parameter's value into row 0 of one anonymous shared
+    mapping of ``rows`` rows, so that forked workers read the values that
+    Adam updates in place here. Returns rows 1.. as {Parameter: array}
+    dicts, a gradient buffer per worker, shaped like the Parameters."""
+    size = sum(p.value.size for p in parameters)
+    table = np.frombuffer(mmap.mmap(-1, 8 * size * rows), dtype=np.float64).reshape(rows, size)
+    ends = np.cumsum([p.value.size for p in parameters])
+    views = [
+        {p: flat.reshape(p.value.shape) for p, flat in zip(parameters, np.split(row, ends[:-1]))}
+        for row in table
+    ]
+    for p, view in views[0].items():
+        view[...] = p.value
+        p.value = view
+    return views[1:]
 
 
 def _sum_chunk_grads(parameters: dict[str, ad.Parameter], chunk_grads) -> dict[str, np.ndarray]:
-    """Each Parameter's gradients from the chunks' ``autodiff.gradients``
-    calls, added in chunk order; returns the sums by name. No Parameter's
-    ``.grad`` is written."""
+    """Each Parameter's gradients from the chunks, added in chunk order;
+    returns the sums by name. ``chunk_grads`` holds a {Parameter: array}
+    dict per chunk: the first chunk's ``autodiff.gradients`` result, then
+    each worker's shared buffer. No Parameter's ``.grad`` is written."""
     sums = {name: chunk_grads[0][p] for name, p in parameters.items()}
     for leaf_grads in chunk_grads[1:]:
         for name, p in parameters.items():
@@ -290,19 +437,21 @@ def train_cgan(
         return gen, disc, history
 
     sampler = _BatchSampler(len(dataset), np.random.default_rng(seeds[2]))
+    parameters = [*gen.parameters.values(), *disc.parameters.values()]
+    worker_grads = _share_parameters(parameters, workers) if workers > 1 else []
     gen_params = {name: p.value for name, p in gen.parameters.items()}
     disc_params = {name: p.value for name, p in disc.parameters.items()}
     gen_state = adam_init(gen_params)
     disc_state = adam_init(disc_params)
     adam_settings = {"lr": settings.lr, "beta1": settings.beta1, "beta2": settings.beta2}
 
-    def discriminator_part(idx):
-        """A chunk's targets, its generator forward (tape kept for the
-        generator update), its part of the discriminator loss and its
-        discriminator gradients. The predicted map enters the discriminator
-        as a raw array so no gradient reaches the generator here."""
-        x = np.stack([dataset[i].image for i in idx])
-        encoded = [encode_targets(dataset[i].labels, codebook) for i in idx]
+    def discriminator_part(held, x, labels):
+        """A chunk's targets, its generator forward (kept in ``held`` for
+        the generator part), its part of the discriminator loss and its
+        discriminator gradients; returns its (counts, sums) and the
+        gradients. The predicted map enters the discriminator as a raw
+        array so no gradient reaches the generator here."""
+        encoded = [encode_targets(label_map, codebook) for label_map in labels]
         y_one_hot = np.stack([e.one_hot for e in encoded])
         y_code = np.stack([e.hadamard for e in encoded])
         y_hat, y_c = gen.forward(x)
@@ -310,12 +459,17 @@ def train_cgan(
         fake = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
         counts = _batch_counts(settings.batch_size, real.value, fake.value)
         sums, (g_real, g_fake) = discriminator_loss_sums(real.value, fake.value, counts)
-        grads = ad.gradients([(real, g_real), (fake, g_fake)])
-        return _Chunk(x, y_one_hot, y_code, y_hat, y_c), counts, sums, grads
+        held["chunk"] = _Chunk(x, y_one_hot, y_code, y_hat, y_c)
+        return (counts, sums), ad.gradients([(real, g_real), (fake, g_fake)])
 
-    def generator_part(chunk):
-        """A chunk's forward through the refreshed discriminator, its part
-        of the generator loss and its generator gradients."""
+    def generator_part(held, with_argmax):
+        """The held chunk's forward through the refreshed discriminator,
+        its part of the generator loss and its generator gradients; returns
+        its (counts, sums, argmax map or None) and the gradients, and drops
+        the chunk. The discriminator's Parameters need no gradient until
+        the backward is done, so it computes no discriminator gradient."""
+        chunk = held.pop("chunk")
+        ad.set_needs_grad(disc.parameters.values(), False)
         alpha = disc.forward(ad.channel_concat(ad.as_node(chunk.x), chunk.y_hat))
         y, y_code = chunk.y_one_hot, chunk.y_code
         counts = _batch_counts(settings.batch_size, alpha.value, y, y_code)
@@ -325,29 +479,56 @@ def train_cgan(
         seeds = [(alpha, g_alpha), (chunk.y_hat, g_y_hat)]
         if effective.lambda3 != 0.0:
             seeds.append((chunk.y_c, g_y_c))
-        return counts, sums, ad.gradients(seeds)
+        grads = ad.gradients(seeds)
+        ad.set_needs_grad(disc.parameters.values(), True)
+        predicted = None
+        if with_argmax:
+            predicted = np.argmax(chunk.y_hat.value[..., :num_classes], axis=-1)
+        return (counts, sums, predicted), grads
 
-    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="hadaseg-train") as pool:
+    parts = {"discriminator": discriminator_part, "generator": generator_part}
+
+    def worker_part(grads_out, held, message):
+        """Runs in a worker: the part ``message`` names, for the worker's
+        chunk. Its gradients go into ``grads_out``, which the parent
+        reads; the rest is the reply."""
+        name, *args = message
+        reply, grads = parts[name](held, *args)
+        for p, g in grads.items():
+            grads_out[p][...] = g
+        return reply
+
+    held: dict = {}
+    with _ChunkWorkers([partial(worker_part, g, {}) for g in worker_grads]) as chunk_workers:
         for step in range(1, steps + 1):
-            idx = sampler.take(settings.batch_size)
+            # Every fetch of the step comes first, here; workers get their
+            # chunk's images and label maps.
+            batch = [dataset[i] for i in sampler.take(settings.batch_size)]
+            chunks = [
+                (np.stack([batch[i].image for i in part]), [batch[i].labels for i in part])
+                for part in np.array_split(np.arange(len(batch)), workers)
+            ]
+            with_argmax = step % settings.metrics_every == 0 or step == steps
 
             # Discriminator update.
-            chunks, counts, sums, grads = zip(
-                *_map_chunks(pool, discriminator_part, np.array_split(idx, workers))
+            (own, own_grads), *others = chunk_workers.map(
+                lambda: discriminator_part(held, *chunks[0]),
+                [("discriminator", *chunk) for chunk in chunks[1:]],
             )
+            counts, sums = zip(own, *others)
             loss_d = discriminator_loss_from_sums(sums, counts[0])
-            disc_grads = _sum_chunk_grads(disc.parameters, grads)
+            disc_grads = _sum_chunk_grads(disc.parameters, [own_grads, *worker_grads])
             _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
             adam_step(disc_params, disc_grads, disc_state, **adam_settings)
 
-            # Generator update through the refreshed discriminator. Its
-            # Parameters need no gradient until the chunks' backwards are
-            # done, so those compute no discriminator weight gradient.
-            ad.set_needs_grad(disc.parameters.values(), False)
-            counts, sums, grads = zip(*_map_chunks(pool, generator_part, chunks))
-            ad.set_needs_grad(disc.parameters.values(), True)
+            # Generator update through the refreshed discriminator.
+            (own, own_grads), *others = chunk_workers.map(
+                lambda: generator_part(held, with_argmax),
+                [("generator", with_argmax)] * (workers - 1),
+            )
+            counts, sums, predicted = zip(own, *others)
             total, terms = generator_loss_from_sums(sums, counts[0], effective)
-            gen_grads = _sum_chunk_grads(gen.parameters, grads)
+            gen_grads = _sum_chunk_grads(gen.parameters, [own_grads, *worker_grads])
             _check_finite(
                 step,
                 total,
@@ -372,14 +553,12 @@ def train_cgan(
                         total,
                     )
                 )
-            if step % settings.metrics_every == 0 or step == steps:
-                predicted = np.concatenate(
-                    [np.argmax(chunk.y_hat.value[..., :num_classes], axis=-1) for chunk in chunks]
-                )
-                labels = np.stack([dataset[i].labels.labels for i in idx])
-                accuracy = float((predicted == labels).mean())
+            if with_argmax:
+                labels = np.stack([sample.labels.labels for sample in batch])
+                accuracy = float((np.concatenate(predicted) == labels).mean())
                 history.metric_rows.append((step, accuracy))
-            # Release this step's tapes before the next step builds its own.
-            del chunks
 
+    if worker_grads:  # the returned networks hold private arrays
+        for p in parameters:
+            p.value = np.array(p.value)
     return gen, disc, history

@@ -1,13 +1,17 @@
 """Shared test utilities: gradient checking against central finite differences,
-walking an autodiff tape, a reference upsampling op, and corrupting an image
-file."""
+walking an autodiff tape, a reference upsampling op, corrupting an image
+file, and killing training's chunk workers."""
 
+import multiprocessing
+import os
+import signal
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from hadaseg.netkit import autodiff as ad
+from hadaseg.netkit import train
 
 
 def rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
@@ -74,3 +78,21 @@ def write_bad_pixel(path, index, value: float) -> None:
     offset = 13 + 8 * int(np.ravel_multi_index(index, (height, width, 3)))
     struct.pack_into("<d", data, offset, value)
     Path(path).write_bytes(data)
+
+
+def kill_workers_at_step(monkeypatch, step: int) -> None:
+    """Make training SIGKILL its chunk workers from the parent, while they
+    run their discriminator parts of ``step``."""
+    parent = os.getpid()
+    calls = []
+    loss_sums = train.discriminator_loss_sums
+
+    def killing_loss_sums(*args):
+        if os.getpid() == parent:
+            calls.append(None)
+            if len(calls) == step:
+                for child in multiprocessing.active_children():
+                    os.kill(child.pid, signal.SIGKILL)
+        return loss_sums(*args)
+
+    monkeypatch.setattr(train, "discriminator_loss_sums", killing_loss_sums)

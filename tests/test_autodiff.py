@@ -17,7 +17,6 @@ from hadaseg.netkit.models import (
     Generator,
     GeneratorConfig,
 )
-from hadaseg.netkit.train import _map_chunks
 
 from helpers import nearest_upsample_2x, reachable_nodes, rel_error
 
@@ -631,6 +630,15 @@ def _discriminator_update_seeds(disc, rng, chunks):
     return per_chunk
 
 
+def _map_on_threads(fn, items):
+    """``[fn(item) for item in items]``, the first on the calling thread and
+    the others on a pool; every call finishes before this returns or raises,
+    and the first item's exception wins."""
+    with ThreadPoolExecutor(max(1, len(items) - 1)) as pool:
+        futures = [pool.submit(fn, item) for item in items[1:]]
+        return [fn(items[0])] + [future.result() for future in futures]
+
+
 class TestConcurrentBackward:
     def test_gradients_returns_visited_leaves_and_writes_no_leaf_grad(self):
         # Each visited leaf is returned, None where nothing arrived (here,
@@ -666,21 +674,20 @@ class TestConcurrentBackward:
             assert p.grad is None, p.name
 
     def test_stress_many_threads_short_switch_interval(self):
-        # One call per chunk on concurrent threads (the training loop's
-        # chunk map), switching as often as the interpreter allows: a leaf
-        # update that went to another thread's call would change the bits.
+        # One call per chunk on concurrent threads, switching as often as
+        # the interpreter allows: a leaf update that went to another
+        # thread's call would change the bits.
         _, disc = _tiny_models()
         per_chunk = _discriminator_update_seeds(disc, np.random.default_rng(53), chunks=4)
         serial = [ad.gradients(seeds) for seeds in per_chunk]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(len(per_chunk) - 1) as pool:
-                for _ in range(5):
-                    concurrent = _map_chunks(pool, ad.gradients, per_chunk)
-                    for got, expected in zip(concurrent, serial):
-                        assert list(got) == list(expected)
-                        for p, grad in expected.items():
-                            assert np.array_equal(got[p], grad), p.name
+            for _ in range(5):
+                concurrent = _map_on_threads(ad.gradients, per_chunk)
+                for got, expected in zip(concurrent, serial):
+                    assert list(got) == list(expected)
+                    for p, grad in expected.items():
+                        assert np.array_equal(got[p], grad), p.name
         finally:
             sys.setswitchinterval(interval)

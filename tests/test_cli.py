@@ -8,6 +8,7 @@ from hadaseg.cli import _load_generator, main
 from hadaseg.data import ingest_index_maps, read_image, read_label_map
 from hadaseg.metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
 from hadaseg.data import gen_synthetic, write_dataset
+from hadaseg.netkit import train as train_module
 from hadaseg.netkit import (
     DiscriminatorConfig,
     GeneratorConfig,
@@ -17,7 +18,7 @@ from hadaseg.netkit import (
     save_models,
 )
 
-from helpers import reachable_nodes, write_bad_pixel
+from helpers import kill_workers_at_step, reachable_nodes, write_bad_pixel
 
 H8_CSV = (
     "1,1,1,1,1,1,1,1\n"
@@ -238,6 +239,22 @@ class TestTrainCommand:
         assert code == 2
         assert err.startswith("error:config:") and err.count("\n") == 1
         assert "seed" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_killed_chunk_worker_is_one_error_line(self, capsys, monkeypatch, tiny_run, tmp_path):
+        # Two chunks per step, and the second chunk's worker gets SIGKILL,
+        # the out-of-memory killer's signal, during step 2.
+        _, config, _ = tiny_run
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(train_module, "_blas_threads", lambda: 1)
+        kill_workers_at_step(monkeypatch, 2)
+        code, _, err = run(
+            capsys, "train", "--config", str(config), "--head", "hadamard",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert err.startswith("error:config: out of memory: chunk worker 1 died (exit status -9)")
+        assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_config_with_non_text_bytes(self, capsys, tmp_path):

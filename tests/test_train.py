@@ -1,6 +1,9 @@
+import mmap
+import multiprocessing
+import os
 import threading
+import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from hadaseg.netkit import autodiff as ad
 from hadaseg.netkit import train as train_module
 from hadaseg.netkit.optim import adam_step
 from hadaseg.netkit.train import LOSS_CSV_COLUMNS
+
+from helpers import kill_workers_at_step
 
 
 def _tiny_dataset():
@@ -142,7 +147,10 @@ class TestTrainLoop:
         # The generator backward runs with the discriminator's flags cleared:
         # the gradients of the generator phase hold no discriminator
         # Parameter, the flags are set again for the next D update, and
-        # training writes no Parameter's .grad.
+        # training writes no Parameter's .grad. One chunk, so that every
+        # gradients call runs in this process.
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(train_module, "_blas_threads", lambda: 2)
         returned = []
         gradients = ad.gradients
 
@@ -284,62 +292,76 @@ class TestDataParallelSteps:
         )
 
 
-class TestMapChunks:
-    def test_results_in_item_order_and_first_item_on_caller(self):
+class TestChunkWorkers:
+    def test_results_in_chunk_order_and_first_chunk_on_caller(self):
         def work(i):
-            return i * i, threading.get_ident()
+            return i * i, os.getpid()
 
-        with ThreadPoolExecutor(3) as pool:
-            results = train_module._map_chunks(pool, work, range(4))
-            assert train_module._map_chunks(pool, work, []) == []
+        with train_module._ChunkWorkers([work] * 3) as workers:
+            results = workers.map(lambda: work(0), [1, 2, 3])
         assert [value for value, _ in results] == [0, 1, 4, 9]
-        assert results[0][1] == threading.get_ident()
-        assert all(thread != threading.get_ident() for _, thread in results[1:])
+        assert results[0][1] == os.getpid()
+        worker_pids = {pid for _, pid in results[1:]}
+        assert len(worker_pids) == 3 and os.getpid() not in worker_pids
 
-    def test_every_call_finishes_before_an_error_is_raised(self):
-        finished = []
+    def test_every_chunk_finishes_before_an_error_is_raised(self):
+        # Workers write to shared memory after a delay, so a parent that
+        # raised before they finished would see zeros. The first chunk's
+        # exception wins, then the workers' in order, pickled back.
+        done = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
 
         def work(i):
-            if i == 0:
-                raise ValueError("first")
-            threading.Event().wait(0.05)
-            finished.append(i)
+            time.sleep(0.05)
+            done[i - 1] += 1
+            if i == 2:
+                raise TrainingDivergedError(f"chunk {i}")
             return i
 
-        with ThreadPoolExecutor(2) as pool:
+        def first():
+            raise ValueError("first")
+
+        with train_module._ChunkWorkers([work, work]) as workers:
             with pytest.raises(ValueError, match="first"):
-                train_module._map_chunks(pool, work, range(3))
-            assert sorted(finished) == [1, 2]
-
-    def test_single_chunk_never_touches_the_pool(self):
-        pool = ThreadPoolExecutor(1)
-        pool.shutdown()  # a submit would raise RuntimeError
-        assert train_module._map_chunks(pool, lambda i: i + 1, [4]) == [5]
-
-
-def _record_started_threads(monkeypatch) -> list:
-    """Patch ``Thread.start`` to record every thread started from now on."""
-    started = []
-    start = threading.Thread.start
-
-    def recording_start(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
-    return started
+                workers.map(first, [1, 2])
+            assert list(done) == [1, 1, 0]
+            with pytest.raises(TrainingDivergedError, match="chunk 2"):
+                workers.map(lambda: 0, [1, 2])
+            assert list(done) == [2, 2, 0]
+            assert workers.map(lambda: 0, [1, 3]) == [0, 1, 3]
 
 
-class TestWorkerThreads:
-    def test_no_thread_outlives_a_returning_call(self, monkeypatch):
-        started = _record_started_threads(monkeypatch)
+def _record_started(monkeypatch) -> tuple[list, list]:
+    """Patch ``Process.start`` and ``Thread.start`` to record every process
+    and thread started from now on."""
+    processes, threads = [], []
+    start_process = multiprocessing.process.BaseProcess.start
+    start_thread = threading.Thread.start
+
+    def recording_start_process(process):
+        processes.append(process)
+        start_process(process)
+
+    def recording_start_thread(thread):
+        threads.append(thread)
+        start_thread(thread)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start_process)
+    monkeypatch.setattr(threading.Thread, "start", recording_start_thread)
+    return processes, threads
+
+
+class TestWorkerProcesses:
+    def test_no_process_outlives_a_returning_call(self, monkeypatch):
+        processes, threads = _record_started(monkeypatch)
         _, history = _train_with_threads(monkeypatch, 2, 1)
         assert history.header["threads"] == "2"
-        assert started, "a two-chunk step runs its second chunk on a worker thread"
-        assert not [t.name for t in started if t.is_alive()]
+        assert len(processes) == 1, "a two-chunk step runs its second chunk in a worker"
+        assert processes[0].exitcode == 0
+        assert multiprocessing.active_children() == []
+        assert threads == []
 
-    def test_no_thread_outlives_a_diverged_call(self, monkeypatch):
-        started = _record_started_threads(monkeypatch)
+    def test_no_process_outlives_a_diverged_call(self, monkeypatch):
+        processes, threads = _record_started(monkeypatch)
         monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(train_module, "_blas_threads", lambda: 1)
         dataset = _tiny_dataset()
@@ -352,14 +374,33 @@ class TestWorkerThreads:
                 train_cgan(
                     gen_cfg, disc_cfg, dataset, 3, seed=5, settings=TrainSettings(batch_size=2)
                 )
-        assert started, "a two-chunk step runs its second chunk on a worker thread"
-        assert not [t.name for t in started if t.is_alive()]
+        assert len(processes) == 1, "a two-chunk step runs its second chunk in a worker"
+        assert processes[0].exitcode == 0
+        assert multiprocessing.active_children() == []
+        assert threads == []
 
-    def test_one_chunk_starts_no_thread(self, monkeypatch):
-        started = _record_started_threads(monkeypatch)
+    def test_one_chunk_starts_no_process(self, monkeypatch):
+        processes, threads = _record_started(monkeypatch)
         _, history = _train_with_threads(monkeypatch, 2, 2)
         assert history.header["threads"] == "1"
-        assert started == []
+        assert processes == [] and threads == []
+
+    def test_killed_worker_raises_promptly(self, monkeypatch):
+        # SIGKILL, as the out-of-memory killer sends it, during step 2.
+        processes, _ = _record_started(monkeypatch)
+        kill_workers_at_step(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(MemoryError, match="exit status -9"):
+            _train_with_threads(monkeypatch, 2, 1)
+        assert time.perf_counter() - start < 30
+        assert len(processes) == 1 and processes[0].exitcode == -9
+        assert multiprocessing.active_children() == []
+
+    def test_returned_networks_hold_private_arrays(self, monkeypatch):
+        # The Parameters lived in a shared mapping during the call.
+        gen, _ = _train_with_threads(monkeypatch, 2, 1)
+        for p in gen.parameters.values():
+            assert p.value.base is None and p.value.flags.owndata, p.name
 
 
 class TestCheckpointRoundTrip:
