@@ -81,8 +81,8 @@ def write_bad_pixel(path, index, value: float) -> None:
 
 
 def kill_workers_at_step(monkeypatch, step: int) -> None:
-    """Make training SIGKILL its chunk workers from the parent, while they
-    run their discriminator parts of ``step``."""
+    """Make training's parent process SIGKILL its chunk workers during
+    step ``step``, from a hook in the parent's own discriminator part."""
     parent = os.getpid()
     calls = []
     loss_sums = train.discriminator_loss_sums
