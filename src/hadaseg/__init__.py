@@ -2,7 +2,6 @@
 
 from .codes import (
     Codebook,
-    decode_correlation,
     fwht,
     fwht_apply,
     min_pairwise_distance,
@@ -38,7 +37,6 @@ __all__ = [
     "confusion",
     "ConfusionMatrix",
     "cross_entropy",
-    "decode_correlation",
     "discriminator_loss",
     "encode_targets",
     "EncodedTargets",

@@ -9,7 +9,9 @@ Exit codes: 0 ok, 2 configuration/usage error (out of memory included),
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import shutil
 import sys
 import time
@@ -115,10 +117,22 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(out: Path) -> None:
+    """Raise the OSError that ``out.mkdir(parents=True, exist_ok=True)``
+    would when ``out``, or the nearest ancestor of it that exists, is not
+    a directory. Creates nothing."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
+
+
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     if not cfg.data_dir:
         raise ConfigError(f"{args.config}: data.dir must be set for training")
+    out = Path(args.out)
+    _check_out_dir(out)  # before training, not after it
     dataset = ingest_index_maps(cfg.data_dir, num_classes=cfg.classes)
     if not dataset:
         raise IngestionError(f"{cfg.data_dir}: no samples found")
@@ -132,7 +146,6 @@ def _cmd_train(args) -> int:
         settings=cfg.train,
         num_classes=cfg.classes,
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "history.csv").write_text(history.loss_csv(), encoding="ascii")
     (out / "metrics.csv").write_text(history.metrics_csv(), encoding="ascii")

@@ -136,16 +136,6 @@ def fwht_apply(cb: Codebook, v: np.ndarray) -> np.ndarray:
     return fwht(v)
 
 
-def decode_correlation(cb: Codebook, v: np.ndarray) -> int:
-    """Decode v to the active class with maximal codeword correlation.
-
-    The correlations <row_j, v> are exactly the first K entries of H @ v,
-    so one fast transform suffices. Ties resolve to the lowest index.
-    """
-    correlations = fwht_apply(cb, np.asarray(v, dtype=np.float64))
-    return int(np.argmax(correlations[: cb.num_classes]))
-
-
 def min_pairwise_distance(cb: Codebook) -> int:
     """Minimum Hamming distance over all distinct row pairs.
 

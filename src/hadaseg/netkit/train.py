@@ -25,7 +25,8 @@ gradients into a shared buffer of its own, and the rest goes through a
 pipe. Both are added in chunk order; the sums are then divided by the whole
 batch's element counts. P is the number of usable CPUs that BLAS leaves
 idle (see ``thread_count``), so a BLAS that already runs a thread per CPU
-gets P = 1, a step of one chunk, which forks nothing and shares nothing.
+gets P = 1, a step of one chunk, which forks nothing and whose shared
+mapping holds only the parameter values.
 Workers are forked, not spawned, so that a call does not re-import numpy
 and the package; P > 1 needs ``/proc`` to read the BLAS thread count, so
 it arises only where ``fork`` exists.
@@ -51,6 +52,7 @@ import os
 import signal
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -320,9 +322,9 @@ class _ChunkWorkers:
 
 def _share_parameters(parameters: list[ad.Parameter], rows: int) -> list[dict]:
     """Move every Parameter's value into row 0 of one anonymous shared
-    mapping of ``rows`` rows, so that forked workers read the values that
-    Adam updates in place here. Returns rows 1.. as {Parameter: array}
-    dicts, a gradient buffer per worker, shaped like the Parameters."""
+    mapping of ``rows`` rows, one per chunk, so that forked workers read the
+    values that Adam updates in place here. Returns rows 1.., a {Parameter:
+    array} gradient buffer per worker (none for one chunk)."""
     size = sum(p.value.size for p in parameters)
     table = np.frombuffer(mmap.mmap(-1, 8 * size * rows), dtype=np.float64).reshape(rows, size)
     ends = np.cumsum([p.value.size for p in parameters])
@@ -358,26 +360,6 @@ class _Chunk:
     y_code: np.ndarray
     y_hat: ad.Node
     y_c: ad.Node
-
-
-class _BatchSampler:
-    """Epoch-shuffled index stream, reproducible from its rng."""
-
-    def __init__(self, count: int, rng: np.random.Generator):
-        self._count = count
-        self._rng = rng
-        self._order = rng.permutation(count)
-        self._pos = 0
-
-    def take(self, size: int) -> np.ndarray:
-        out = []
-        while len(out) < size:
-            if self._pos == self._count:
-                self._order = self._rng.permutation(self._count)
-                self._pos = 0
-            out.append(self._order[self._pos])
-            self._pos += 1
-        return np.array(out)
 
 
 def train_cgan(
@@ -436,9 +418,10 @@ def train_cgan(
     if steps == 0:
         return gen, disc, history
 
-    sampler = _BatchSampler(len(dataset), np.random.default_rng(seeds[2]))
+    rng = np.random.default_rng(seeds[2])
+    indices = chain.from_iterable(rng.permutation(len(dataset)) for _ in count())
     parameters = [*gen.parameters.values(), *disc.parameters.values()]
-    worker_grads = _share_parameters(parameters, workers) if workers > 1 else []
+    worker_grads = _share_parameters(parameters, workers)
     gen_params = {name: p.value for name, p in gen.parameters.items()}
     disc_params = {name: p.value for name, p in disc.parameters.items()}
     gen_state = adam_init(gen_params)
@@ -503,7 +486,7 @@ def train_cgan(
         for step in range(1, steps + 1):
             # Every fetch of the step comes first, here; workers get their
             # chunk's images and label maps.
-            batch = [dataset[i] for i in sampler.take(settings.batch_size)]
+            batch = [dataset[i] for i in islice(indices, settings.batch_size)]
             chunks = [
                 (np.stack([batch[i].image for i in part]), [batch[i].labels for i in part])
                 for part in np.array_split(np.arange(len(batch)), workers)
@@ -558,7 +541,6 @@ def train_cgan(
                 accuracy = float((np.concatenate(predicted) == labels).mean())
                 history.metric_rows.append((step, accuracy))
 
-    if worker_grads:  # the returned networks hold private arrays
-        for p in parameters:
-            p.value = np.array(p.value)
+    for p in parameters:  # the returned networks hold private arrays
+        p.value = np.array(p.value)
     return gen, disc, history

@@ -257,6 +257,29 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        ("out_name", "message"),
+        [("taken", "[Errno 17] File exists"), ("taken/sub/o", "[Errno 20] Not a directory")],
+        ids=["out-is-a-file", "ancestor-is-a-file"],
+    )
+    def test_out_that_cannot_be_a_directory_fails_before_training(
+        self, capsys, monkeypatch, tiny_run, tmp_path, out_name, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_cgan was called")
+
+        _, config, _ = tiny_run
+        monkeypatch.setattr(cli, "train_cgan", no_training)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"keep me\n")
+        out = tmp_path / out_name
+        code, _, err = run(
+            capsys, "train", "--config", str(config), "--head", "hadamard", "--out", str(out)
+        )
+        assert code == 3
+        assert err == f"error:data: {message}: '{out}'\n"
+        assert taken.read_bytes() == b"keep me\n"
+
     def test_config_with_non_text_bytes(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_bytes(b"seed = 1\xff\n")

@@ -4,7 +4,6 @@ import pytest
 from hadaseg.codes import (
     Codebook,
     codebook_csv,
-    decode_correlation,
     fwht,
     fwht_apply,
     min_pairwise_distance,
@@ -13,6 +12,8 @@ from hadaseg.codes import (
     write_codebook_csv,
 )
 from hadaseg.errors import CapacityError, ClassIndexError, FormatError, ShapeError
+from hadaseg.layer import hadamard_forward
+from hadaseg.metrics import argmax_map
 
 # Reference order-8 matrix, transcribed by hand from the recursion.
 H8 = np.array(
@@ -151,16 +152,24 @@ class TestFwht:
             fwht(np.zeros((3, 0)))
 
 
+def _decode(cb, v):
+    """The classes that ``eval``, ``predict`` and training read off code
+    vectors ``v`` ([..., n]): the Hadamard layer, then the argmax over the
+    active classes. One vector gives an int."""
+    v = np.asarray(v, dtype=np.float64)
+    probabilities = hadamard_forward(cb, v.reshape(1, -1, cb.n)).output
+    labels = argmax_map(probabilities, cb.num_classes).labels.reshape(v.shape[:-1])
+    return int(labels) if labels.ndim == 0 else labels
+
+
 class TestEncodeDecode:
     @pytest.mark.parametrize("k", range(0, 9))
     def test_round_trip(self, k):
         cb = sylvester(k)
-        for j in range(cb.num_classes):
-            v = cb.matrix[j].astype(np.float64)
-            assert decode_correlation(cb, v) == j
+        assert np.array_equal(_decode(cb, cb.matrix), np.arange(cb.n))
 
     def test_all_zeros_ties_to_zero(self):
-        assert decode_correlation(sylvester(3), np.zeros(8)) == 0
+        assert _decode(sylvester(3), np.zeros(8)) == 0
 
     def test_three_flips_on_row_five(self):
         # Three sign flips exceed the guaranteed correction radius at n=8
@@ -176,7 +185,7 @@ class TestEncodeDecode:
         tied = [j for j, d in enumerate(distances) if d == best]
         assert tied == [2, 5, 6]
         oracle_answer = tied[0]
-        assert decode_correlation(cb, v) == oracle_answer == 2
+        assert _decode(cb, v) == oracle_answer == 2
 
     def test_single_flip_always_corrects(self):
         cb = sylvester(3)
@@ -184,16 +193,24 @@ class TestEncodeDecode:
             for position in range(8):
                 v = cb.matrix[j].astype(np.float64)
                 v[position] *= -1.0
-                assert decode_correlation(cb, v) == j
+                assert _decode(cb, v) == j
 
     def test_truncated_codebook_never_decodes_inactive_class(self):
         cb = sylvester(3, num_classes=5)
         v = cb.matrix[6].astype(np.float64)
-        assert decode_correlation(cb, v) < 5
+        assert _decode(cb, v) < 5
+
+    def test_nearest_active_codeword_lowest_index_first(self):
+        # Random +/-1 vectors, ties included: the decoded class is the
+        # active codeword with the largest correlation, the lowest on ties.
+        cb = sylvester(4, num_classes=11)
+        v = np.random.default_rng(3).choice([-1.0, 1.0], size=(2000, 16))
+        correlations = v @ cb.matrix[: cb.num_classes].T
+        assert np.array_equal(_decode(cb, v), np.argmax(correlations, axis=-1))
 
     def test_decode_length_mismatch(self):
         with pytest.raises(ShapeError):
-            decode_correlation(sylvester(3), np.zeros(4))
+            hadamard_forward(sylvester(3), np.zeros(4))
 
 
 class TestMinPairwiseDistance:

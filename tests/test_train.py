@@ -292,6 +292,45 @@ class TestDataParallelSteps:
         )
 
 
+class _RecordingDataset(list):
+    """A dataset that records the index of every sample fetched."""
+
+    def __init__(self, samples):
+        super().__init__(samples)
+        self.fetched = []
+
+    def __getitem__(self, index):
+        self.fetched.append(int(index))
+        return super().__getitem__(index)
+
+
+class TestBatchOrder:
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_epoch_shuffled_index_stream(self, monkeypatch, chunks):
+        # 6 samples in batches of 4 for 5 steps, so batches cross epochs.
+        # The first fetch is common_resolution's; each full block of 6
+        # after it is one epoch, a permutation of the samples. The order
+        # is pinned to the one this seed has always drawn.
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: chunks)
+        monkeypatch.setattr(train_module, "_blas_threads", lambda: 1)
+        dataset = _RecordingDataset(_tiny_dataset())
+        gen_cfg, disc_cfg = _tiny_configs()
+        _, _, history = train_cgan(
+            gen_cfg, disc_cfg, dataset, 5, seed=3, settings=TrainSettings(batch_size=4)
+        )
+        assert history.header["threads"] == str(chunks)
+        epochs = dataset.fetched[1:]
+        for start in range(0, len(epochs) - 5, 6):
+            assert sorted(epochs[start : start + 6]) == list(range(6))
+        assert dataset.fetched == [
+            0,
+            5, 2, 1, 4, 0, 3,
+            2, 0, 4, 3, 1, 5,
+            2, 0, 5, 4, 1, 3,
+            4, 5,
+        ]
+
+
 class TestChunkWorkers:
     def test_results_in_chunk_order_and_first_chunk_on_caller(self):
         def work(i):
@@ -396,9 +435,12 @@ class TestWorkerProcesses:
         assert len(processes) == 1 and processes[0].exitcode == -9
         assert multiprocessing.active_children() == []
 
-    def test_returned_networks_hold_private_arrays(self, monkeypatch):
-        # The Parameters lived in a shared mapping during the call.
-        gen, _ = _train_with_threads(monkeypatch, 2, 1)
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_returned_networks_hold_private_arrays(self, monkeypatch, chunks):
+        # The Parameters lived in a shared mapping during the call, at
+        # every chunk count.
+        gen, history = _train_with_threads(monkeypatch, chunks, 1)
+        assert history.header["threads"] == str(chunks)
         for p in gen.parameters.values():
             assert p.value.base is None and p.value.flags.owndata, p.name
 
