@@ -127,6 +127,21 @@ def _check_out_dir(out: Path) -> None:
         raise OSError(code, os.strerror(code), str(out))
 
 
+def _move_into_place(partial: Path, out: Path) -> None:
+    """Put the finished output directory ``partial`` in place as ``out``:
+    one rename when ``out`` does not exist; otherwise each file moves to
+    the same place under ``out``, replacing a file of that name, and
+    ``out``'s other files stay."""
+    if not out.exists():
+        partial.rename(out)
+        return
+    for directory, _, files in os.walk(partial):
+        target = out / Path(directory).relative_to(partial)
+        target.mkdir(exist_ok=True)
+        for name in files:
+            os.replace(Path(directory) / name, target / name)
+
+
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     if not cfg.data_dir:
@@ -146,11 +161,17 @@ def _cmd_train(args) -> int:
         settings=cfg.train,
         num_classes=cfg.classes,
     )
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "history.csv").write_text(history.loss_csv(), encoding="ascii")
-    (out / "metrics.csv").write_text(history.metrics_csv(), encoding="ascii")
-    save_models(out / "checkpoint", gen, disc, num_classes=cfg.classes)
-    shutil.copyfile(args.config, out / "config.txt")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    partial = out.parent / f".{out.name}.partial-{os.getpid()}"
+    partial.mkdir()
+    try:
+        (partial / "history.csv").write_text(history.loss_csv(), encoding="ascii")
+        (partial / "metrics.csv").write_text(history.metrics_csv(), encoding="ascii")
+        save_models(partial / "checkpoint", gen, disc, num_classes=cfg.classes)
+        shutil.copyfile(args.config, partial / "config.txt")
+        _move_into_place(partial, out)
+    finally:
+        shutil.rmtree(partial, ignore_errors=True)
     print(f"trainable-parameters: {gen.parameter_count()}")
     print(f"history: {out / 'history.csv'}")
     print(f"checkpoint: {out / 'checkpoint'}")

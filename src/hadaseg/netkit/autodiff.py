@@ -23,6 +23,11 @@ added to it, and an interior node's gradient is dropped as soon as its
 backprop has read it, so no interior node keeps a gradient after the walk.
 No gradient shares memory with another node's or with a caller's seed.
 
+``conv2d_pair`` is a conv over the channel concatenation of two maps,
+computed from each map's columns (``conv_columns``) without the
+concatenated map, so that several convs over one map build its columns
+once; the discriminator's first layer is one.
+
 ``upsample_concat_conv2d`` is a UNet decoder stage, nearest 2x upsampling,
 skip concatenation and a 3x3 conv, computed as one op at the low resolution:
 the upsampled branch is four 2x2 sub-pixel convs, one per output phase (see
@@ -47,6 +52,8 @@ not rely on this: it runs its chunks in separate processes (see train.py).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -225,6 +232,30 @@ def _input_gradient(g: np.ndarray, wv: np.ndarray) -> np.ndarray:
     return (g_cols @ w_flip).reshape(g.shape[:3] + (cin,))
 
 
+def _col2im(
+    dcols: np.ndarray, shape: tuple, k: int, stride: int, out_hw: tuple[int, int]
+) -> np.ndarray:
+    """The adjoint of ``_im2col`` after ``_pad_same``: the gradient of the
+    unpadded input of ``shape`` [B, H, W, C], given the gradient ``dcols``
+    [B * Ho * Wo, k * k * C] of its k x k windows taken at ``stride``. Each
+    tap's window gradients are added back where that tap read, one strided
+    slice per tap."""
+    batch, height, width, channels = shape
+    out_h, out_w = out_hw
+    pad = k // 2
+    dcols = dcols.reshape(batch, out_h, out_w, k, k, channels)
+    dxp = np.zeros((batch, height + 2 * pad, width + 2 * pad, channels))
+    for i in range(k):
+        for j in range(k):
+            dxp[
+                :,
+                i : i + stride * out_h : stride,
+                j : j + stride * out_w : stride,
+                :,
+            ] += dcols[:, :, :, i, j, :]
+    return dxp[:, pad : pad + height, pad : pad + width, :]
+
+
 def _bias_gradient(g: np.ndarray) -> np.ndarray:
     """Sum of the output gradient ``g`` [..., Cout] over every axis but the
     last, as one product with a ones vector (faster than ``g.sum``)."""
@@ -239,9 +270,9 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     Implemented as im2col + one matmul; the column matrix is cached for the
     weight gradient when the kernel needs one. At stride 1 the input
     gradient is the same-padded convolution of the output gradient with the
-    flipped kernel, its channel axes swapped: one more im2col + matmul. At stride 2 the column gradient
-    is scattered back tap by tap. An input that needs no gradient gets none
-    computed.
+    flipped kernel, its channel axes swapped: one more im2col + matmul. At
+    stride 2 the column gradient is scattered back tap by tap (``_col2im``).
+    An input that needs no gradient gets none computed.
     """
     _check_image(x, "conv2d")
     xv, wv, bv = x.value, w.value, b.value
@@ -256,14 +287,11 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
     if stride not in (1, 2):
         raise ShapeError(f"stride must be 1 or 2, got {stride}")
 
-    batch, height, width, cin = xv.shape
+    batch, _, _, cin = xv.shape
     k, _, _, cout = wv.shape
-    pad = k // 2
-    xp = _pad_same(xv, pad)
-    cols, out_h, out_w = _im2col(xp, k, stride)
+    cols, out_h, out_w = _im2col(_pad_same(xv, k // 2), k, stride)
     w_mat = wv.reshape(k * k * cin, cout)
     out = (cols @ w_mat + bv).reshape(batch, out_h, out_w, cout)
-    xp_shape = xp.shape  # the backward keeps the shape, not the padded copy
     if not w.needs_grad:
         cols = None  # only the weight gradient reads the columns
 
@@ -276,19 +304,108 @@ def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
             return None, dw, db
         if stride == 1:
             return _input_gradient(g, wv), dw, db
-        dcols = (g_mat @ w_mat.T).reshape(batch, out_h, out_w, k, k, cin)
-        dxp = np.zeros(xp_shape)
-        for i in range(k):
-            for j in range(k):
-                dxp[
-                    :,
-                    i : i + stride * out_h : stride,
-                    j : j + stride * out_w : stride,
-                    :,
-                ] += dcols[:, :, :, i, j, :]
-        return dxp[:, pad : pad + height, pad : pad + width, :], dw, db
+        return _col2im(g_mat @ w_mat.T, xv.shape, k, stride, (out_h, out_w)), dw, db
 
     return Node(out, parents=(x, w, b), backprop=backprop)
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """The im2col matrix of the map ``source`` [B, H, W, C] for a
+    same-padded k x k kernel at ``stride``, built once by ``conv_columns``
+    for several ``conv2d_pair`` ops over the same map.
+
+    ``matrix`` is [B * Ho * Wo, k * k * C], columns ordered (kh, kw, C) like
+    a kernel's rows, and ``out_hw`` is (Ho, Wo). An op over the columns
+    sends its input gradient to ``source``; ``dataclasses.replace`` can
+    point it at another node that holds the same values.
+    """
+
+    source: Node
+    matrix: np.ndarray
+    k: int
+    stride: int
+    out_hw: tuple[int, int]
+
+
+def conv_columns(x, k: int, stride: int) -> Columns:
+    """The columns of ``x`` [B, H, W, C], a Node or a raw array (which
+    gets no gradient), for a same-padded k x k conv at ``stride``."""
+    x = as_node(x)
+    _check_image(x, "conv_columns")
+    matrix, out_h, out_w = _im2col(_pad_same(x.value, k // 2), k, stride)
+    return Columns(x, matrix, k, stride, (out_h, out_w))
+
+
+def conv2d_pair(image: Columns, classes: Columns, w: Node, b: Node) -> Node:
+    """``conv2d(channel_concat(image, classes), w, b, stride)`` over the
+    prebuilt columns of both maps: the image part plus the class part plus
+    the bias.
+
+    The kernel [k, k, Cin, Cout] reads the image's Ci channels with its
+    first Ci input channels and the class map's Cc with the next Cc. The
+    class map may be narrower than the Cin - Ci channels left: the missing
+    trailing channels count as zero, and their weight-gradient rows are 0.
+    Both parts must come from maps of one batch and size, at the kernel's k
+    and a common stride.
+
+    Backward: the weight gradient's image and class rows come from each
+    part's columns, which the node keeps only when the kernel needs a
+    gradient. A part whose source needs a gradient gets its column gradient
+    scattered back through ``_col2im``; a raw part gets none.
+    """
+    wv, bv = w.value, b.value
+    k, stride = image.k, image.stride
+    parts = (image, classes)
+    shapes = [part.source.value.shape for part in parts]
+    rows = shapes[0][0] * image.out_hw[0] * image.out_hw[1]
+    if (
+        (classes.k, classes.stride) != (k, stride)
+        or shapes[0][:3] != shapes[1][:3]
+        or any(p.matrix.shape != (rows, k * k * s[3]) for p, s in zip(parts, shapes))
+    ):
+        raise ShapeError(
+            f"conv2d_pair parts differ: {shapes[0]} at k={k}, stride={stride} vs "
+            f"{shapes[1]} at k={classes.k}, stride={classes.stride}"
+        )
+    widths = [shape[3] for shape in shapes]
+    if wv.ndim != 4 or wv.shape[:2] != (k, k) or sum(widths) > wv.shape[2]:
+        raise ShapeError(
+            f"kernel {wv.shape} cannot read {widths[0]} + {widths[1]} channels "
+            f"with a {k}x{k} window"
+        )
+    cout = wv.shape[3]
+    if bv.shape != (cout,):
+        raise ShapeError(f"bias shape {bv.shape} != ({cout},)")
+
+    spans = [slice(0, widths[0]), slice(widths[0], sum(widths))]
+    w_mats = [wv[:, :, span].reshape(-1, cout) for span in spans]
+    out = image.matrix @ w_mats[0]
+    out += classes.matrix @ w_mats[1]
+    out += bv
+    out = out.reshape(shapes[0][:1] + image.out_hw + (cout,))
+    # Only the weight gradient reads the columns.
+    kept = [part.matrix for part in parts] if w.needs_grad else None
+    sources = [part.source for part in parts]
+
+    def backprop(g: np.ndarray) -> tuple:
+        g_mat = g.reshape(-1, cout)
+        db = _bias_gradient(g) if b.needs_grad else None
+        dw = None
+        if w.needs_grad:
+            dw = np.zeros_like(wv)
+            for span, cols in zip(spans, kept):
+                # [Cout, M] x [M, K] runs faster in BLAS, as in conv2d.
+                dw[:, :, span] = (g_mat.T @ cols).T.reshape(k, k, -1, cout)
+        dparts = [
+            _col2im(g_mat @ w_mat.T, shape, k, stride, image.out_hw)
+            if source.needs_grad
+            else None
+            for source, shape, w_mat in zip(sources, shapes, w_mats)
+        ]
+        return (*dparts, dw, db)
+
+    return Node(out, parents=(*sources, w, b), backprop=backprop)
 
 
 def leaky_relu(x: Node) -> Node:

@@ -14,6 +14,15 @@ phase. The architecture and its parameters are those of the three-op chain.
 
 The discriminator is a stack of stride-2 convolutions ending in a 1-channel
 sigmoid map; each output cell scores one receptive-field patch of its input.
+Its input is a pair, an image and a class map, and its first layer is one
+``conv2d_pair`` op over the two maps' columns, so the concatenated map is
+never built. A class map may be narrower than the channels the first layer
+has left for it; the missing channels read as zero, so a one-hot target of
+K classes passes only its K nonzero channels. A caller that scores several
+pairs with a part in common builds that part's columns once
+(``Discriminator.columns``) and passes them to each ``forward``: a training
+step builds its image's and its predicted map's columns in the
+discriminator update and keeps them for the generator update (train.py).
 """
 
 from __future__ import annotations
@@ -191,7 +200,7 @@ class Generator:
 
 
 class Discriminator:
-    """Conditional patch discriminator over channel-concatenated pairs."""
+    """Conditional patch discriminator over (image, class map) pairs."""
 
     def __init__(
         self,
@@ -219,15 +228,36 @@ class Discriminator:
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.parameters.values())
 
-    def forward(self, xy) -> ad.Node:
-        """Patch probability map alpha, shape [B, h, w, 1], entries in (0, 1)."""
-        h = ad.as_node(xy)
-        if h.value.ndim != 4 or h.value.shape[3] != self.input_channels:
-            raise ShapeError(
-                f"expected [B, H, W, {self.input_channels}] input, got {h.value.shape}"
-            )
-        self.cfg.check_input_size(h.value.shape[1], h.value.shape[2])
-        for layer in range(self.cfg.layers):
+    def columns(self, part) -> ad.Columns:
+        """The first layer's columns of ``part``, an image or class map
+        [B, H, W, C] (a Node, or a raw array that gets no gradient): what
+        ``forward`` builds from a raw part, for a caller that passes one
+        part to several forwards."""
+        return ad.conv_columns(part, _KERNEL, 2)
+
+    def forward(self, image, classes) -> ad.Node:
+        """Patch probability map alpha, shape [B, h, w, 1], entries in (0, 1),
+        of the pair (``image``, ``classes``): the conv stack over their
+        channel concatenation, zero-extended to ``input_channels``.
+
+        Each part is a map [B, H, W, C] (a Node, or a raw array that gets no
+        gradient) or its first-layer columns from ``columns``.
+        """
+        image, classes = (
+            part if isinstance(part, ad.Columns) else self.columns(part)
+            for part in (image, classes)
+        )
+        for part in (image, classes):
+            if (part.k, part.stride) != (_KERNEL, 2):
+                raise ShapeError(
+                    f"first-layer columns need k={_KERNEL}, stride=2, "
+                    f"got k={part.k}, stride={part.stride}"
+                )
+        self.cfg.check_input_size(*image.source.value.shape[1:3])
+        h = ad.leaky_relu(
+            ad.conv2d_pair(image, classes, self.parameters["d0.w"], self.parameters["d0.b"])
+        )
+        for layer in range(1, self.cfg.layers):
             h = ad.leaky_relu(
                 ad.conv2d(h, self.parameters[f"d{layer}.w"], self.parameters[f"d{layer}.b"], stride=2)
             )

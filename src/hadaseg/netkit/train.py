@@ -17,8 +17,15 @@ that ``train_cgan`` forks once per call and joins before it returns or
 raises; processes, unlike threads, do not wait on each other for the
 interpreter lock. Each chunk encodes its own targets, runs its forwards,
 computes its loss terms' sums and gradients (``loss.*_loss_sums``) and
-walks its own backward (``autodiff.gradients``), and a worker keeps its
-chunk's generator tape between the two parts. Only the loss sums and the
+walks its own backward (``autodiff.gradients``). Between the two parts the
+process that ran a chunk holds its state (``_Chunk``): the targets, the
+generator tape and the discriminator's first-layer columns of the chunk's
+images and predicted map. The discriminator part builds those columns and
+scores both pairs with them; the generator part scores the predicted pair
+again from the same columns, with the predicted map's input gradient going
+to the generator's output. So a chunk builds three column matrices per
+step (images, the real pair's K one-hot channels, predicted map) and the
+generator part builds none. Only the loss sums and the
 Parameters' gradients cross processes: the parameter values live in a
 shared mapping that Adam updates in place, each worker writes its
 gradients into a shared buffer of its own, and the rest goes through a
@@ -352,14 +359,17 @@ def _sum_chunk_grads(parameters: dict[str, ad.Parameter], chunk_grads) -> dict[s
 
 @dataclass
 class _Chunk:
-    """One chunk of a step's batch: its inputs, targets and generator
-    outputs, shared by both updates."""
+    """What a chunk's discriminator part leaves for its generator part: the
+    targets, the generator outputs, and the discriminator's first-layer
+    columns of the chunk's images and of its predicted map (whose source
+    is the raw ``y_hat`` values, so no gradient reaches the generator)."""
 
-    x: np.ndarray
     y_one_hot: np.ndarray
     y_code: np.ndarray
     y_hat: ad.Node
     y_c: ad.Node
+    image: ad.Columns
+    predicted: ad.Columns
 
 
 def train_cgan(
@@ -429,31 +439,39 @@ def train_cgan(
     adam_settings = {"lr": settings.lr, "beta1": settings.beta1, "beta2": settings.beta2}
 
     def discriminator_part(held, x, labels):
-        """A chunk's targets, its generator forward (kept in ``held`` for
-        the generator part), its part of the discriminator loss and its
-        discriminator gradients; returns its (counts, sums) and the
-        gradients. The predicted map enters the discriminator as a raw
-        array so no gradient reaches the generator here."""
+        """A chunk's targets, its generator forward, its part of the
+        discriminator loss and its discriminator gradients; returns its
+        (counts, sums) and the gradients, and keeps a ``_Chunk`` in
+        ``held`` for the generator part. The discriminator's first-layer
+        columns are built once each for the images, the real class map and
+        the predicted map. The predicted map enters as a raw array so no
+        gradient reaches the generator here. ``encode_targets`` rejects
+        labels >= K, so the one-hot channels from K on are zero and the
+        real pair passes only the first K."""
         encoded = [encode_targets(label_map, codebook) for label_map in labels]
         y_one_hot = np.stack([e.one_hot for e in encoded])
         y_code = np.stack([e.hadamard for e in encoded])
         y_hat, y_c = gen.forward(x)
-        real = disc.forward(np.concatenate((x, y_one_hot), axis=-1))
-        fake = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
+        image, predicted = disc.columns(x), disc.columns(y_hat.value)
+        real = disc.forward(image, y_one_hot[..., :num_classes])
+        fake = disc.forward(image, predicted)
         counts = _batch_counts(settings.batch_size, real.value, fake.value)
         sums, (g_real, g_fake) = discriminator_loss_sums(real.value, fake.value, counts)
-        held["chunk"] = _Chunk(x, y_one_hot, y_code, y_hat, y_c)
+        held["chunk"] = _Chunk(y_one_hot, y_code, y_hat, y_c, image, predicted)
         return (counts, sums), ad.gradients([(real, g_real), (fake, g_fake)])
 
     def generator_part(held, with_argmax):
         """The held chunk's forward through the refreshed discriminator,
         its part of the generator loss and its generator gradients; returns
         its (counts, sums, argmax map or None) and the gradients, and drops
-        the chunk. The discriminator's Parameters need no gradient until
-        the backward is done, so it computes no discriminator gradient."""
+        the chunk. The forward reads the columns the discriminator part
+        built, the predicted map's pointed at ``y_hat`` so that its
+        gradient reaches the generator. The discriminator's Parameters
+        need no gradient until the backward is done, so it computes no
+        discriminator gradient."""
         chunk = held.pop("chunk")
         ad.set_needs_grad(disc.parameters.values(), False)
-        alpha = disc.forward(ad.channel_concat(ad.as_node(chunk.x), chunk.y_hat))
+        alpha = disc.forward(chunk.image, replace(chunk.predicted, source=chunk.y_hat))
         y, y_code = chunk.y_one_hot, chunk.y_code
         counts = _batch_counts(settings.batch_size, alpha.value, y, y_code)
         sums, (g_alpha, g_y_hat, g_y_c) = generator_loss_sums(

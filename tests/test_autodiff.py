@@ -1,6 +1,7 @@
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -178,6 +179,96 @@ class TestConv2d:
             ad.conv2d(
                 x, ad.constant(np.zeros((3, 3, 3, 4))), ad.constant(np.zeros(4)), stride=3
             )
+
+
+def _pair_oracle(image, classes, w, b):
+    """conv2d_pair's reference: a stride-2 conv2d over the concatenated
+    pair, the class map zero-extended to the kernel's input channels."""
+    missing = w.value.shape[2] - image.value.shape[3] - classes.value.shape[3]
+    zeros = ad.as_node(np.zeros(classes.value.shape[:3] + (missing,)))
+    return ad.conv2d(ad.channel_concat(image, ad.channel_concat(classes, zeros)), w, b, stride=2)
+
+
+def _pair(image, classes, w, b):
+    return ad.conv2d_pair(ad.conv_columns(image, 3, 2), ad.conv_columns(classes, 3, 2), w, b)
+
+
+class TestConv2dPair:
+    @pytest.mark.parametrize("class_channels", [5, 2], ids=["full", "narrower"])
+    def test_matches_conv2d_over_concat(self, class_channels):
+        # The kernel reads 3 image and 5 class channels. A class map of 2
+        # channels reads as zero-extended to 5, and the weight-gradient
+        # rows of the 3 missing channels are exactly 0.
+        rng = np.random.default_rng(32)
+        image = ad.as_node(rng.standard_normal((2, 8, 6, 3)))
+        classes = ad.constant(rng.standard_normal((2, 8, 6, class_channels)))
+        w = ad.constant(rng.standard_normal((3, 3, 8, 4)))
+        b = ad.constant(rng.standard_normal(4))
+        out = _pair(image, classes, w, b)
+        expected = _pair_oracle(image, classes, w, b)
+        assert out.value.shape == expected.value.shape == (2, 4, 3, 4)
+        assert rel_error(out.value, expected.value) < 1e-12
+        g = rng.standard_normal(out.value.shape)
+        got, want = ad.gradients([(out, g)]), ad.gradients([(expected, g)])
+        assert image not in got and image not in want
+        for leaf in (classes, w, b):
+            assert rel_error(got[leaf], want[leaf]) < 1e-12
+        assert not got[w][:, :, 3 + class_channels :].any()
+
+    @pytest.mark.parametrize("wrap", [ad.as_node, ad.constant], ids=["raw", "constant"])
+    def test_image_gradient_only_when_needed(self, wrap):
+        rng = np.random.default_rng(33)
+        image = wrap(rng.standard_normal((1, 6, 4, 3)))
+        classes = ad.as_node(rng.standard_normal((1, 6, 4, 2)))
+        w = ad.constant(rng.standard_normal((3, 3, 6, 2)))
+        b = ad.constant(rng.standard_normal(2))
+        out = _pair(image, classes, w, b)
+        g = rng.standard_normal(out.value.shape)
+        got = ad.gradients([(out, g)])
+        assert classes not in got
+        if wrap is ad.as_node:
+            assert image not in got
+        else:
+            want = ad.gradients([(_pair_oracle(image, classes, w, b), g)])
+            assert rel_error(got[image], want[image]) < 1e-12
+
+    @pytest.mark.parametrize("class_channels", [3, 1], ids=["full", "narrower"])
+    def test_gradients(self, class_channels):
+        rng = np.random.default_rng(34)
+        image = rng.standard_normal((2, 4, 5, 2))
+        classes = rng.standard_normal((2, 4, 5, class_channels))
+        w = rng.standard_normal((3, 3, 5, 2))
+        b = rng.standard_normal(2)
+        _gradcheck_op(lambda leaves: _pair(*leaves), [image, classes, w, b], seed=35, tol=1e-4)
+
+    def test_shape_validation(self):
+        rng = np.random.default_rng(36)
+        image = rng.standard_normal((1, 4, 4, 3))
+        w = ad.constant(rng.standard_normal((3, 3, 6, 2)))
+        b = ad.constant(np.zeros(2))
+        for classes in (
+            np.zeros((1, 4, 6, 2)),  # another width
+            np.zeros((2, 4, 4, 2)),  # another batch
+            np.zeros((1, 4, 4, 4)),  # 3 + 4 channels for a 6-channel kernel
+        ):
+            with pytest.raises(ShapeError):
+                _pair(image, classes, w, b)
+        classes = np.zeros((1, 4, 4, 2))
+        with pytest.raises(ShapeError):  # another stride
+            ad.conv2d_pair(
+                ad.conv_columns(image, 3, 2), ad.conv_columns(classes, 3, 1), w, b
+            )
+        with pytest.raises(ShapeError):  # a kernel of another size
+            _pair(image, classes, ad.constant(np.zeros((1, 1, 6, 2))), b)
+        with pytest.raises(ShapeError):
+            _pair(image, classes, w, ad.constant(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            _pair(image[0], classes, w, b)
+        # Columns pointed at a node of another shape.
+        columns = ad.conv_columns(classes, 3, 2)
+        moved = replace(columns, source=ad.as_node(np.zeros((1, 4, 4, 1))))
+        with pytest.raises(ShapeError):
+            ad.conv2d_pair(ad.conv_columns(image, 3, 2), moved, w, b)
 
 
 class TestPadSame:
@@ -513,7 +604,7 @@ class TestGradientNeeds:
         rng = np.random.default_rng(40)
         x = rng.standard_normal((2, 16, 16, 3))
         y_hat, y_c = gen.forward(x)
-        alpha = disc.forward(ad.channel_concat(ad.as_node(x), y_hat))
+        alpha = disc.forward(x, y_hat)
         seeds = [
             (alpha, rng.standard_normal(alpha.shape)),
             (y_hat, rng.standard_normal(y_hat.shape)),
@@ -521,7 +612,7 @@ class TestGradientNeeds:
         ]
         walks = [ad.gradients(seeds)]
         d_seed = rng.standard_normal(alpha.shape)
-        alpha_real = disc.forward(np.concatenate((x, y_hat.value), axis=-1))
+        alpha_real = disc.forward(x, y_hat.value)
         walks.append(ad.gradients([(alpha_real, d_seed)]))
         arrays = [seed for _, seed in seeds] + [d_seed]
         arrays += [grad for grads in walks for grad in grads.values() if grad is not None]
@@ -554,7 +645,7 @@ class TestGradientNeeds:
         x = rng.standard_normal((2, 16, 16, 3))
         y_hat, _ = gen.forward(x)
         ad.set_needs_grad(disc.parameters.values(), False)
-        alpha = disc.forward(ad.channel_concat(ad.as_node(x), y_hat))
+        alpha = disc.forward(x, y_hat)
         ad.backward([(alpha, rng.standard_normal(alpha.shape))])
         assert all(p.grad is None for p in disc.parameters.values())
         assert all(p.grad is not None for p in gen.parameters.values())
@@ -624,7 +715,8 @@ def _discriminator_update_seeds(disc, rng, chunks):
     for _ in range(chunks):
         seeds = []
         for _ in range(2):
-            alpha = disc.forward(rng.standard_normal((1, 16, 16, 7)))
+            pair = rng.standard_normal((1, 16, 16, 7))
+            alpha = disc.forward(pair[..., :3], pair[..., 3:])
             seeds.append((alpha, rng.standard_normal(alpha.shape)))
         per_chunk.append(seeds)
     return per_chunk

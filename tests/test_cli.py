@@ -1,3 +1,4 @@
+import errno
 import json
 
 import numpy as np
@@ -256,6 +257,55 @@ class TestTrainCommand:
         assert err.startswith("error:config: out of memory: chunk worker 1 died (exit status -9)")
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_failed_write_leaves_no_partial_output(
+        self, capsys, monkeypatch, tiny_run, tmp_path, existing
+    ):
+        # The run fails after history.csv and metrics.csv are written:
+        # nothing of it reaches --out, an earlier --out keeps its contents,
+        # and no sibling directory is left behind.
+        def failing_save_models(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        _, config, _ = tiny_run
+        monkeypatch.setattr(cli, "save_models", failing_save_models)
+        out = tmp_path / "o"
+        earlier = {}
+        if existing:
+            (out / "checkpoint").mkdir(parents=True)
+            earlier = {"history.csv": b"earlier\n", "checkpoint/tensors.bin": b"\x00\x01"}
+            for name, data in earlier.items():
+                (out / name).write_bytes(data)
+        code, _, err = run(
+            capsys, "train", "--config", str(config), "--head", "hadamard", "--out", str(out)
+        )
+        assert code == 3
+        assert err == "error:data: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["o"] if existing else [])
+        if existing:
+            files = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+            assert files == set(earlier)
+            for name, data in earlier.items():
+                assert (out / name).read_bytes() == data
+
+    def test_existing_out_gets_new_files_and_keeps_others(self, capsys, tiny_run, tmp_path):
+        _, config, _ = tiny_run
+        out = tmp_path / "o"
+        (out / "checkpoint").mkdir(parents=True)
+        (out / "history.csv").write_bytes(b"earlier\n")
+        (out / "notes.txt").write_bytes(b"keep\n")
+        (out / "checkpoint" / "extra.bin").write_bytes(b"keep\n")
+        code, _, _ = run(
+            capsys, "train", "--config", str(config), "--head", "hadamard", "--out", str(out)
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+        assert (out / "history.csv").read_text().splitlines()[1].startswith("step,L_D,")
+        assert (out / "notes.txt").read_bytes() == b"keep\n"
+        assert (out / "checkpoint" / "extra.bin").read_bytes() == b"keep\n"
+        assert (out / "config.txt").read_bytes() == config.read_bytes()
+        load_models(out / "checkpoint")
 
     @pytest.mark.parametrize(
         ("out_name", "message"),

@@ -345,8 +345,8 @@ def _batch_of_three(head):
     y = np.stack([e.one_hot for e in encoded])
     y_c = np.stack([e.hadamard for e in encoded])
     y_hat, y_c_hat = (node.value for node in gen.forward(x))
-    a_real = disc.forward(np.concatenate((x, y), axis=-1)).value
-    a_fake = disc.forward(np.concatenate((x, y_hat), axis=-1)).value
+    a_real = disc.forward(x, y).value
+    a_fake = disc.forward(x, y_hat).value
     a_real[0, 0, 0, 0], a_fake[1, 0, 0, 0], a_fake[2, 1, 1, 0] = 1.0, 1.0, 0.0
     y_hat[0, 0, 0] = 0.0
     y_hat[2, 3, 3] = y[2, 3, 3]

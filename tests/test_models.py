@@ -109,7 +109,8 @@ class TestDiscriminator:
     def test_alpha_shape_and_range(self):
         rng = np.random.default_rng(1)
         disc = build_discriminator(DiscriminatorConfig(layers=3, base_channels=8), 11)
-        alpha = disc.forward(rng.standard_normal((2, 64, 64, 11)))
+        pair = rng.standard_normal((2, 64, 64, 11))
+        alpha = disc.forward(pair[..., :3], pair[..., 3:])
         assert alpha.value.shape == (2, 8, 8, 1)
         assert np.all((alpha.value > 0) & (alpha.value < 1))
 
@@ -129,11 +130,12 @@ class TestDiscriminator:
         disc = build_discriminator(cfg, 3)
         rf = receptive_field(cfg)
         x = rng.standard_normal((1, 32, 32, 3))
-        base = disc.forward(x).value[0, :, :, 0]
+        base = disc.forward(x[..., :1], x[..., 1:]).value[0, :, :, 0]
         pixel_row, pixel_col = 13, 21
         perturbed = x.copy()
         perturbed[0, pixel_row, pixel_col, :] += 1.0
-        changed = np.abs(disc.forward(perturbed).value[0, :, :, 0] - base) > 1e-12
+        alpha = disc.forward(perturbed[..., :1], perturbed[..., 1:])
+        changed = np.abs(alpha.value[0, :, :, 0] - base) > 1e-12
         rows, cols = np.nonzero(changed)
         assert changed.any()
         for i, j in zip(rows, cols):
@@ -152,14 +154,14 @@ class TestDiscriminator:
             build_discriminator(cfg, 11, input_size=64)
         disc = build_discriminator(cfg, 11)
         with pytest.raises(ConfigError):
-            disc.forward(np.zeros((1, 64, 64, 11)))
+            disc.forward(np.zeros((1, 64, 64, 3)), np.zeros((1, 64, 64, 8)))
 
     def test_input_size_divisibility_check(self):
         with pytest.raises(ConfigError):
             build_discriminator(DiscriminatorConfig(layers=3), 11, input_size=36)
         disc = build_discriminator(DiscriminatorConfig(layers=3), 11)
         with pytest.raises(ConfigError):
-            disc.forward(np.zeros((1, 36, 40, 11)))
+            disc.forward(np.zeros((1, 36, 40, 3)), np.zeros((1, 36, 40, 8)))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -292,6 +292,42 @@ class TestDataParallelSteps:
         )
 
 
+class TestColumnReuse:
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_each_chunk_builds_three_columns_per_step(self, monkeypatch, tmp_path, chunks):
+        # The discriminator's first-layer columns: each chunk builds, per
+        # step, those of its images, of the real pair's K class channels
+        # and of the predicted map, and the generator update builds none.
+        # k = 3 and K = 4 tell the maps apart by their channel counts: 3,
+        # 4 and 8. Every process appends its builds to one file.
+        log = tmp_path / "builds"
+        build = ad.conv_columns
+
+        def recording_build(x, k, stride):
+            columns = build(x, k, stride)
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {columns.source.value.shape[3]}\n")
+            return columns
+
+        monkeypatch.setattr(ad, "conv_columns", recording_build)
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: chunks)
+        monkeypatch.setattr(train_module, "_blas_threads", lambda: 1)
+        gen_cfg = GeneratorConfig(depth=2, base_channels=4, code_bits=3)
+        _, disc_cfg = _tiny_configs()
+        _, _, history = train_cgan(
+            gen_cfg, disc_cfg, _tiny_dataset(), 2, seed=5, settings=TrainSettings(batch_size=2)
+        )
+        assert history.header["threads"] == str(chunks)
+        assert history.header["num_classes"] == "4"
+        builds: dict[str, list[int]] = {}
+        for line in log.read_text(encoding="ascii").splitlines():
+            pid, channels = line.split()
+            builds.setdefault(pid, []).append(int(channels))
+        assert len(builds) == chunks
+        for per_process in builds.values():
+            assert per_process == [3, 8, 4] * 2
+
+
 class _RecordingDataset(list):
     """A dataset that records the index of every sample fetched."""
 
