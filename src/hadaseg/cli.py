@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -109,8 +110,11 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    out = Path(args.out)
+    _check_out_dir(out)
     samples = gen_synthetic(args.seed, args.count, args.size, args.classes)
-    ids = write_dataset(args.out, samples)
+    with _staged(out) as partial:
+        ids = write_dataset(partial, samples)
     histogram = class_histogram(samples, args.classes)
     print(f"wrote {len(ids)} samples to {args.out}")
     print("class_histogram: " + " ".join(f"{c}:{int(n)}" for c, n in enumerate(histogram)))
@@ -142,6 +146,22 @@ def _move_into_place(partial: Path, out: Path) -> None:
             os.replace(Path(directory) / name, target / name)
 
 
+@contextmanager
+def _staged(out: Path):
+    """A sibling directory, ``.<name>.partial-<pid>``, for a command to
+    write its output into; when the block ends without an error, its files
+    move into place as ``out`` (``_move_into_place``). The sibling is
+    removed either way, so a failed write leaves ``out`` as it was."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    partial = out.parent / f".{out.name}.partial-{os.getpid()}"
+    partial.mkdir()
+    try:
+        yield partial
+        _move_into_place(partial, out)
+    finally:
+        shutil.rmtree(partial, ignore_errors=True)
+
+
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     if not cfg.data_dir:
@@ -161,17 +181,11 @@ def _cmd_train(args) -> int:
         settings=cfg.train,
         num_classes=cfg.classes,
     )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    partial = out.parent / f".{out.name}.partial-{os.getpid()}"
-    partial.mkdir()
-    try:
+    with _staged(out) as partial:
         (partial / "history.csv").write_text(history.loss_csv(), encoding="ascii")
         (partial / "metrics.csv").write_text(history.metrics_csv(), encoding="ascii")
         save_models(partial / "checkpoint", gen, disc, num_classes=cfg.classes)
         shutil.copyfile(args.config, partial / "config.txt")
-        _move_into_place(partial, out)
-    finally:
-        shutil.rmtree(partial, ignore_errors=True)
     print(f"trainable-parameters: {gen.parameter_count()}")
     print(f"history: {out / 'history.csv'}")
     print(f"checkpoint: {out / 'checkpoint'}")

@@ -13,8 +13,13 @@ of resolution; see the README note on the weight calibration this implies.
 The discriminator and generator losses are computed per chunk of a batch:
 ``*_loss_sums`` returns a chunk's raw per-term sums and the gradients of the
 whole batch's loss w.r.t. the chunk's maps, given the batch's element
-counts, and ``*_loss_from_sums`` combines the chunks' sums. The plain loss
-functions are the one-chunk case.
+counts, and ``*_loss_from_sums`` combines the chunks' sums. The plain
+discriminator loss is the one-chunk case. The generator's targets, a one-hot
+row and a codebook row per pixel, are functions of its class index, so
+``generator_loss_sums`` reads the label maps and the codebook rather than
+dense targets. ``generator_loss`` and ``generator_loss_grads`` take dense
+targets and compose the term functions; they are the reference whose
+gradients the label path reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from functools import reduce
 
 import numpy as np
 
+from .codes import Codebook
 from .errors import ShapeError
 
 # Probabilities are clamped here before any log; keeps saturated
@@ -163,71 +169,93 @@ def discriminator_loss_grads(alpha_real, alpha_fake) -> tuple[np.ndarray, np.nda
 def generator_loss_sums(
     alpha_fake,
     y_hat: np.ndarray,
-    y: np.ndarray,
+    labels: np.ndarray,
     y_c_hat: np.ndarray,
-    y_c: np.ndarray,
+    codebook: Codebook,
     counts: tuple[int, int, int],
     w: LossWeights = LossWeights(),
 ) -> tuple[GeneratorLossTerms, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One chunk's part of the generator loss over a batch, in one pass.
+    """One chunk's part of the generator loss over a batch, from its class
+    indices.
 
-    ``counts`` are the element counts of the batch's patch map, probability
-    map and code map. Returns the chunk's sum of each raw term, each the
-    term's mean times its count (``generator_loss_from_sums`` combines
-    them), and the gradients of the batch's weighted total w.r.t. the
-    chunk's (alpha_fake, y_hat, y_c_hat).
+    The targets are those of ``generator_loss``: the one-hot rows and the
+    codebook rows of ``labels``, whose entries lie in [0, K) for the
+    codebook's K classes, so ``y_hat`` and ``y_c_hat`` are
+    ``[*labels.shape, n]``. ``counts`` are the element counts of the batch's
+    patch map, probability map and code map. Returns the chunk's sum of each
+    raw term, each the term's mean times its count
+    (``generator_loss_from_sums`` combines them), and the gradients of the
+    batch's weighted total w.r.t. the chunk's (alpha_fake, y_hat, y_c_hat).
 
-    The clamped map, the log and the differences serve both the sums and
-    the gradients, and the gradients are built in place in them. Every
-    value equals, bit for bit, what ``cross_entropy``, ``mae`` and their
-    ``_grad`` helpers give for a one-chunk batch: the operations differ from
-    theirs only in the operand order of a product or a sum and in negating
-    a quotient rather than its numerator, all of which round the same.
+    A one-hot target is 0 off the label, so the cross-entropy reads only
+    the label column s of ``y_hat``, and |y_hat - y| is |y_hat| there and
+    |s - 1| on it. Each gradient element comes from the scalar operations
+    of ``cross_entropy_grad`` and ``mae_grad`` on the dense targets, in
+    their order, so it equals bit for bit what ``generator_loss_grads``
+    gives for a one-chunk batch. The sums may differ from the dense terms
+    in the last bits.
     """
     a_fake = np.asarray(alpha_fake, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    y_hat = np.ascontiguousarray(y_hat, dtype=np.float64)
     y_c_hat = np.asarray(y_c_hat, dtype=np.float64)
-    y_c = np.asarray(y_c, dtype=np.float64)
-    _check_same_shape(y_hat, y)
-    _check_same_shape(y_c_hat, y_c)
+    labels = np.asarray(labels)
+    shape = (*labels.shape, codebook.n)
+    for name, z_hat in (("y_hat", y_hat), ("y_c_hat", y_c_hat)):
+        if z_hat.shape != shape:
+            raise ShapeError(f"{name} {z_hat.shape} does not match labels and codebook {shape}")
     n_alpha, n_y, n_code = counts
+    # Where each pixel's label column lies in the flattened maps.
+    at_label = np.arange(labels.size) * codebook.n + labels.reshape(-1)
 
     adversarial = -_log_sum(a_fake)
     g_alpha = _clamped_log_grad(a_fake, -1.0, n_alpha)
 
-    # Cross-entropy: -sum y * log(clamped), and its gradient
-    # -y / (N * clamped), zero where the clamp is active.
-    clamped = np.maximum(y_hat, LOG_CLAMP)
-    log_term = np.log(clamped)
-    log_term *= y
-    ce = -float(log_term.sum())
-    del log_term
+    # Cross-entropy: -sum log(clamped s), and at the label the gradient
+    # -1 / (N * clamped), zero where the clamp is active. Off the label it
+    # is a negated 0, which adds nothing to the MAE gradient there.
+    s = y_hat.reshape(-1)[at_label]
+    clamped = np.maximum(s, LOG_CLAMP)
+    ce = -float(np.log(clamped).sum())
     clamped *= n_y
-    g_y_hat = np.divide(y, clamped, out=clamped)
-    np.negative(g_y_hat, out=g_y_hat)
-    g_y_hat *= y_hat > LOG_CLAMP
-    g_y_hat *= w.lambda1
+    g_ce = np.divide(1.0, clamped, out=clamped)
+    np.negative(g_ce, out=g_ce)
+    g_ce *= s > LOG_CLAMP
+    g_ce *= w.lambda1
 
-    mae_y, mae_grad_y = _mae_sum_and_grad(y_hat, y, n_y)
-    mae_grad_y *= w.lambda2
-    g_y_hat += mae_grad_y
-    del mae_grad_y
+    # MAE: y_hat - y is y_hat off the label and s - 1 on it.
+    s_minus_1 = s - 1.0
+    g_y_hat = _weighted_mae_grad(y_hat, n_y, w.lambda2)
+    g_y_hat.reshape(-1)[at_label] = g_ce + _weighted_mae_grad(s_minus_1, n_y, w.lambda2)
+    distance = np.abs(y_hat)
+    distance.reshape(-1)[at_label] = np.abs(s_minus_1)
+    mae_y = float(distance.sum())
+    del distance
 
-    mae_yc, g_y_c_hat = _mae_sum_and_grad(y_c_hat, y_c, n_code)
-    g_y_c_hat *= w.lambda3
+    diff = codebook.matrix.astype(np.float64)[labels]
+    np.subtract(y_c_hat, diff, out=diff)
+    g_y_c_hat = _weighted_mae_grad(diff, n_code, w.lambda3)
+    mae_yc = float(np.abs(diff, out=diff).sum())
 
     return GeneratorLossTerms(adversarial, ce, mae_y, mae_yc), (g_alpha, g_y_hat, g_y_c_hat)
 
 
-def _mae_sum_and_grad(z_hat: np.ndarray, z: np.ndarray, count: int) -> tuple[float, np.ndarray]:
-    """sum |z_hat - z| and ``mae_grad`` over ``count`` elements, from one
-    difference array."""
-    diff = z_hat - z
+def _weighted_mae_grad(diff: np.ndarray, count: int, weight: float) -> np.ndarray:
+    """``weight * mae_grad`` over ``count`` elements, from the difference
+    ``diff`` = z_hat - z. sign(diff) is -1, 0 or 1 (or NaN), so one product
+    by (1 / count) * weight rounds as dividing by ``count`` and then
+    multiplying by ``weight`` does."""
     grad = np.sign(diff)
-    grad /= count
-    np.abs(diff, out=diff)
-    return float(diff.sum()), grad
+    grad *= 1.0 / count * weight
+    return grad
+
+
+def _weighted_total(terms: GeneratorLossTerms, w: LossWeights) -> float:
+    return (
+        terms.adversarial
+        + w.lambda1 * terms.cross_entropy
+        + w.lambda2 * terms.mae_probability
+        + w.lambda3 * terms.mae_code
+    )
 
 
 def generator_loss_from_sums(
@@ -236,9 +264,8 @@ def generator_loss_from_sums(
     """The weighted total and the raw per-term means of a batch's generator
     loss, from its chunks' ``generator_loss_sums``."""
     n_alpha, n_y, n_code = counts
-    adversarial, ce, mae_y, mae_yc = _means(map(astuple, chunk_sums), (n_alpha, n_y, n_y, n_code))
-    total = adversarial + w.lambda1 * ce + w.lambda2 * mae_y + w.lambda3 * mae_yc
-    return total, GeneratorLossTerms(adversarial, ce, mae_y, mae_yc)
+    terms = GeneratorLossTerms(*_means(map(astuple, chunk_sums), (n_alpha, n_y, n_y, n_code)))
+    return _weighted_total(terms, w), terms
 
 
 def generator_loss(
@@ -249,15 +276,21 @@ def generator_loss(
     y_c: np.ndarray,
     w: LossWeights = LossWeights(),
 ) -> tuple[float, GeneratorLossTerms]:
-    """Four-term generator loss and its raw per-term breakdown: the
-    one-chunk case of ``generator_loss_sums``.
+    """Four-term generator loss and its raw per-term breakdown, on dense
+    targets: the reference that ``generator_loss_sums`` computes from class
+    indices.
 
     total = S(1|alpha_fake) + lambda1 * S(y_hat|y)
           + lambda2 * MAE(y_hat, y) + lambda3 * MAE(y_c_hat, y_c)
     """
-    counts = (np.size(alpha_fake), np.size(y), np.size(y_c))
-    sums, _ = generator_loss_sums(alpha_fake, y_hat, y, y_c_hat, y_c, counts, w)
-    return generator_loss_from_sums([sums], counts, w)
+    a_fake = np.asarray(alpha_fake, dtype=np.float64)
+    terms = GeneratorLossTerms(
+        -_log_sum(a_fake) / a_fake.size,
+        cross_entropy(y_hat, y),
+        mae(y_hat, y),
+        mae(y_c_hat, y_c),
+    )
+    return _weighted_total(terms, w), terms
 
 
 def generator_loss_grads(
@@ -269,5 +302,9 @@ def generator_loss_grads(
     w: LossWeights = LossWeights(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of generator_loss w.r.t. (alpha_fake, y_hat, y_c_hat)."""
-    counts = (np.size(alpha_fake), np.size(y), np.size(y_c))
-    return generator_loss_sums(alpha_fake, y_hat, y, y_c_hat, y_c, counts, w)[1]
+    a_fake = np.asarray(alpha_fake, dtype=np.float64)
+    return (
+        _clamped_log_grad(a_fake, -1.0, a_fake.size),
+        w.lambda1 * cross_entropy_grad(y_hat, y) + w.lambda2 * mae_grad(y_hat, y),
+        w.lambda3 * mae_grad(y_c_hat, y_c),
+    )

@@ -15,17 +15,19 @@ calling process fetches every sample of the step first and runs the first
 chunk itself. The others run at the same time in P - 1 worker processes
 that ``train_cgan`` forks once per call and joins before it returns or
 raises; processes, unlike threads, do not wait on each other for the
-interpreter lock. Each chunk encodes its own targets, runs its forwards,
-computes its loss terms' sums and gradients (``loss.*_loss_sums``) and
-walks its own backward (``autodiff.gradients``). Between the two parts the
-process that ran a chunk holds its state (``_Chunk``): the targets, the
-generator tape and the discriminator's first-layer columns of the chunk's
-images and predicted map. The discriminator part builds those columns and
-scores both pairs with them; the generator part scores the predicted pair
-again from the same columns, with the predicted map's input gradient going
-to the generator's output. So a chunk builds three column matrices per
-step (images, the real pair's K one-hot channels, predicted map) and the
-generator part builds none. Only the loss sums and the
+interpreter lock. Each chunk runs its forwards, computes its loss terms'
+sums and gradients (``loss.*_loss_sums``) and walks its own backward
+(``autodiff.gradients``). Its targets stay class indices: the generator
+loss reads the label maps and the codebook, and the real pair's K one-hot
+channels are the only dense targets a chunk builds. Between the two parts
+the process that ran a chunk holds its state (``_Chunk``): the label maps,
+the generator tape and the discriminator's first-layer columns of the
+chunk's images and predicted map. The discriminator part builds those
+columns and scores both pairs with them; the generator part scores the
+predicted pair again from the same columns, with the predicted map's input
+gradient going to the generator's output. So a chunk builds three column
+matrices per step (images, the real pair's K one-hot channels, predicted
+map) and the generator part builds none. Only the loss sums and the
 Parameters' gradients cross processes: the parameter values live in a
 shared mapping that Adam updates in place, each worker writes its
 gradients into a shared buffer of its own, and the rest goes through a
@@ -40,11 +42,14 @@ it arises only where ``fork`` exists.
 
 Everything is derived from a single seed: weight init, batch order, and the
 synthetic data stream if the caller built one the same way. Rerunning with
-the same inputs reproduces the history byte for byte. At P = 1 every value
-is what an unchunked step computes. At other P every per-element loss
-gradient is still the same, but the logged loss values are sums of
-per-chunk sums and the weight gradients sum over the chunks, so both may
-differ in the last bits. A chunk's discriminator gradient sums its real
+the same inputs reproduces the history byte for byte. Every per-element
+loss gradient is what ``loss.generator_loss_grads`` and
+``loss.discriminator_loss_grads`` give on the dense targets of the whole
+batch, bit for bit, at every P; the logged cross-entropy may differ from
+the dense term's in the last bits, since it adds only the label column. At
+P = 1 the weight gradients are what an unchunked step computes. At other P
+the logged loss values are sums of per-chunk sums and the weight gradients
+sum over the chunks, so both may differ in the last bits. A chunk's discriminator gradient sums its real
 and fake passes before the chunks are added: at P = 2 it is
 (r0 + f0) + (r1 + f1), for the real and fake passes r and f of chunks 0
 and 1.
@@ -64,7 +69,7 @@ from itertools import chain, count, islice
 import numpy as np
 
 from ..codes import sylvester
-from ..data import Sample, common_resolution, encode_targets
+from ..data import Sample, check_class_indices, common_resolution, one_hot
 from ..errors import ConfigError, TrainingDivergedError
 from ..loss import (
     LossWeights,
@@ -360,12 +365,11 @@ def _sum_chunk_grads(parameters: dict[str, ad.Parameter], chunk_grads) -> dict[s
 @dataclass
 class _Chunk:
     """What a chunk's discriminator part leaves for its generator part: the
-    targets, the generator outputs, and the discriminator's first-layer
+    label maps, the generator outputs, and the discriminator's first-layer
     columns of the chunk's images and of its predicted map (whose source
     is the raw ``y_hat`` values, so no gradient reaches the generator)."""
 
-    y_one_hot: np.ndarray
-    y_code: np.ndarray
+    labels: np.ndarray
     y_hat: ad.Node
     y_c: ad.Node
     image: ad.Columns
@@ -396,6 +400,7 @@ def train_cgan(
     if num_classes is None:
         num_classes = int(max(s.labels.labels.max() for s in dataset)) + 1
     gen_cfg.check_num_classes(num_classes)
+    check_class_indices(dataset, num_classes)
     gen_cfg.check_input_size(height, width)
     disc_cfg.check_input_size(height, width)
 
@@ -439,25 +444,22 @@ def train_cgan(
     adam_settings = {"lr": settings.lr, "beta1": settings.beta1, "beta2": settings.beta2}
 
     def discriminator_part(held, x, labels):
-        """A chunk's targets, its generator forward, its part of the
-        discriminator loss and its discriminator gradients; returns its
-        (counts, sums) and the gradients, and keeps a ``_Chunk`` in
-        ``held`` for the generator part. The discriminator's first-layer
-        columns are built once each for the images, the real class map and
-        the predicted map. The predicted map enters as a raw array so no
-        gradient reaches the generator here. ``encode_targets`` rejects
-        labels >= K, so the one-hot channels from K on are zero and the
-        real pair passes only the first K."""
-        encoded = [encode_targets(label_map, codebook) for label_map in labels]
-        y_one_hot = np.stack([e.one_hot for e in encoded])
-        y_code = np.stack([e.hadamard for e in encoded])
+        """A chunk's generator forward, its part of the discriminator loss
+        and its discriminator gradients; returns its (counts, sums) and the
+        gradients, and keeps a ``_Chunk`` in ``held`` for the generator
+        part. The discriminator's first-layer columns are built once each
+        for the images, the real class map and the predicted map. The
+        predicted map enters as a raw array so no gradient reaches the
+        generator here. Every label is below K (``train_cgan`` checks), so
+        the real pair's one-hot channels from K on are zero and it passes
+        only the first K."""
         y_hat, y_c = gen.forward(x)
         image, predicted = disc.columns(x), disc.columns(y_hat.value)
-        real = disc.forward(image, y_one_hot[..., :num_classes])
+        real = disc.forward(image, one_hot(labels, num_classes))
         fake = disc.forward(image, predicted)
         counts = _batch_counts(settings.batch_size, real.value, fake.value)
         sums, (g_real, g_fake) = discriminator_loss_sums(real.value, fake.value, counts)
-        held["chunk"] = _Chunk(y_one_hot, y_code, y_hat, y_c, image, predicted)
+        held["chunk"] = _Chunk(labels, y_hat, y_c, image, predicted)
         return (counts, sums), ad.gradients([(real, g_real), (fake, g_fake)])
 
     def generator_part(held, with_argmax):
@@ -472,10 +474,10 @@ def train_cgan(
         chunk = held.pop("chunk")
         ad.set_needs_grad(disc.parameters.values(), False)
         alpha = disc.forward(chunk.image, replace(chunk.predicted, source=chunk.y_hat))
-        y, y_code = chunk.y_one_hot, chunk.y_code
-        counts = _batch_counts(settings.batch_size, alpha.value, y, y_code)
+        y_hat, y_c = chunk.y_hat.value, chunk.y_c.value
+        counts = _batch_counts(settings.batch_size, alpha.value, y_hat, y_c)
         sums, (g_alpha, g_y_hat, g_y_c) = generator_loss_sums(
-            alpha.value, chunk.y_hat.value, y, chunk.y_c.value, y_code, counts, effective
+            alpha.value, y_hat, chunk.labels, y_c, codebook, counts, effective
         )
         seeds = [(alpha, g_alpha), (chunk.y_hat, g_y_hat)]
         if effective.lambda3 != 0.0:
@@ -506,7 +508,10 @@ def train_cgan(
             # chunk's images and label maps.
             batch = [dataset[i] for i in islice(indices, settings.batch_size)]
             chunks = [
-                (np.stack([batch[i].image for i in part]), [batch[i].labels for i in part])
+                (
+                    np.stack([batch[i].image for i in part]),
+                    np.stack([batch[i].labels.labels for i in part]),
+                )
                 for part in np.array_split(np.arange(len(batch)), workers)
             ]
             with_argmax = step % settings.metrics_every == 0 or step == steps
@@ -555,7 +560,7 @@ def train_cgan(
                     )
                 )
             if with_argmax:
-                labels = np.stack([sample.labels.labels for sample in batch])
+                labels = np.concatenate([labels for _, labels in chunks])
                 accuracy = float((np.concatenate(predicted) == labels).mean())
                 history.metric_rows.append((step, accuracy))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hadaseg import cli
+from hadaseg import data as data_module
 from hadaseg.cli import _load_generator, main
 from hadaseg.data import ingest_index_maps, read_image, read_label_map
 from hadaseg.metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
@@ -105,6 +106,71 @@ class TestGenDataCommand:
         )
         assert code == 3
         assert err.startswith("error:data:")
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_failed_write_leaves_no_partial_output(
+        self, capsys, monkeypatch, tmp_path, existing
+    ):
+        # The disk fills on the third sample's label map: nothing of the run
+        # reaches --out, an earlier --out keeps its contents, and no
+        # sibling directory is left behind.
+        write_label_map = data_module.write_label_map
+        written = []
+
+        def filling_write_label_map(path, lm):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_label_map(path, lm)
+
+        monkeypatch.setattr(data_module, "write_label_map", filling_write_label_map)
+        out = tmp_path / "d"
+        earlier = {"000000.img": b"earlier\n", "notes.txt": b"keep\n"}
+        if existing:
+            out.mkdir()
+            for name, data in earlier.items():
+                (out / name).write_bytes(data)
+        code, _, err = run(
+            capsys,
+            "gen-data", "--seed", "3", "--count", "5", "--size", "16",
+            "--classes", "4", "--out", str(out),
+        )
+        assert code == 3
+        assert err == "error:data: [Errno 28] No space left on device\n"
+        assert len(written) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["d"] if existing else [])
+        if existing:
+            assert sorted(p.name for p in out.iterdir()) == sorted(earlier)
+            for name, data in earlier.items():
+                assert (out / name).read_bytes() == data
+
+    def test_existing_out_gets_new_files_and_keeps_others(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "000000.img").write_bytes(b"earlier\n")
+        (out / "notes.txt").write_bytes(b"keep\n")
+        code, _, _ = run(
+            capsys,
+            "gen-data", "--seed", "3", "--count", "2", "--size", "16",
+            "--classes", "4", "--out", str(out),
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert (out / "notes.txt").read_bytes() == b"keep\n"
+        assert len(ingest_index_maps(out)) == 2
+
+    def test_out_that_is_a_file_fails_before_writing(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        out.write_bytes(b"keep\n")
+        code, _, err = run(
+            capsys,
+            "gen-data", "--seed", "3", "--count", "2", "--size", "16",
+            "--classes", "4", "--out", str(out),
+        )
+        assert code == 3
+        assert err.startswith("error:data: [Errno 17] File exists")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert out.read_bytes() == b"keep\n"
 
 
 class TestFwhtBenchCommand:

@@ -284,25 +284,63 @@ def _reference_generator_loss_and_grads(alpha, y_hat, y, y_c_hat, y_c, w):
     return [total, adversarial, ce, mae_y, mae_yc], [g_alpha, g_y_hat, g_y_c_hat]
 
 
+def _label_path_case(rng, case):
+    """Loss inputs around the edges of the label path, with the labels
+    drawn first: probabilities at 0, below the clamp and equal to their
+    target (MAE sign 0), code entries equal to their target, and (case 5)
+    a saturated map whose cross-entropy is exactly zero."""
+    cb = sylvester(3)
+    labels = rng.integers(0, 8, (2, 3, 5))
+    y = np.eye(8)[labels]
+    y_hat = rng.uniform(0.0, 1.0, y.shape)
+    y_hat[rng.random(y.shape) < 0.2] = 0.0
+    y_hat[rng.random(y.shape) < 0.2] = 1e-13
+    if case == 5:
+        y_hat = y.copy()
+    else:
+        same = rng.random(y.shape) < 0.2
+        y_hat[same] = y[same]
+    y_c = cb.matrix[labels].astype(np.float64)
+    y_c_hat = rng.standard_normal(y.shape)
+    same = rng.random(y.shape) < 0.2
+    y_c_hat[same] = y_c[same]
+    alpha = rng.uniform(0.0, 1.0, (2, 2, 2, 1))
+    alpha[0, 0, 0, 0] = 0.0
+    return cb, labels, alpha, y_hat, y, y_c_hat, y_c
+
+
 class TestFusedGeneratorLoss:
     def test_byte_identical_to_the_term_functions(self):
-        # Clamped and exactly-one probabilities, exact matches (MAE sign 0)
-        # and a saturated case whose cross-entropy is exactly zero.
+        # The label path's gradients equal the dense term functions' bit
+        # for bit; its sums agree to rounding. Also at lambda3 = 0, and at
+        # a zero MAE weight, where a clamped entry's gradient is a signed 0.
         rng = np.random.default_rng(60)
+        for case in range(7):
+            cb, labels, alpha, y_hat, y, y_c_hat, y_c = _label_path_case(rng, case)
+            s = np.take_along_axis(y_hat, labels[..., None], axis=-1)
+            assert case == 5 or ((s == 0.0).any() and (s == 1e-13).any() and (s == 1.0).any())
+            w = LossWeights(3.0, 0.0 if case == 6 else 5.0, 0.0 if case == 4 else 7.0)
+            counts = (alpha.size, y.size, y_c.size)
+            sums, grads = generator_loss_sums(alpha, y_hat, labels, y_c_hat, cb, counts, w)
+            total, terms = generator_loss_from_sums([sums], counts, w)
+            values = [
+                total,
+                terms.adversarial,
+                terms.cross_entropy,
+                terms.mae_probability,
+                terms.mae_code,
+            ]
+            expected_values, expected_grads = _reference_generator_loss_and_grads(
+                alpha, y_hat, y, y_c_hat, y_c, w
+            )
+            np.testing.assert_allclose(values, expected_values, rtol=1e-12, atol=0)
+            for got, expected in zip(grads, expected_grads):
+                assert got.tobytes() == expected.tobytes()
+
+    def test_dense_loss_is_the_term_functions(self):
+        rng = np.random.default_rng(61)
         for case in range(6):
-            y = np.eye(8)[rng.integers(0, 8, (2, 3, 5))]
-            y_hat = rng.uniform(0.0, 1.0, y.shape)
-            y_hat[rng.random(y.shape) < 0.2] = 0.0
-            y_hat[rng.random(y.shape) < 0.2] = 1e-13
-            if case == 5:
-                y_hat = y.copy()
-            else:
-                y_hat[rng.random(y.shape) < 0.2] = y[rng.random(y.shape) < 0.2][0]
-            y_c = rng.choice([-1.0, 1.0], y.shape)
-            y_c_hat = rng.standard_normal(y.shape)
-            y_c_hat[rng.random(y.shape) < 0.2] = 1.0
-            alpha = rng.uniform(0.0, 1.0, (2, 2, 2, 1))
-            alpha[0, 0, 0, 0] = 0.0
+            _, _, alpha, y_hat, y, y_c_hat, y_c = _label_path_case(rng, case)
             w = LossWeights(3.0, 5.0, 0.0 if case == 4 else 7.0)
             total, terms = generator_loss(alpha, y_hat, y, y_c_hat, y_c, w)
             grads = generator_loss_grads(alpha, y_hat, y, y_c_hat, y_c, w)
@@ -320,18 +358,29 @@ class TestFusedGeneratorLoss:
             for got, expected in zip(grads, expected_grads):
                 assert got.tobytes() == expected.tobytes()
 
+    def test_label_path_shape_mismatch(self):
+        cb, labels, alpha, y_hat, y, y_c_hat, _ = _label_path_case(np.random.default_rng(62), 0)
+        counts = (alpha.size, y.size, y.size)
+        with pytest.raises(ShapeError):
+            generator_loss_sums(alpha, y_hat, labels[:, :2], y_c_hat, cb, counts)
+        with pytest.raises(ShapeError):
+            generator_loss_sums(alpha, y_hat, labels, y_c_hat, sylvester(2), counts)
+
     def test_inputs_are_not_modified(self):
         alpha_fake, y_hat, y, y_c_hat, y_c = _single_pixel_fixture()
-        copies = [a.copy() for a in (alpha_fake, y_hat, y, y_c_hat, y_c)]
+        labels = np.zeros((1, 1), dtype=np.int64)
+        inputs = (alpha_fake, y_hat, y, y_c_hat, y_c, labels)
+        copies = [a.copy() for a in inputs]
         generator_loss(alpha_fake, y_hat, y, y_c_hat, y_c)
         generator_loss_grads(alpha_fake, y_hat, y, y_c_hat, y_c)
-        for before, after in zip(copies, (alpha_fake, y_hat, y, y_c_hat, y_c)):
+        generator_loss_sums(alpha_fake, y_hat, labels, y_c_hat, sylvester(1), (1, 2, 2))
+        for before, after in zip(copies, inputs):
             assert np.array_equal(before, after)
 
 
 def _batch_of_three(head):
     """The loss inputs of a batch of 3 as a training step makes them, with
-    clamped and saturated entries added."""
+    clamped and saturated entries added, and the batch's label maps."""
     gen_cfg = GeneratorConfig(depth=2, base_channels=4, code_bits=2, head=head)
     gen = build_generator(gen_cfg, seed=70)
     disc = build_discriminator(
@@ -341,6 +390,7 @@ def _batch_of_three(head):
     )
     samples = gen_synthetic(seed=72, count=3, size=16, num_classes=4)
     encoded = [encode_targets(s.labels, sylvester(2)) for s in samples]
+    labels = np.stack([s.labels.labels for s in samples])
     x = np.stack([s.image for s in samples])
     y = np.stack([e.one_hot for e in encoded])
     y_c = np.stack([e.hadamard for e in encoded])
@@ -350,7 +400,7 @@ def _batch_of_three(head):
     a_real[0, 0, 0, 0], a_fake[1, 0, 0, 0], a_fake[2, 1, 1, 0] = 1.0, 1.0, 0.0
     y_hat[0, 0, 0] = 0.0
     y_hat[2, 3, 3] = y[2, 3, 3]
-    return a_real, a_fake, y_hat, y, y_c_hat, y_c
+    return a_real, a_fake, y_hat, y, y_c_hat, y_c, labels
 
 
 def _chunk_slices(sizes):
@@ -381,7 +431,10 @@ class TestChunkSums:
     @pytest.mark.parametrize("lambda3", [0.0, 250.0])
     @pytest.mark.parametrize("sizes", [(3,), (2, 1), (1, 1, 1)])
     def test_generator_chunks_combine_to_the_batch_loss(self, head, lambda3, sizes):
-        a_fake, y_hat, y, y_c_hat, y_c = _batch_of_three(head)[1:]
+        # The label path's chunks, against the dense loss of the batch:
+        # equal gradients, and sums that differ from the dense terms only
+        # by the order in which they are added.
+        a_fake, y_hat, y, y_c_hat, y_c, labels = _batch_of_three(head)[1:]
         w = LossWeights(lambda3=lambda3)
         counts = (a_fake.size, y.size, y_c.size)
         total, terms = generator_loss(a_fake, y_hat, y, y_c_hat, y_c, w)
@@ -389,14 +442,14 @@ class TestChunkSums:
         chunk_sums = []
         for part in _chunk_slices(sizes):
             sums, grads = generator_loss_sums(
-                a_fake[part], y_hat[part], y[part], y_c_hat[part], y_c[part], counts, w
+                a_fake[part], y_hat[part], labels[part], y_c_hat[part], sylvester(2), counts, w
             )
             chunk_sums.append(sums)
             for got, expected in zip(grads, whole):
                 assert got.tobytes() == expected[part].tobytes()
         chunked_total, chunked_terms = generator_loss_from_sums(chunk_sums, counts, w)
-        assert math.isclose(chunked_total, total, rel_tol=1e-15)
+        assert math.isclose(chunked_total, total, rel_tol=1e-12)
         for name in ("adversarial", "cross_entropy", "mae_probability", "mae_code"):
             assert math.isclose(
-                getattr(chunked_terms, name), getattr(terms, name), rel_tol=1e-15
+                getattr(chunked_terms, name), getattr(terms, name), rel_tol=1e-12
             ), name

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hadaseg.data import gen_synthetic
-from hadaseg.errors import ConfigError, ShapeError, TrainingDivergedError
+from hadaseg.errors import ClassIndexError, ConfigError, ShapeError, TrainingDivergedError
 from hadaseg.loss import generator_loss_from_sums
 from hadaseg.netkit import (
     DiscriminatorConfig,
@@ -220,6 +220,16 @@ class TestTrainLoop:
         for num_classes in (1, 5):
             with pytest.raises(ConfigError, match="capacity"):
                 train_cgan(gen_cfg, disc_cfg, _tiny_dataset(), 1, seed=0, num_classes=num_classes)
+
+    def test_label_outside_num_classes_rejected_before_any_step(self, monkeypatch):
+        # Checked once, before any worker is forked: no step runs.
+        def no_workers(*args):
+            raise AssertionError("a step started")
+
+        monkeypatch.setattr(train_module, "_ChunkWorkers", no_workers)
+        gen_cfg, disc_cfg = _tiny_configs()
+        with pytest.raises(ClassIndexError, match="sample 1: label 3 >= num_classes 2"):
+            train_cgan(gen_cfg, disc_cfg, _tiny_dataset(), 1, seed=0, num_classes=2)
 
     def test_header_documents_threads_and_parameters(self, monkeypatch):
         monkeypatch.setattr(train_module, "_usable_cpus", lambda: 4)
