@@ -297,36 +297,24 @@ def ingest_index_maps(directory, num_classes: int | None = None) -> list[Sample]
     return samples
 
 
-def _sample_name(index: int, sample: Sample) -> str:
-    """A sample's image file, or its index in its list when it was not read
-    from disk."""
-    return str(sample.path) if sample.path is not None else f"sample {index}"
-
-
 def common_resolution(samples: list[Sample]) -> tuple[int, int]:
     """The (height, width) all samples share, or a ConfigError naming the
-    first sample that differs."""
+    first sample that differs: its image file, or its index in ``samples``
+    when it was not read from disk."""
+
+    def name(index: int, sample: Sample) -> str:
+        return str(sample.path) if sample.path is not None else f"sample {index}"
+
     first = samples[0]
     height, width = first.image.shape[:2]
     for index, sample in enumerate(samples):
         size = sample.image.shape[:2]
         if size != (height, width):
             raise ConfigError(
-                f"{_sample_name(index, sample)}: image {size[0]}x{size[1]} differs from "
-                f"{_sample_name(0, first)} ({height}x{width}); all samples must share one "
-                "resolution"
+                f"{name(index, sample)}: image {size[0]}x{size[1]} differs from "
+                f"{name(0, first)} ({height}x{width}); all samples must share one resolution"
             )
     return height, width
-
-
-def check_class_indices(samples: list[Sample], num_classes: int) -> None:
-    """Raise ClassIndexError naming the first sample with a label >= K."""
-    for index, sample in enumerate(samples):
-        top = int(sample.labels.labels.max())
-        if top >= num_classes:
-            raise ClassIndexError(
-                f"{_sample_name(index, sample)}: label {top} >= num_classes {num_classes}"
-            )
 
 
 def class_histogram(samples: list[Sample], num_classes: int) -> np.ndarray:

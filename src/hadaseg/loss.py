@@ -192,8 +192,9 @@ def generator_loss_sums(
     |s - 1| on it. Each gradient element comes from the scalar operations
     of ``cross_entropy_grad`` and ``mae_grad`` on the dense targets, in
     their order, so it equals bit for bit what ``generator_loss_grads``
-    gives for a one-chunk batch. The sums may differ from the dense terms
-    in the last bits.
+    gives for a one-chunk batch. So do the MAE sums, which add the dense
+    terms' elements in their order; the cross-entropy sum adds only the
+    label column and may differ from the dense term in the last bits.
     """
     a_fake = np.asarray(alpha_fake, dtype=np.float64)
     y_hat = np.ascontiguousarray(y_hat, dtype=np.float64)

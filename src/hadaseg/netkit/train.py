@@ -49,10 +49,10 @@ batch, bit for bit, at every P; the logged cross-entropy may differ from
 the dense term's in the last bits, since it adds only the label column. At
 P = 1 the weight gradients are what an unchunked step computes. At other P
 the logged loss values are sums of per-chunk sums and the weight gradients
-sum over the chunks, so both may differ in the last bits. A chunk's discriminator gradient sums its real
-and fake passes before the chunks are added: at P = 2 it is
-(r0 + f0) + (r1 + f1), for the real and fake passes r and f of chunks 0
-and 1.
+sum over the chunks, so both may differ in the last bits. A chunk's
+discriminator gradient sums its real and fake passes before the chunks are
+added: at P = 2 it is (r0 + f0) + (r1 + f1), for the real and fake passes r
+and f of chunks 0 and 1.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ from itertools import chain, count, islice
 import numpy as np
 
 from ..codes import sylvester
-from ..data import Sample, check_class_indices, common_resolution, one_hot
-from ..errors import ConfigError, TrainingDivergedError
+from ..data import Sample, common_resolution, one_hot
+from ..errors import ClassIndexError, ConfigError, TrainingDivergedError
 from ..loss import (
     LossWeights,
     discriminator_loss_from_sums,
@@ -397,10 +397,12 @@ def train_cgan(
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     height, width = common_resolution(dataset)
+    top_label = int(max(s.labels.labels.max() for s in dataset))
     if num_classes is None:
-        num_classes = int(max(s.labels.labels.max() for s in dataset)) + 1
+        num_classes = top_label + 1
     gen_cfg.check_num_classes(num_classes)
-    check_class_indices(dataset, num_classes)
+    if top_label >= num_classes:  # before any worker starts
+        raise ClassIndexError(f"label {top_label} >= num_classes {num_classes}")
     gen_cfg.check_input_size(height, width)
     disc_cfg.check_input_size(height, width)
 
@@ -560,7 +562,7 @@ def train_cgan(
                     )
                 )
             if with_argmax:
-                labels = np.concatenate([labels for _, labels in chunks])
+                labels = np.stack([sample.labels.labels for sample in batch])
                 accuracy = float((np.concatenate(predicted) == labels).mean())
                 history.metric_rows.append((step, accuracy))
 

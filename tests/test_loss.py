@@ -312,8 +312,9 @@ def _label_path_case(rng, case):
 class TestFusedGeneratorLoss:
     def test_byte_identical_to_the_term_functions(self):
         # The label path's gradients equal the dense term functions' bit
-        # for bit; its sums agree to rounding. Also at lambda3 = 0, and at
-        # a zero MAE weight, where a clamped entry's gradient is a signed 0.
+        # for bit; its cross-entropy agrees to rounding. Also at
+        # lambda3 = 0, and at a zero MAE weight, where a clamped entry's
+        # gradient is a signed 0.
         rng = np.random.default_rng(60)
         for case in range(7):
             cb, labels, alpha, y_hat, y, y_c_hat, y_c = _label_path_case(rng, case)
@@ -334,6 +335,8 @@ class TestFusedGeneratorLoss:
                 alpha, y_hat, y, y_c_hat, y_c, w
             )
             np.testing.assert_allclose(values, expected_values, rtol=1e-12, atol=0)
+            # The MAE sums add the dense elements in the dense order.
+            assert values[3:] == expected_values[3:]
             for got, expected in zip(grads, expected_grads):
                 assert got.tobytes() == expected.tobytes()
 

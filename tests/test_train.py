@@ -228,7 +228,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(train_module, "_ChunkWorkers", no_workers)
         gen_cfg, disc_cfg = _tiny_configs()
-        with pytest.raises(ClassIndexError, match="sample 1: label 3 >= num_classes 2"):
+        with pytest.raises(ClassIndexError, match="label 3 >= num_classes 2"):
             train_cgan(gen_cfg, disc_cfg, _tiny_dataset(), 1, seed=0, num_classes=2)
 
     def test_header_documents_threads_and_parameters(self, monkeypatch):
