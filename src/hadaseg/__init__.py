@@ -26,7 +26,7 @@ from .metrics import (
     metrics_report,
     pixel_accuracy,
 )
-from .data import EncodedTargets, Sample, encode_targets, gen_synthetic
+from .data import Sample, gen_synthetic
 
 __version__ = "0.1.0"
 
@@ -38,8 +38,6 @@ __all__ = [
     "ConfusionMatrix",
     "cross_entropy",
     "discriminator_loss",
-    "encode_targets",
-    "EncodedTargets",
     "fwht",
     "fwht_apply",
     "gen_synthetic",

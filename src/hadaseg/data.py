@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import Codebook
 from .errors import (
     ClassIndexError,
     ConfigError,
@@ -55,28 +54,9 @@ class Sample:
             )
 
 
-@dataclass(frozen=True)
-class EncodedTargets:
-    """Per-pixel one-hot and +/-1 code encodings of a label map."""
-
-    one_hot: np.ndarray  # (H, W, n) float64 in {0, 1}
-    hadamard: np.ndarray  # (H, W, n) float64 in {-1, +1}
-
-
 def one_hot(labels: np.ndarray, channels: int) -> np.ndarray:
     """The [..., channels] float64 one-hot rows of integer ``labels``."""
     return (labels[..., None] == np.arange(channels)).astype(np.float64)
-
-
-def encode_targets(lm: LabelMap, cb: Codebook) -> EncodedTargets:
-    """Encode labels as n-channel one-hot vectors and codebook rows."""
-    labels = lm.labels
-    if labels.max() >= cb.num_classes:
-        raise ClassIndexError(
-            f"label {int(labels.max())} >= num_classes {cb.num_classes}"
-        )
-    hadamard = cb.matrix[labels].astype(np.float64)
-    return EncodedTargets(one_hot=one_hot(labels, cb.n), hadamard=hadamard)
 
 
 def _class_palette(num_classes: int) -> np.ndarray:

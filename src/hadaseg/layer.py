@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Codebook, fwht
+from .codes import Codebook, fwht, fwht_apply
 from .errors import ShapeError
 
 
@@ -72,12 +72,7 @@ def hadamard_forward(cb: Codebook, y_c: np.ndarray) -> LayerActivation:
     is independent. The transform is unnormalized (no 1/n factor), so an
     exact codeword gives logit n at its own class.
     """
-    y_c = np.asarray(y_c, dtype=np.float64)
-    if y_c.shape[-1] != cb.n:
-        raise ShapeError(
-            f"channel count {y_c.shape[-1]} != codebook order {cb.n}"
-        )
-    return LayerActivation(output=_softmax_last_axis(fwht(y_c)))
+    return LayerActivation(output=_softmax_last_axis(fwht_apply(cb, y_c)))
 
 
 def hadamard_backward(act: LayerActivation, grad_out: np.ndarray) -> np.ndarray:

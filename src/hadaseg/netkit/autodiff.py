@@ -23,10 +23,11 @@ added to it, and an interior node's gradient is dropped as soon as its
 backprop has read it, so no interior node keeps a gradient after the walk.
 No gradient shares memory with another node's or with a caller's seed.
 
-``conv2d_pair`` is a conv over the channel concatenation of two maps,
-computed from each map's columns (``conv_columns``) without the
-concatenated map, so that several convs over one map build its columns
-once; the discriminator's first layer is one.
+``conv2d_columns`` is the engine's one convolution: a conv over the
+channel concatenation of one or more maps, computed from each map's columns
+(``conv_columns``) without the concatenated map, so that several convs over
+one map build its columns once; the discriminator's first layer is one.
+``conv2d`` is its one-part case, over columns built for that conv alone.
 
 ``upsample_concat_conv2d`` is a UNet decoder stage, nearest 2x upsampling,
 skip concatenation and a 3x3 conv, computed as one op at the low resolution:
@@ -54,6 +55,7 @@ not rely on this: it runs its chunks in separate processes (see train.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -263,57 +265,11 @@ def _bias_gradient(g: np.ndarray) -> np.ndarray:
     return np.ones(g.shape[0]) @ g
 
 
-def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
-    """Same-padded 2-D convolution, stride 1 or 2, odd square kernels.
-
-    Layout: input [B, H, W, Cin], kernel [kh, kw, Cin, Cout], bias [Cout].
-    Implemented as im2col + one matmul; the column matrix is cached for the
-    weight gradient when the kernel needs one. At stride 1 the input
-    gradient is the same-padded convolution of the output gradient with the
-    flipped kernel, its channel axes swapped: one more im2col + matmul. At
-    stride 2 the column gradient is scattered back tap by tap (``_col2im``).
-    An input that needs no gradient gets none computed.
-    """
-    _check_image(x, "conv2d")
-    xv, wv, bv = x.value, w.value, b.value
-    if wv.ndim != 4 or wv.shape[0] != wv.shape[1] or wv.shape[0] % 2 == 0:
-        raise ShapeError(f"kernel must be [k, k, Cin, Cout] with odd k, got {wv.shape}")
-    if wv.shape[2] != xv.shape[3]:
-        raise ShapeError(
-            f"kernel expects {wv.shape[2]} input channels, input has {xv.shape[3]}"
-        )
-    if bv.shape != (wv.shape[3],):
-        raise ShapeError(f"bias shape {bv.shape} != ({wv.shape[3]},)")
-    if stride not in (1, 2):
-        raise ShapeError(f"stride must be 1 or 2, got {stride}")
-
-    batch, _, _, cin = xv.shape
-    k, _, _, cout = wv.shape
-    cols, out_h, out_w = _im2col(_pad_same(xv, k // 2), k, stride)
-    w_mat = wv.reshape(k * k * cin, cout)
-    out = (cols @ w_mat + bv).reshape(batch, out_h, out_w, cout)
-    if not w.needs_grad:
-        cols = None  # only the weight gradient reads the columns
-
-    def backprop(g: np.ndarray) -> tuple:
-        g_mat = g.reshape(-1, cout)
-        db = _bias_gradient(g) if b.needs_grad else None
-        # [Cout, M] x [M, K] runs faster in BLAS than cols.T @ g.
-        dw = (g_mat.T @ cols).T.reshape(wv.shape) if w.needs_grad else None
-        if not x.needs_grad:
-            return None, dw, db
-        if stride == 1:
-            return _input_gradient(g, wv), dw, db
-        return _col2im(g_mat @ w_mat.T, xv.shape, k, stride, (out_h, out_w)), dw, db
-
-    return Node(out, parents=(x, w, b), backprop=backprop)
-
-
 @dataclass(frozen=True, eq=False)
 class Columns:
     """The im2col matrix of the map ``source`` [B, H, W, C] for a
     same-padded k x k kernel at ``stride``, built once by ``conv_columns``
-    for several ``conv2d_pair`` ops over the same map.
+    for several ``conv2d_columns`` ops over the same map.
 
     ``matrix`` is [B * Ho * Wo, k * k * C], columns ordered (kh, kw, C) like
     a kernel's rows, and ``out_hw`` is (Ho, Wo). An op over the columns
@@ -328,62 +284,74 @@ class Columns:
     out_hw: tuple[int, int]
 
 
+def _columns(x: Node, k: int, stride: int) -> Columns:
+    matrix, out_h, out_w = _im2col(_pad_same(x.value, k // 2), k, stride)
+    return Columns(x, matrix, k, stride, (out_h, out_w))
+
+
 def conv_columns(x, k: int, stride: int) -> Columns:
     """The columns of ``x`` [B, H, W, C], a Node or a raw array (which
     gets no gradient), for a same-padded k x k conv at ``stride``."""
     x = as_node(x)
     _check_image(x, "conv_columns")
-    matrix, out_h, out_w = _im2col(_pad_same(x.value, k // 2), k, stride)
-    return Columns(x, matrix, k, stride, (out_h, out_w))
+    return _columns(x, k, stride)
 
 
-def conv2d_pair(image: Columns, classes: Columns, w: Node, b: Node) -> Node:
-    """``conv2d(channel_concat(image, classes), w, b, stride)`` over the
-    prebuilt columns of both maps: the image part plus the class part plus
-    the bias.
+def conv2d_columns(parts, w: Node, b: Node) -> Node:
+    """The same-padded conv of the channel concatenation of the maps whose
+    ``Columns`` are ``parts``, computed without the concatenated map: each
+    part's columns times its rows of the kernel, summed, plus the bias.
 
-    The kernel [k, k, Cin, Cout] reads the image's Ci channels with its
-    first Ci input channels and the class map's Cc with the next Cc. The
-    class map may be narrower than the Cin - Ci channels left: the missing
-    trailing channels count as zero, and their weight-gradient rows are 0.
-    Both parts must come from maps of one batch and size, at the kernel's k
-    and a common stride.
+    The kernel [k, k, Cin, Cout] reads the parts' channels in order: the
+    first part's C0 channels with its first C0 input channels, the next
+    part's with the next ones, and so on. The parts may leave trailing
+    kernel channels unread: those count as zero, and their weight-gradient
+    rows are 0. All parts must come from maps of one batch and size, at the
+    kernel's odd k and a common stride.
 
-    Backward: the weight gradient's image and class rows come from each
-    part's columns, which the node keeps only when the kernel needs a
-    gradient. A part whose source needs a gradient gets its column gradient
-    scattered back through ``_col2im``; a raw part gets none.
+    Backward: each part's weight-gradient rows come from its columns, which
+    the node keeps only when the kernel needs a gradient. A part whose
+    source needs a gradient gets one: at stride 1 the same-padded conv of
+    the output gradient with the flipped kernel, its channel axes swapped
+    (``_input_gradient`` over the part's kernel channels); at stride 2 its
+    column gradient scattered back tap by tap (``_col2im``). A raw part
+    gets none.
     """
     wv, bv = w.value, b.value
-    k, stride = image.k, image.stride
-    parts = (image, classes)
+    k, stride, out_hw = parts[0].k, parts[0].stride, parts[0].out_hw
     shapes = [part.source.value.shape for part in parts]
-    rows = shapes[0][0] * image.out_hw[0] * image.out_hw[1]
-    if (
-        (classes.k, classes.stride) != (k, stride)
-        or shapes[0][:3] != shapes[1][:3]
-        or any(p.matrix.shape != (rows, k * k * s[3]) for p, s in zip(parts, shapes))
+    rows = shapes[0][0] * out_hw[0] * out_hw[1]
+    if any(
+        (part.k, part.stride) != (k, stride)
+        or shape[:3] != shapes[0][:3]
+        or part.matrix.shape != (rows, k * k * shape[3])
+        for part, shape in zip(parts, shapes)
     ):
         raise ShapeError(
-            f"conv2d_pair parts differ: {shapes[0]} at k={k}, stride={stride} vs "
-            f"{shapes[1]} at k={classes.k}, stride={classes.stride}"
+            "conv2d_columns parts differ: "
+            + " vs ".join(f"{s} at k={p.k}, stride={p.stride}" for p, s in zip(parts, shapes))
         )
     widths = [shape[3] for shape in shapes]
-    if wv.ndim != 4 or wv.shape[:2] != (k, k) or sum(widths) > wv.shape[2]:
+    if wv.ndim != 4 or wv.shape[:2] != (k, k) or k % 2 == 0 or sum(widths) > wv.shape[2]:
         raise ShapeError(
-            f"kernel {wv.shape} cannot read {widths[0]} + {widths[1]} channels "
-            f"with a {k}x{k} window"
+            f"kernel {wv.shape} cannot read {' + '.join(map(str, widths))} channels "
+            f"with a {k}x{k} window (k must be odd)"
         )
     cout = wv.shape[3]
     if bv.shape != (cout,):
         raise ShapeError(f"bias shape {bv.shape} != ({cout},)")
 
-    spans = [slice(0, widths[0]), slice(widths[0], sum(widths))]
+    spans = [slice(end - width, end) for end, width in zip(accumulate(widths), widths)]
     w_mats = [wv[:, :, span].reshape(-1, cout) for span in spans]
-    out = image.matrix @ w_mats[0]
-    out += classes.matrix @ w_mats[1]
-    out += bv
-    out = out.reshape(shapes[0][:1] + image.out_hw + (cout,))
+    out = parts[0].matrix @ w_mats[0]
+    for part, w_mat in zip(parts[1:], w_mats[1:]):
+        out += part.matrix @ w_mat
+    # The bias sum is a new array, not an in-place add. eval_k3's peak RSS
+    # under perfbench's allocator settings (freed memory stays mapped)
+    # reads either about 134 or about 152-161 MB, and the allocation order
+    # moves the odds: 6 of 12 runs read high with the in-place add, 4 of 16
+    # with this form (2-vCPU VM).
+    out = (out + bv).reshape(shapes[0][:1] + out_hw + (cout,))
     # Only the weight gradient reads the columns.
     kept = [part.matrix for part in parts] if w.needs_grad else None
     sources = [part.source for part in parts]
@@ -395,17 +363,40 @@ def conv2d_pair(image: Columns, classes: Columns, w: Node, b: Node) -> Node:
         if w.needs_grad:
             dw = np.zeros_like(wv)
             for span, cols in zip(spans, kept):
-                # [Cout, M] x [M, K] runs faster in BLAS, as in conv2d.
+                # [Cout, M] x [M, K] runs faster in BLAS than cols.T @ g.
                 dw[:, :, span] = (g_mat.T @ cols).T.reshape(k, k, -1, cout)
-        dparts = [
-            _col2im(g_mat @ w_mat.T, shape, k, stride, image.out_hw)
-            if source.needs_grad
-            else None
-            for source, shape, w_mat in zip(sources, shapes, w_mats)
-        ]
+        dparts = []
+        for source, shape, span, w_mat in zip(sources, shapes, spans, w_mats):
+            if not source.needs_grad:
+                dparts.append(None)
+            elif stride == 1:
+                dparts.append(_input_gradient(g, wv[:, :, span]))
+            else:
+                dparts.append(_col2im(g_mat @ w_mat.T, shape, k, stride, out_hw))
         return (*dparts, dw, db)
 
     return Node(out, parents=(*sources, w, b), backprop=backprop)
+
+
+def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
+    """Same-padded 2-D convolution, stride 1 or 2, odd square kernels.
+
+    Layout: input [B, H, W, Cin], kernel [kh, kw, Cin, Cout], bias [Cout].
+    The one-part case of ``conv2d_columns``: ``x``'s im2col matrix times the
+    kernel, plus the bias, with that op's backward. The columns are built
+    here for this conv alone and kept only when the kernel needs a gradient.
+    """
+    _check_image(x, "conv2d")
+    wv = w.value
+    if wv.ndim != 4 or wv.shape[0] != wv.shape[1] or wv.shape[0] % 2 == 0:
+        raise ShapeError(f"kernel must be [k, k, Cin, Cout] with odd k, got {wv.shape}")
+    if wv.shape[2] != x.value.shape[3]:
+        raise ShapeError(
+            f"kernel expects {wv.shape[2]} input channels, input has {x.value.shape[3]}"
+        )
+    if stride not in (1, 2):
+        raise ShapeError(f"stride must be 1 or 2, got {stride}")
+    return conv2d_columns([_columns(x, wv.shape[0], stride)], w, b)
 
 
 def leaky_relu(x: Node) -> Node:
@@ -573,7 +564,7 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
             g_phases = g_phases.reshape(-1, 4 * cout)
             if w.needs_grad:
                 dw = np.empty_like(wv)
-                # [N, M] x [M, K] runs faster in BLAS, as in conv2d.
+                # [N, M] x [M, K] runs faster in BLAS, as in conv2d_columns.
                 cols_up, _, _ = _im2col(_pad_same(xv, 1), 2, 1)
                 dw[:, :, :cup] = _fold_subpixel_kernel((g_phases.T @ cols_up).T, cup, cout)
                 del cols_up

@@ -15,14 +15,15 @@ phase. The architecture and its parameters are those of the three-op chain.
 The discriminator is a stack of stride-2 convolutions ending in a 1-channel
 sigmoid map; each output cell scores one receptive-field patch of its input.
 Its input is a pair, an image and a class map, and its first layer is one
-``conv2d_pair`` op over the two maps' columns, so the concatenated map is
-never built. A class map may be narrower than the channels the first layer
-has left for it; the missing channels read as zero, so a one-hot target of
-K classes passes only its K nonzero channels. A caller that scores several
-pairs with a part in common builds that part's columns once
-(``Discriminator.columns``) and passes them to each ``forward``: a training
-step builds its image's and its predicted map's columns in the
-discriminator update and keeps them for the generator update (train.py).
+``conv2d_columns`` op over the two maps' columns, so the concatenated map is
+never built; every other layer is a ``conv2d``. A class map may be narrower
+than the channels the first layer has left for it; the missing channels
+read as zero, so a one-hot target of K classes passes only its K nonzero
+channels. A caller that scores several pairs with a part in common builds
+that part's columns once (``Discriminator.columns``) and passes them to
+each ``forward``: a training step builds its image's and its predicted
+map's columns in the discriminator update and keeps them for the generator
+update (train.py).
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ class Discriminator:
                 )
         self.cfg.check_input_size(*image.source.value.shape[1:3])
         h = ad.leaky_relu(
-            ad.conv2d_pair(image, classes, self.parameters["d0.w"], self.parameters["d0.b"])
+            ad.conv2d_columns([image, classes], self.parameters["d0.w"], self.parameters["d0.b"])
         )
         for layer in range(1, self.cfg.layers):
             h = ad.leaky_relu(

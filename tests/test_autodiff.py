@@ -181,19 +181,25 @@ class TestConv2d:
             )
 
 
-def _pair_oracle(image, classes, w, b):
-    """conv2d_pair's reference: a stride-2 conv2d over the concatenated
-    pair, the class map zero-extended to the kernel's input channels."""
+def _pair_oracle(image, classes, w, b, stride=2):
+    """The reference of conv2d_columns over an image and a class map: a
+    conv2d over their concatenation, the class map zero-extended to the
+    kernel's input channels."""
     missing = w.value.shape[2] - image.value.shape[3] - classes.value.shape[3]
     zeros = ad.as_node(np.zeros(classes.value.shape[:3] + (missing,)))
-    return ad.conv2d(ad.channel_concat(image, ad.channel_concat(classes, zeros)), w, b, stride=2)
+    concat = ad.channel_concat(image, ad.channel_concat(classes, zeros))
+    return ad.conv2d(concat, w, b, stride=stride)
 
 
-def _pair(image, classes, w, b):
-    return ad.conv2d_pair(ad.conv_columns(image, 3, 2), ad.conv_columns(classes, 3, 2), w, b)
+def _pair(image, classes, w, b, stride=2):
+    parts = [ad.conv_columns(image, 3, stride), ad.conv_columns(classes, 3, stride)]
+    return ad.conv2d_columns(parts, w, b)
 
 
 class TestConv2dPair:
+    """conv2d_columns over two parts, an image and a class map, as the
+    discriminator's first layer runs it."""
+
     @pytest.mark.parametrize("class_channels", [5, 2], ids=["full", "narrower"])
     def test_matches_conv2d_over_concat(self, class_channels):
         # The kernel reads 3 image and 5 class channels. A class map of 2
@@ -215,31 +221,53 @@ class TestConv2dPair:
             assert rel_error(got[leaf], want[leaf]) < 1e-12
         assert not got[w][:, :, 3 + class_channels :].any()
 
-    @pytest.mark.parametrize("wrap", [ad.as_node, ad.constant], ids=["raw", "constant"])
-    def test_image_gradient_only_when_needed(self, wrap):
+    # At stride 1 a part's input gradient is the flipped-kernel conv over
+    # its kernel channels, which for the class map start past 0.
+    @pytest.mark.parametrize(
+        "wrap, stride",
+        [
+            pytest.param(ad.as_node, 2, id="raw"),
+            pytest.param(ad.constant, 2, id="constant"),
+            pytest.param(ad.as_node, 1, id="raw-stride1"),
+            pytest.param(ad.constant, 1, id="constant-stride1"),
+        ],
+    )
+    def test_image_gradient_only_when_needed(self, wrap, stride):
+        # 3 image and 2 class channels leave the 6-channel kernel's last
+        # channel unread.
         rng = np.random.default_rng(33)
         image = wrap(rng.standard_normal((1, 6, 4, 3)))
         classes = ad.as_node(rng.standard_normal((1, 6, 4, 2)))
         w = ad.constant(rng.standard_normal((3, 3, 6, 2)))
         b = ad.constant(rng.standard_normal(2))
-        out = _pair(image, classes, w, b)
+        out = _pair(image, classes, w, b, stride)
         g = rng.standard_normal(out.value.shape)
         got = ad.gradients([(out, g)])
         assert classes not in got
         if wrap is ad.as_node:
             assert image not in got
         else:
-            want = ad.gradients([(_pair_oracle(image, classes, w, b), g)])
+            want = ad.gradients([(_pair_oracle(image, classes, w, b, stride), g)])
             assert rel_error(got[image], want[image]) < 1e-12
 
-    @pytest.mark.parametrize("class_channels", [3, 1], ids=["full", "narrower"])
-    def test_gradients(self, class_channels):
+    @pytest.mark.parametrize(
+        "class_channels, stride",
+        [
+            pytest.param(3, 2, id="full"),
+            pytest.param(1, 2, id="narrower"),
+            pytest.param(3, 1, id="full-stride1"),
+            pytest.param(1, 1, id="narrower-stride1"),
+        ],
+    )
+    def test_gradients(self, class_channels, stride):
         rng = np.random.default_rng(34)
         image = rng.standard_normal((2, 4, 5, 2))
         classes = rng.standard_normal((2, 4, 5, class_channels))
         w = rng.standard_normal((3, 3, 5, 2))
         b = rng.standard_normal(2)
-        _gradcheck_op(lambda leaves: _pair(*leaves), [image, classes, w, b], seed=35, tol=1e-4)
+        _gradcheck_op(
+            lambda leaves: _pair(*leaves, stride), [image, classes, w, b], seed=35, tol=1e-4
+        )
 
     def test_shape_validation(self):
         rng = np.random.default_rng(36)
@@ -255,11 +283,14 @@ class TestConv2dPair:
                 _pair(image, classes, w, b)
         classes = np.zeros((1, 4, 4, 2))
         with pytest.raises(ShapeError):  # another stride
-            ad.conv2d_pair(
-                ad.conv_columns(image, 3, 2), ad.conv_columns(classes, 3, 1), w, b
+            ad.conv2d_columns(
+                [ad.conv_columns(image, 3, 2), ad.conv_columns(classes, 3, 1)], w, b
             )
         with pytest.raises(ShapeError):  # a kernel of another size
             _pair(image, classes, ad.constant(np.zeros((1, 1, 6, 2))), b)
+        with pytest.raises(ShapeError):  # an even window
+            even = ad.constant(np.zeros((2, 2, 3, 2)))
+            ad.conv2d_columns([ad.conv_columns(image, 2, 1)], even, b)
         with pytest.raises(ShapeError):
             _pair(image, classes, w, ad.constant(np.zeros(3)))
         with pytest.raises(ShapeError):
@@ -268,7 +299,7 @@ class TestConv2dPair:
         columns = ad.conv_columns(classes, 3, 2)
         moved = replace(columns, source=ad.as_node(np.zeros((1, 4, 4, 1))))
         with pytest.raises(ShapeError):
-            ad.conv2d_pair(ad.conv_columns(image, 3, 2), moved, w, b)
+            ad.conv2d_columns([ad.conv_columns(image, 3, 2), moved], w, b)
 
 
 class TestPadSame:
@@ -663,12 +694,14 @@ class TestGradientNeeds:
         for frozen in (False, True):
             ad.set_needs_grad([w, b], not frozen)
             out = ad.conv2d(x, w, b, stride=2)
-            held = [
-                cell.cell_contents
-                for cell in out._backprop.__closure__
-                if isinstance(cell.cell_contents, np.ndarray)
-            ]
-            assert any(a.shape == (2 * 4 * 4, 27) for a in held) != frozen
+            # The op keeps its parts' columns in a list.
+            held = []
+            for cell in out._backprop.__closure__:
+                contents = cell.cell_contents
+                held += contents if isinstance(contents, list) else [contents]
+            column_shape = (2 * 4 * 4, 27)
+            kept = any(isinstance(a, np.ndarray) and a.shape == column_shape for a in held)
+            assert kept != frozen
             ad.backward([(out, seed)])
             input_grads.append(x.grad)
         assert np.array_equal(input_grads[0], input_grads[1])

@@ -6,9 +6,9 @@ from hadaseg.codes import sylvester
 from hadaseg.data import (
     class_histogram,
     common_resolution,
-    encode_targets,
     gen_synthetic,
     ingest_index_maps,
+    one_hot,
     read_image,
     read_label_map,
     write_dataset,
@@ -216,25 +216,26 @@ class TestDatasetDirectory:
 
 
 class TestEncodeTargets:
+    """The target encodings training uses: ``data.one_hot`` rows and
+    codebook rows ``cb.matrix[labels]``."""
+
     def test_single_pixel_code_row(self):
         cb = sylvester(3)
-        targets = encode_targets(LabelMap(np.array([[5]])), cb)
-        assert np.array_equal(targets.hadamard[0, 0], cb.matrix[5])
-        assert np.array_equal(targets.one_hot[0, 0], np.eye(8)[5])
+        labels = np.array([[5]])
+        assert np.array_equal(cb.matrix[labels][0, 0], cb.matrix[5])
+        assert np.array_equal(one_hot(labels, cb.n)[0, 0], np.eye(8)[5])
 
     def test_one_hot_inverts_via_argmax(self):
         rng = np.random.default_rng(2)
-        cb = sylvester(3)
         labels = rng.integers(0, 8, (6, 6))
-        targets = encode_targets(LabelMap(labels), cb)
-        assert np.array_equal(argmax_map(targets.one_hot, 8).labels, labels)
+        assert np.array_equal(argmax_map(one_hot(labels, 8), 8).labels, labels)
 
     def test_code_targets_invert_through_layer(self):
         rng = np.random.default_rng(3)
         cb = sylvester(3)
         labels = rng.integers(0, 8, (5, 4))
-        targets = encode_targets(LabelMap(labels), cb)
-        probabilities = hadamard_forward(cb, targets.hadamard).output
+        codes = cb.matrix[labels].astype(np.float64)
+        probabilities = hadamard_forward(cb, codes).output
         assert np.array_equal(argmax_map(probabilities, 8).labels, labels)
 
     def test_encoding_invariants_on_random_maps(self):
@@ -242,13 +243,8 @@ class TestEncodeTargets:
         cb = sylvester(2, num_classes=3)
         for _ in range(20):
             labels = rng.integers(0, 3, (4, 4))
-            targets = encode_targets(LabelMap(labels), cb)
-            assert targets.one_hot.shape == (4, 4, 4)
-            assert np.array_equal(targets.one_hot.sum(axis=-1), np.ones((4, 4)))
-            assert np.all(np.abs(targets.hadamard) == 1)
-            assert np.all(targets.one_hot[..., 3] == 0)
-
-    def test_label_exceeding_classes(self):
-        cb = sylvester(2, num_classes=3)
-        with pytest.raises(ClassIndexError):
-            encode_targets(LabelMap(np.array([[3]])), cb)
+            rows = one_hot(labels, cb.n)
+            assert rows.shape == (4, 4, 4)
+            assert np.array_equal(rows.sum(axis=-1), np.ones((4, 4)))
+            assert np.all(np.abs(cb.matrix[labels]) == 1)
+            assert np.all(rows[..., 3] == 0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hadaseg.codes import sylvester
-from hadaseg.data import encode_targets, gen_synthetic
+from hadaseg.data import gen_synthetic, one_hot
 from hadaseg.errors import ShapeError
 from hadaseg.loss import (
     LOG_CLAMP,
@@ -361,11 +361,10 @@ def _batch_of_three(head):
         seed=71,
     )
     samples = gen_synthetic(seed=72, count=3, size=16, num_classes=4)
-    encoded = [encode_targets(s.labels, sylvester(2)) for s in samples]
     labels = np.stack([s.labels.labels for s in samples])
     x = np.stack([s.image for s in samples])
-    y = np.stack([e.one_hot for e in encoded])
-    y_c = np.stack([e.hadamard for e in encoded])
+    y = one_hot(labels, 4)
+    y_c = sylvester(2).matrix[labels].astype(np.float64)
     y_hat, y_c_hat = (node.value for node in gen.forward(x))
     a_real = disc.forward(x, y).value
     a_fake = disc.forward(x, y_hat).value
