@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ClassIndexError, FormatError, ShapeError
+from .errors import CapacityError, FormatError, ShapeError
 
 # 2^16 x 2^16 is already 4 GiB of int8; anything above is rejected outright.
 MAX_ORDER_EXPONENT = 16
@@ -30,32 +30,26 @@ _H2 = np.array([[1, 1], [1, -1]], dtype=np.int8)
 
 @dataclass(frozen=True)
 class Codebook:
-    """An order-2^k Sylvester-Hadamard matrix with K active class rows."""
+    """An order-2^k Sylvester-Hadamard matrix, whose rows are the class
+    codewords."""
 
     k: int
     n: int
     matrix: np.ndarray  # (n, n) int8, entries in {-1, +1}, read-only
-    num_classes: int
 
     def __post_init__(self) -> None:
         if self.n != 2**self.k:
             raise ValueError(f"n={self.n} is not 2^k for k={self.k}")
         if self.matrix.shape != (self.n, self.n):
             raise ShapeError(f"matrix shape {self.matrix.shape} != ({self.n}, {self.n})")
-        if not 1 <= self.num_classes <= self.n:
-            raise ClassIndexError(
-                f"num_classes={self.num_classes} outside [1, {self.n}]"
-            )
         self.matrix.setflags(write=False)
 
 
-def sylvester(k: int, num_classes: int | None = None) -> Codebook:
+def sylvester(k: int) -> Codebook:
     """Build the order-2^k Sylvester-Hadamard codebook.
 
     The construction doubles the matrix k times starting from [[1]]:
-    H_{2n} = [[H_n, H_n], [H_n, -H_n]]. ``num_classes`` defaults to the
-    full capacity 2^k; smaller values mark only the first rows as active
-    codewords while keeping the whole matrix for transforms.
+    H_{2n} = [[H_n, H_n], [H_n, -H_n]].
     """
     if k < 0 or k > MAX_ORDER_EXPONENT:
         raise CapacityError(
@@ -64,10 +58,7 @@ def sylvester(k: int, num_classes: int | None = None) -> Codebook:
     matrix = np.array([[1]], dtype=np.int8)
     for _ in range(k):
         matrix = np.kron(_H2, matrix)
-    n = 2**k
-    if num_classes is None:
-        num_classes = n
-    return Codebook(k=k, n=n, matrix=matrix, num_classes=num_classes)
+    return Codebook(k=k, n=2**k, matrix=matrix)
 
 
 # The largest Kronecker factor, as a power of two. Over 16,384 vectors (one

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import colorsys
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,12 +115,14 @@ def gen_synthetic(
     the dataset is fully determined by ``seed`` and samples could be drawn
     in parallel without changing the result.
     """
-    if count < 1:
-        raise GenerationError(f"sample count must be >= 1, got {count}")
+    if not 1 <= count <= sys.maxsize:
+        raise GenerationError(f"sample count must be in [1, {sys.maxsize}], got {count}")
     if seed < 0:
         raise GenerationError(f"seed must be >= 0, got {seed}")
     if size < 16:
         raise GenerationError(f"canvas size must be >= 16, got {size}")
+    if size * size * 3 * 8 > sys.maxsize:  # the float64 image, the largest array
+        raise GenerationError(f"canvas size {size} is too large for numpy to address")
     if num_classes < 2:
         raise GenerationError(f"need at least 2 classes, got {num_classes}")
     if num_classes > 256:

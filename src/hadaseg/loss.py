@@ -174,7 +174,7 @@ def generator_loss_sums(
     codebook: Codebook,
     counts: tuple[int, int, int],
     w: LossWeights = LossWeights(),
-) -> tuple[GeneratorLossTerms, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[GeneratorLossTerms, tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """One chunk's part of the generator loss over a batch, from its class
     indices.
 
@@ -186,6 +186,8 @@ def generator_loss_sums(
     raw term, each the term's mean times its count
     (``generator_loss_from_sums`` combines them), and the gradients of the
     batch's weighted total w.r.t. the chunk's (alpha_fake, y_hat, y_c_hat).
+    At ``w.lambda3`` 0 the code-map gradient is None: no gradient reaches
+    ``y_c_hat``, and the raw code MAE is still summed.
 
     A one-hot target is 0 off the label, so the cross-entropy reads only
     the label column s of ``y_hat``, and |y_hat - y| is |y_hat| there and
@@ -234,7 +236,7 @@ def generator_loss_sums(
 
     diff = codebook.matrix.astype(np.float64)[labels]
     np.subtract(y_c_hat, diff, out=diff)
-    g_y_c_hat = _weighted_mae_grad(diff, n_code, w.lambda3)
+    g_y_c_hat = _weighted_mae_grad(diff, n_code, w.lambda3) if w.lambda3 != 0 else None
     mae_yc = float(np.abs(diff, out=diff).sum())
 
     return GeneratorLossTerms(adversarial, ce, mae_y, mae_yc), (g_alpha, g_y_hat, g_y_c_hat)

@@ -161,6 +161,7 @@ def _add(grads: dict, contributions) -> None:
 
 def gradients(seeds) -> dict[Node, np.ndarray | None]:
     """Run reverse-mode accumulation from ``seeds``: (node, gradient) pairs.
+    A seed whose gradient is None is skipped.
 
     Returns the gradient of every visited leaf, None where none arrived,
     and writes no node's ``.grad``. Only nodes that need a gradient (see the
@@ -170,7 +171,7 @@ def gradients(seeds) -> dict[Node, np.ndarray | None]:
     reads it. A seed array is copied, never stored or modified. Seeding an
     interior node adds to whatever flows back into it from downstream seeds.
     """
-    seeds = [(node, np.asarray(grad, dtype=np.float64)) for node, grad in seeds]
+    seeds = [(node, np.asarray(grad, dtype=np.float64)) for node, grad in seeds if grad is not None]
     for node, grad in seeds:
         if grad.shape != node.value.shape:
             raise ShapeError(
@@ -572,13 +573,9 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
                 dw[:, :, cup:] = (g.reshape(-1, cout).T @ cols_skip).T.reshape(3, 3, -1, cout)
                 del cols_skip
             if x.needs_grad:
-                # The window axes (s, t) take the place of the phase axes.
-                d_windows = (g_phases @ kernel_up.T).reshape(grid + (cup,))
-                del g_phases
-                # Window tap (s, t) at (i + 1 - s, j + 1 - t) reads x[i, j].
-                dx = d_windows[:, 1:, 1:, 0, 0] + d_windows[:, 1:, :-1, 0, 1]
-                dx += d_windows[:, :-1, 1:, 1, 0]
-                dx += d_windows[:, :-1, :-1, 1, 1]
+                # The window axes (s, t) take the place of the phase axes,
+                # over the forward's 2 x 2 stride-1 windows of x padded by 1.
+                dx = _col2im(g_phases @ kernel_up.T, xv.shape, 2, 1, (height + 1, width + 1))
         if skip.needs_grad:
             dskip = _input_gradient(g, wv[:, :, cup:])
         return dx, dskip, dw, db

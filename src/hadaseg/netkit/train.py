@@ -11,31 +11,33 @@ A step is data-parallel up to Adam. Nothing couples the samples of a batch
 before the losses (the networks have no batch statistics), and every loss
 term is a mean over the batch, so the batch is split into P chunks with
 ``np.array_split`` and each chunk does its own part of both updates. The
-calling process fetches every sample of the step first and runs the first
-chunk itself. The others run at the same time in P - 1 worker processes
-that ``train_cgan`` forks once per call and joins before it returns or
-raises; processes, unlike threads, do not wait on each other for the
-interpreter lock. Each chunk runs its forwards, computes its loss terms'
-sums and gradients (``loss.*_loss_sums``) and walks its own backward
-(``autodiff.gradients``). Its targets stay class indices: the generator
-loss reads the label maps and the codebook, and the real pair's K one-hot
-channels are the only dense targets a chunk builds. Between the two parts
-the process that ran a chunk holds its state (``_Chunk``): the label maps,
-the generator tape and the discriminator's first-layer columns of the
-chunk's images and predicted map. The discriminator part builds those
+calling process fetches every sample of the step first and runs chunk 0
+itself. Chunks 1..P-1 run at the same time in P - 1 worker processes that
+``train_cgan`` forks once per call and joins before it returns or raises;
+processes, unlike threads, do not wait on each other for the interpreter
+lock. ``_ChunkWorkers`` calls one function for every chunk, chunk 0
+included. For its chunk, that function runs the forwards, computes the
+loss terms' sums and gradients (``loss.*_loss_sums``) and walks the
+chunk's own backward (``autodiff.gradients``). A chunk's targets stay
+class indices: the generator loss reads the label maps and the codebook,
+and the real pair's K one-hot channels are the only dense targets a chunk
+builds. Between the two parts the process that ran a chunk holds its
+state as a tuple: the label maps, the generator tape and the
+discriminator's first-layer columns of the chunk's images and predicted
+map. The discriminator part builds those
 columns and scores both pairs with them; the generator part scores the
 predicted pair again from the same columns, with the predicted map's input
 gradient going to the generator's output. So a chunk builds three column
 matrices per step (images, the real pair's K one-hot channels, predicted
 map) and the generator part builds none. Only the loss sums and the
-Parameters' gradients cross processes: the parameter values live in a
-shared mapping that Adam updates in place, each worker writes its
-gradients into a shared buffer of its own, and the rest goes through a
-pipe. Both are added in chunk order; the sums are then divided by the whole
-batch's element counts. P is the number of usable CPUs that BLAS leaves
-idle (see ``thread_count``), so a BLAS that already runs a thread per CPU
-gets P = 1, a step of one chunk, which forks nothing and whose shared
-mapping holds only the parameter values.
+Parameters' gradients cross processes. One shared mapping holds a row of
+parameter values, which Adam updates in place, and a gradient row per
+chunk, into which that chunk's process copies its gradients; the rest goes
+through a pipe. Both are added in chunk order; the sums are then divided
+by the whole batch's element counts. P is the number of usable CPUs that
+BLAS leaves idle (see ``thread_count``), so a BLAS that already runs a
+thread per CPU gets P = 1, a step of one chunk, which forks nothing and
+whose shared mapping holds the parameter values and chunk 0's gradients.
 Workers are forked, not spawned, so that a call does not re-import numpy
 and the package; P > 1 needs ``/proc`` to read the BLAS thread count, so
 it arises only where ``fork`` exists.
@@ -63,12 +65,10 @@ import multiprocessing
 import os
 import signal
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import chain, count, islice
 
 import numpy as np
 
-from ..codes import sylvester
 from ..data import Sample, common_resolution, one_hot
 from ..errors import ClassIndexError, ConfigError, TrainingDivergedError
 from ..loss import (
@@ -220,12 +220,12 @@ def _trim_heap() -> None:
     libc.malloc_trim(0)
 
 
-def _serve(conn, fn, inherited) -> None:
-    """A chunk worker's loop: answer each message on ``conn`` with
-    ``(None, fn(message))``, or ``(exception, None)`` when ``fn`` raises,
-    until the parent closes its end. ``inherited`` are the parent's pipe
-    ends that the fork copied; closing them lets this worker, and every
-    other, see EOF when the parent dies."""
+def _serve(conn, fn, chunk: int, inherited) -> None:
+    """Chunk ``chunk``'s worker loop: answer each message on ``conn`` with
+    ``(None, fn(chunk, message))``, or ``(exception, None)`` when ``fn``
+    raises, until the parent closes its end. ``inherited`` are the parent's
+    pipe ends that the fork copied; closing them lets this worker, and
+    every other, see EOF when the parent dies."""
     for end in inherited:
         end.close()
     # Ctrl-C reaches the whole process group; the parent handles it and
@@ -238,7 +238,7 @@ def _serve(conn, fn, inherited) -> None:
         except (EOFError, ConnectionError):  # the parent is gone
             return
         try:
-            reply = (None, fn(message))
+            reply = (None, fn(chunk, message))
         except Exception as exc:  # sent back for the parent to raise
             reply = (exc, None)
         try:
@@ -248,9 +248,9 @@ def _serve(conn, fn, inherited) -> None:
 
 
 class _ChunkWorkers:
-    """Forked processes that run the chunks after the first of each step,
-    one process per chunk, each calling its function of ``fns`` on the
-    messages it is sent. The parent runs the first chunk itself.
+    """The ``chunks`` chunks of each step, each calling ``fn(i, message)``
+    for its own chunk i: chunk 0 in the calling process, every other chunk
+    in a forked process of its own.
 
     Worker processes share no state with the parent after the fork except
     what the caller puts in shared memory beforehand, and replies are
@@ -261,15 +261,18 @@ class _ChunkWorkers:
 
     _STOP_SECONDS = 5.0
 
-    def __init__(self, fns):
+    def __init__(self, fn, chunks: int):
         context = multiprocessing.get_context("fork")
+        self._fn = fn
         self._conns: list = []
         self._processes: list = []
         try:
-            for fn in fns:
+            for chunk in range(1, chunks):
                 conn, child_conn = context.Pipe()
                 process = context.Process(
-                    target=_serve, args=(child_conn, fn, [*self._conns, conn]), daemon=True
+                    target=_serve,
+                    args=(child_conn, fn, chunk, [*self._conns, conn]),
+                    daemon=True,
                 )
                 process.start()
                 child_conn.close()
@@ -295,25 +298,25 @@ class _ChunkWorkers:
                 process.join()
         self._conns, self._processes = [], []
 
-    def map(self, first, messages: list) -> list:
-        """``first()``, run in this process, followed by each worker's
-        result for its message, in worker order.
+    def map(self, messages: list) -> list:
+        """``fn(i, messages[i])`` for every chunk i, in chunk order, given
+        one message per chunk; chunk 0 runs in this process.
 
-        Every chunk finishes before this returns or raises. The first
-        chunk's exception wins, then the workers' in order. A worker that
+        Every chunk finishes before this returns or raises. Chunk 0's
+        exception wins, then the workers' in chunk order. A worker that
         died raises MemoryError if SIGKILL ended it (the out-of-memory
         killer's signal), otherwise ChildProcessError; either names its
         exit status.
         """
-        for conn, message in zip(self._conns, messages):
+        for conn, message in zip(self._conns, messages[1:]):
             try:
                 conn.send(message)
             except ConnectionError:  # a dead worker, reported by _receive
                 pass
         try:
-            results = [first()]
+            results = [self._fn(0, messages[0])]
         finally:
-            replies = [self._receive(i) for i in range(len(messages))]
+            replies = [self._receive(i) for i in range(len(self._conns))]
         for error, _ in replies:
             if error is not None:
                 raise error
@@ -332,12 +335,13 @@ class _ChunkWorkers:
             return ChildProcessError(what), None
 
 
-def _share_parameters(parameters: list[ad.Parameter], rows: int) -> list[dict]:
+def _share_parameters(parameters: list[ad.Parameter], chunks: int) -> list[dict]:
     """Move every Parameter's value into row 0 of one anonymous shared
-    mapping of ``rows`` rows, one per chunk, so that forked workers read the
-    values that Adam updates in place here. Returns rows 1.., a {Parameter:
-    array} gradient buffer per worker (none for one chunk)."""
+    mapping of 1 + ``chunks`` rows, so that forked workers read the values
+    that Adam updates in place here. Returns rows 1.., a {Parameter: array}
+    gradient row per chunk."""
     size = sum(p.value.size for p in parameters)
+    rows = 1 + chunks
     table = np.frombuffer(mmap.mmap(-1, 8 * size * rows), dtype=np.float64).reshape(rows, size)
     ends = np.cumsum([p.value.size for p in parameters])
     views = [
@@ -350,30 +354,15 @@ def _share_parameters(parameters: list[ad.Parameter], rows: int) -> list[dict]:
     return views[1:]
 
 
-def _sum_chunk_grads(parameters: dict[str, ad.Parameter], chunk_grads) -> dict[str, np.ndarray]:
-    """Each Parameter's gradients from the chunks, added in chunk order;
-    returns the sums by name. ``chunk_grads`` holds a {Parameter: array}
-    dict per chunk: the first chunk's ``autodiff.gradients`` result, then
-    each worker's shared buffer. No Parameter's ``.grad`` is written."""
-    sums = {name: chunk_grads[0][p] for name, p in parameters.items()}
-    for leaf_grads in chunk_grads[1:]:
+def _sum_chunk_grads(parameters: dict[str, ad.Parameter], grad_rows) -> dict[str, np.ndarray]:
+    """Each Parameter's gradients from the chunks' rows, added in chunk
+    order into chunk 0's row; returns the sums by name. No Parameter's
+    ``.grad`` is written."""
+    sums = {name: grad_rows[0][p] for name, p in parameters.items()}
+    for row in grad_rows[1:]:
         for name, p in parameters.items():
-            sums[name] += leaf_grads[p]
+            sums[name] += row[p]
     return sums
-
-
-@dataclass
-class _Chunk:
-    """What a chunk's discriminator part leaves for its generator part: the
-    label maps, the generator outputs, and the discriminator's first-layer
-    columns of the chunk's images and of its predicted map (whose source
-    is the raw ``y_hat`` values, so no gradient reaches the generator)."""
-
-    labels: np.ndarray
-    y_hat: ad.Node
-    y_c: ad.Node
-    image: ad.Columns
-    predicted: ad.Columns
 
 
 def train_cgan(
@@ -405,6 +394,8 @@ def train_cgan(
         raise ClassIndexError(f"label {top_label} >= num_classes {num_classes}")
     gen_cfg.check_input_size(height, width)
     disc_cfg.check_input_size(height, width)
+    if settings.batch_size > len(dataset):
+        raise ConfigError(f"batch_size {settings.batch_size} exceeds the {len(dataset)} samples")
 
     seeds = np.random.SeedSequence(seed).spawn(3)
     gen = build_generator(gen_cfg, seed=seeds[0])
@@ -414,7 +405,6 @@ def train_cgan(
         seed=seeds[1],
     )
 
-    codebook = sylvester(gen_cfg.code_bits, num_classes=num_classes)
     effective = weights if gen_cfg.head != HEAD_ONE_HOT else replace(weights, lambda3=0.0)
 
     blas_threads = _blas_threads()
@@ -438,33 +428,34 @@ def train_cgan(
     rng = np.random.default_rng(seeds[2])
     indices = chain.from_iterable(rng.permutation(len(dataset)) for _ in count())
     parameters = [*gen.parameters.values(), *disc.parameters.values()]
-    worker_grads = _share_parameters(parameters, workers)
+    grad_rows = _share_parameters(parameters, workers)
     gen_params = {name: p.value for name, p in gen.parameters.items()}
     disc_params = {name: p.value for name, p in disc.parameters.items()}
     gen_state = adam_init(gen_params)
     disc_state = adam_init(disc_params)
     adam_settings = {"lr": settings.lr, "beta1": settings.beta1, "beta2": settings.beta2}
+    held: list = []  # this process's chunk, between its two parts
 
-    def discriminator_part(held, x, labels):
+    def discriminator_part(x, labels):
         """A chunk's generator forward, its part of the discriminator loss
         and its discriminator gradients; returns its (counts, sums) and the
-        gradients, and keeps a ``_Chunk`` in ``held`` for the generator
-        part. The discriminator's first-layer columns are built once each
-        for the images, the real class map and the predicted map. The
-        predicted map enters as a raw array so no gradient reaches the
-        generator here. Every label is below K (``train_cgan`` checks), so
-        the real pair's one-hot channels from K on are zero and it passes
-        only the first K."""
+        gradients, and keeps the chunk in ``held`` for the generator part.
+        The discriminator's first-layer columns are built once each for
+        the images, the real class map and the predicted map. The predicted
+        map enters as a raw array so no gradient reaches the generator
+        here. Every label is below K (``train_cgan`` checks), so the real
+        pair's one-hot channels from K on are zero and it passes only the
+        first K."""
         y_hat, y_c = gen.forward(x)
         image, predicted = disc.columns(x), disc.columns(y_hat.value)
         real = disc.forward(image, one_hot(labels, num_classes))
         fake = disc.forward(image, predicted)
         counts = _batch_counts(settings.batch_size, real.value, fake.value)
         sums, (g_real, g_fake) = discriminator_loss_sums(real.value, fake.value, counts)
-        held["chunk"] = _Chunk(labels, y_hat, y_c, image, predicted)
+        held.append((labels, y_hat, y_c, image, predicted))
         return (counts, sums), ad.gradients([(real, g_real), (fake, g_fake)])
 
-    def generator_part(held, with_argmax):
+    def generator_part(with_argmax):
         """The held chunk's forward through the refreshed discriminator,
         its part of the generator loss and its generator gradients; returns
         its (counts, sums, argmax map or None) and the gradients, and drops
@@ -473,41 +464,33 @@ def train_cgan(
         gradient reaches the generator. The discriminator's Parameters
         need no gradient until the backward is done, so it computes no
         discriminator gradient."""
-        chunk = held.pop("chunk")
+        labels, y_hat, y_c, image, predicted = held.pop()
         ad.set_needs_grad(disc.parameters.values(), False)
-        alpha = disc.forward(chunk.image, replace(chunk.predicted, source=chunk.y_hat))
-        y_hat, y_c = chunk.y_hat.value, chunk.y_c.value
-        counts = _batch_counts(settings.batch_size, alpha.value, y_hat, y_c)
+        alpha = disc.forward(image, replace(predicted, source=y_hat))
+        counts = _batch_counts(settings.batch_size, alpha.value, y_hat.value, y_c.value)
         sums, (g_alpha, g_y_hat, g_y_c) = generator_loss_sums(
-            alpha.value, y_hat, chunk.labels, y_c, codebook, counts, effective
+            alpha.value, y_hat.value, labels, y_c.value, gen.codebook, counts, effective
         )
-        seeds = [(alpha, g_alpha), (chunk.y_hat, g_y_hat)]
-        if effective.lambda3 != 0.0:
-            seeds.append((chunk.y_c, g_y_c))
-        grads = ad.gradients(seeds)
+        grads = ad.gradients([(alpha, g_alpha), (y_hat, g_y_hat), (y_c, g_y_c)])
         ad.set_needs_grad(disc.parameters.values(), True)
-        predicted = None
-        if with_argmax:
-            predicted = np.argmax(chunk.y_hat.value[..., :num_classes], axis=-1)
-        return (counts, sums, predicted), grads
+        argmax = np.argmax(y_hat.value[..., :num_classes], axis=-1) if with_argmax else None
+        return (counts, sums, argmax), grads
 
     parts = {"discriminator": discriminator_part, "generator": generator_part}
 
-    def worker_part(grads_out, held, message):
-        """Runs in a worker: the part ``message`` names, for the worker's
-        chunk. Its gradients go into ``grads_out``, which the parent
-        reads; the rest is the reply."""
+    def run_part(i, message):
+        """Chunk i's part that ``message`` names. Its gradients go into
+        chunk i's shared row; the rest is the reply."""
         name, *args = message
-        reply, grads = parts[name](held, *args)
+        reply, grads = parts[name](*args)
         for p, g in grads.items():
-            grads_out[p][...] = g
+            grad_rows[i][p][...] = g
         return reply
 
-    held: dict = {}
-    with _ChunkWorkers([partial(worker_part, g, {}) for g in worker_grads]) as chunk_workers:
+    with _ChunkWorkers(run_part, workers) as chunk_workers:
         for step in range(1, steps + 1):
-            # Every fetch of the step comes first, here; workers get their
-            # chunk's images and label maps.
+            # Every fetch of the step comes first, here; each chunk gets its
+            # images and label maps.
             batch = [dataset[i] for i in islice(indices, settings.batch_size)]
             chunks = [
                 (
@@ -519,24 +502,18 @@ def train_cgan(
             with_argmax = step % settings.metrics_every == 0 or step == steps
 
             # Discriminator update.
-            (own, own_grads), *others = chunk_workers.map(
-                lambda: discriminator_part(held, *chunks[0]),
-                [("discriminator", *chunk) for chunk in chunks[1:]],
-            )
-            counts, sums = zip(own, *others)
+            replies = chunk_workers.map([("discriminator", *chunk) for chunk in chunks])
+            counts, sums = zip(*replies)
             loss_d = discriminator_loss_from_sums(sums, counts[0])
-            disc_grads = _sum_chunk_grads(disc.parameters, [own_grads, *worker_grads])
+            disc_grads = _sum_chunk_grads(disc.parameters, grad_rows)
             _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
             adam_step(disc_params, disc_grads, disc_state, **adam_settings)
 
             # Generator update through the refreshed discriminator.
-            (own, own_grads), *others = chunk_workers.map(
-                lambda: generator_part(held, with_argmax),
-                [("generator", with_argmax)] * (workers - 1),
-            )
-            counts, sums, predicted = zip(own, *others)
+            replies = chunk_workers.map([("generator", with_argmax)] * workers)
+            counts, sums, predicted = zip(*replies)
             total, terms = generator_loss_from_sums(sums, counts[0], effective)
-            gen_grads = _sum_chunk_grads(gen.parameters, [own_grads, *worker_grads])
+            gen_grads = _sum_chunk_grads(gen.parameters, grad_rows)
             _check_finite(
                 step,
                 total,

@@ -308,6 +308,21 @@ class TestTrainCommand:
         assert "seed" in err
         assert not (tmp_path / "o").exists()
 
+    def test_batch_larger_than_dataset_rejected(self, capsys, tiny_run, tmp_path):
+        # A 20-digit batch once escaped as a traceback from islice.
+        _, config, _ = tiny_run
+        bad = tmp_path / "c.cfg"
+        bad.write_text(
+            config.read_text().replace("train.batch_size = 2", "train.batch_size = " + "9" * 20)
+        )
+        code, _, err = run(
+            capsys, "train", "--config", str(bad), "--head", "hadamard",
+            "--out", str(tmp_path / "o"),
+        )
+        assert_one_config_error(code, err)
+        assert "batch_size" in err
+        assert not (tmp_path / "o").exists()
+
     def test_killed_chunk_worker_is_one_error_line(self, capsys, monkeypatch, tiny_run, tmp_path):
         # Two chunks per step, and the second chunk's worker gets SIGKILL,
         # the out-of-memory killer's signal, during step 2.
@@ -680,11 +695,18 @@ class TestBadInputsExitCleanly:
         assert "seed" in err
         assert not out.exists()
 
-    def test_gen_data_negative_count(self, capsys, tmp_path):
+    # A count above sys.maxsize and a size whose float64 image numpy cannot
+    # address once escaped as tracebacks from SeedSequence and np.zeros.
+    @pytest.mark.parametrize(
+        "count, size",
+        [("-1", "16"), ("9" * 20, "16"), ("1", "4294967295"), ("1", "9" * 20)],
+        ids=["negative-count", "20-digit-count", "unaddressable-size", "20-digit-size"],
+    )
+    def test_gen_data_negative_count(self, capsys, tmp_path, count, size):
         out = tmp_path / "d"
         code, _, err = run(
             capsys,
-            "gen-data", "--seed", "0", "--count", "-1", "--size", "16",
+            "gen-data", "--seed", "0", "--count", count, "--size", size,
             "--classes", "4", "--out", str(out),
         )
         assert_one_data_error(code, err)

@@ -11,7 +11,7 @@ from hadaseg.codes import (
     verify,
     write_codebook_csv,
 )
-from hadaseg.errors import CapacityError, ClassIndexError, FormatError, ShapeError
+from hadaseg.errors import CapacityError, FormatError, ShapeError
 from hadaseg.layer import hadamard_forward
 from hadaseg.metrics import argmax_map
 
@@ -52,20 +52,13 @@ class TestSylvester:
 
     def test_defaults(self):
         cb = sylvester(3)
-        assert (cb.k, cb.n, cb.num_classes) == (3, 8, 8)
+        assert (cb.k, cb.n) == (3, 8)
 
     def test_capacity_limits(self):
         with pytest.raises(CapacityError):
             sylvester(17)
         with pytest.raises(CapacityError):
             sylvester(-1)
-
-    def test_num_classes_range(self):
-        assert sylvester(2, num_classes=3).num_classes == 3
-        with pytest.raises(ClassIndexError):
-            sylvester(2, num_classes=5)
-        with pytest.raises(ClassIndexError):
-            sylvester(2, num_classes=0)
 
     def test_matrix_is_read_only(self):
         cb = sylvester(2)
@@ -152,13 +145,14 @@ class TestFwht:
             fwht(np.zeros((3, 0)))
 
 
-def _decode(cb, v):
+def _decode(cb, v, num_classes=None):
     """The classes that ``eval``, ``predict`` and training read off code
     vectors ``v`` ([..., n]): the Hadamard layer, then the argmax over the
-    active classes. One vector gives an int."""
+    first ``num_classes`` classes (all n by default). One vector gives an
+    int."""
     v = np.asarray(v, dtype=np.float64)
     probabilities = hadamard_forward(cb, v.reshape(1, -1, cb.n)).output
-    labels = argmax_map(probabilities, cb.num_classes).labels.reshape(v.shape[:-1])
+    labels = argmax_map(probabilities, num_classes or cb.n).labels.reshape(v.shape[:-1])
     return int(labels) if labels.ndim == 0 else labels
 
 
@@ -196,17 +190,17 @@ class TestEncodeDecode:
                 assert _decode(cb, v) == j
 
     def test_truncated_codebook_never_decodes_inactive_class(self):
-        cb = sylvester(3, num_classes=5)
+        cb, num_classes = sylvester(3), 5
         v = cb.matrix[6].astype(np.float64)
-        assert _decode(cb, v) < 5
+        assert _decode(cb, v, num_classes) < num_classes
 
     def test_nearest_active_codeword_lowest_index_first(self):
         # Random +/-1 vectors, ties included: the decoded class is the
         # active codeword with the largest correlation, the lowest on ties.
-        cb = sylvester(4, num_classes=11)
+        cb, num_classes = sylvester(4), 11
         v = np.random.default_rng(3).choice([-1.0, 1.0], size=(2000, 16))
-        correlations = v @ cb.matrix[: cb.num_classes].T
-        assert np.array_equal(_decode(cb, v), np.argmax(correlations, axis=-1))
+        correlations = v @ cb.matrix[:num_classes].T
+        assert np.array_equal(_decode(cb, v, num_classes), np.argmax(correlations, axis=-1))
 
     def test_decode_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -247,7 +241,7 @@ class TestCsvAndVerify:
     def test_verify_flags_tampering(self):
         tampered = H8.copy()
         tampered[3, 3] = -tampered[3, 3]
-        cb = Codebook(k=3, n=8, matrix=tampered, num_classes=8)
+        cb = Codebook(k=3, n=8, matrix=tampered)
         with pytest.raises(FormatError):
             verify(cb)
 

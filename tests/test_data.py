@@ -240,9 +240,9 @@ class TestEncodeTargets:
 
     def test_encoding_invariants_on_random_maps(self):
         rng = np.random.default_rng(4)
-        cb = sylvester(2, num_classes=3)
+        cb, num_classes = sylvester(2), 3
         for _ in range(20):
-            labels = rng.integers(0, 3, (4, 4))
+            labels = rng.integers(0, num_classes, (4, 4))
             rows = one_hot(labels, cb.n)
             assert rows.shape == (4, 4, 4)
             assert np.array_equal(rows.sum(axis=-1), np.ones((4, 4)))

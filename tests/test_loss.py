@@ -302,9 +302,9 @@ class TestFusedGeneratorLoss:
     def test_byte_identical_to_the_term_functions(self):
         # The label path's gradients equal the dense reference's, the term
         # functions composed, bit for bit; its cross-entropy agrees to
-        # rounding. Also at
-        # lambda3 = 0, and at a zero MAE weight, where a clamped entry's
-        # gradient is a signed 0.
+        # rounding. Also at a zero MAE weight, where a clamped entry's
+        # gradient is a signed 0. At lambda3 = 0 (case 4) the label path
+        # gives no code-map gradient.
         rng = np.random.default_rng(60)
         for case in range(7):
             cb, labels, alpha, y_hat, y, y_c_hat, y_c = _label_path_case(rng, case)
@@ -327,6 +327,9 @@ class TestFusedGeneratorLoss:
             np.testing.assert_allclose(values, expected_values, rtol=1e-12, atol=0)
             # The MAE sums add the dense elements in the dense order.
             assert values[3:] == expected_values[3:]
+            if case == 4:
+                assert grads[2] is None
+                grads, expected_grads = grads[:2], expected_grads[:2]
             for got, expected in zip(grads, expected_grads):
                 assert got.tobytes() == expected.tobytes()
 
@@ -404,7 +407,7 @@ class TestChunkSums:
     def test_generator_chunks_combine_to_the_batch_loss(self, head, lambda3, sizes):
         # The label path's chunks, against the dense loss of the batch:
         # equal gradients, and sums that differ from the dense terms only
-        # in rounding.
+        # in rounding. At lambda3 = 0 there is no code-map gradient.
         a_fake, y_hat, y, y_c_hat, y_c, labels = _batch_of_three(head)[1:]
         w = LossWeights(lambda3=lambda3)
         counts = (a_fake.size, y.size, y_c.size)
@@ -416,8 +419,10 @@ class TestChunkSums:
                 a_fake[part], y_hat[part], labels[part], y_c_hat[part], sylvester(2), counts, w
             )
             chunk_sums.append(sums)
+            assert (grads[2] is None) == (lambda3 == 0.0)
             for got, expected in zip(grads, whole):
-                assert got.tobytes() == expected[part].tobytes()
+                if got is not None:
+                    assert got.tobytes() == expected[part].tobytes()
         chunked_total, chunked_terms = generator_loss_from_sums(chunk_sums, counts, w)
         assert math.isclose(chunked_total, total, rel_tol=1e-15)
         for name in ("adversarial", "cross_entropy", "mae_probability", "mae_code"):

@@ -231,6 +231,17 @@ class TestTrainLoop:
         with pytest.raises(ClassIndexError, match="label 3 >= num_classes 2"):
             train_cgan(gen_cfg, disc_cfg, _tiny_dataset(), 1, seed=0, num_classes=2)
 
+    def test_batch_larger_than_dataset_rejected_before_any_step(self, monkeypatch):
+        def no_workers(*args):
+            raise AssertionError("a step started")
+
+        monkeypatch.setattr(train_module, "_ChunkWorkers", no_workers)
+        gen_cfg, disc_cfg = _tiny_configs()
+        with pytest.raises(ConfigError, match="batch_size 7 exceeds the 6 samples"):
+            train_cgan(
+                gen_cfg, disc_cfg, _tiny_dataset(), 1, seed=0, settings=TrainSettings(batch_size=7)
+            )
+
     def test_header_documents_threads_and_parameters(self, monkeypatch):
         monkeypatch.setattr(train_module, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(train_module, "_blas_threads", lambda: 2)
@@ -379,11 +390,11 @@ class TestBatchOrder:
 
 class TestChunkWorkers:
     def test_results_in_chunk_order_and_first_chunk_on_caller(self):
-        def work(i):
-            return i * i, os.getpid()
+        def work(i, message):
+            return i * message, os.getpid()
 
-        with train_module._ChunkWorkers([work] * 3) as workers:
-            results = workers.map(lambda: work(0), [1, 2, 3])
+        with train_module._ChunkWorkers(work, 4) as workers:
+            results = workers.map([5, 1, 2, 3])
         assert [value for value, _ in results] == [0, 1, 4, 9]
         assert results[0][1] == os.getpid()
         worker_pids = {pid for _, pid in results[1:]}
@@ -391,28 +402,29 @@ class TestChunkWorkers:
 
     def test_every_chunk_finishes_before_an_error_is_raised(self):
         # Workers write to shared memory after a delay, so a parent that
-        # raised before they finished would see zeros. The first chunk's
-        # exception wins, then the workers' in order, pickled back.
+        # raised before they finished would see zeros. Chunk 0's exception
+        # wins, then the workers' in order, pickled back.
         done = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
 
-        def work(i):
+        def work(i, message):
+            if i == 0:
+                if message == "raise":
+                    raise ValueError("first")
+                return 0
             time.sleep(0.05)
             done[i - 1] += 1
-            if i == 2:
-                raise TrainingDivergedError(f"chunk {i}")
-            return i
+            if message == 2:
+                raise TrainingDivergedError(f"chunk {message}")
+            return message
 
-        def first():
-            raise ValueError("first")
-
-        with train_module._ChunkWorkers([work, work]) as workers:
+        with train_module._ChunkWorkers(work, 3) as workers:
             with pytest.raises(ValueError, match="first"):
-                workers.map(first, [1, 2])
+                workers.map(["raise", 1, 2])
             assert list(done) == [1, 1, 0]
             with pytest.raises(TrainingDivergedError, match="chunk 2"):
-                workers.map(lambda: 0, [1, 2])
+                workers.map([0, 1, 2])
             assert list(done) == [2, 2, 0]
-            assert workers.map(lambda: 0, [1, 3]) == [0, 1, 3]
+            assert workers.map([0, 1, 3]) == [0, 1, 3]
 
 
 def _record_started(monkeypatch) -> tuple[list, list]:
