@@ -23,11 +23,11 @@ added to it, and an interior node's gradient is dropped as soon as its
 backprop has read it, so no interior node keeps a gradient after the walk.
 No gradient shares memory with another node's or with a caller's seed.
 
-``conv2d_columns`` is the engine's one convolution: a conv over the
-channel concatenation of one or more maps, computed from each map's columns
-(``conv_columns``) without the concatenated map, so that several convs over
-one map build its columns once; the discriminator's first layer is one.
-``conv2d`` is its one-part case, over columns built for that conv alone.
+``conv2d`` is the engine's one convolution, over one map or over the
+channel concatenation of a list of parts. It reads each part's columns
+(``conv_columns``) without building the concatenated map, so several convs
+over one map can share its columns, built once; the discriminator's first
+layer is one such conv.
 
 ``upsample_concat_conv2d`` is a UNet decoder stage, nearest 2x upsampling,
 skip concatenation and a 3x3 conv, computed as one op at the low resolution:
@@ -270,7 +270,7 @@ def _bias_gradient(g: np.ndarray) -> np.ndarray:
 class Columns:
     """The im2col matrix of the map ``source`` [B, H, W, C] for a
     same-padded k x k kernel at ``stride``, built once by ``conv_columns``
-    for several ``conv2d_columns`` ops over the same map.
+    for several ``conv2d`` ops over the same map.
 
     ``matrix`` is [B * Ho * Wo, k * k * C], columns ordered (kh, kw, C) like
     a kernel's rows, and ``out_hw`` is (Ho, Wo). An op over the columns
@@ -285,7 +285,11 @@ class Columns:
     out_hw: tuple[int, int]
 
 
-def _columns(x: Node, k: int, stride: int) -> Columns:
+def _columns(x, k: int, stride: int) -> Columns:
+    # The builder of every Columns. conv2d calls it, not conv_columns, so a
+    # tracer that wraps the public ops sees one span per conv.
+    x = as_node(x)
+    _check_image(x, "conv2d")
     matrix, out_h, out_w = _im2col(_pad_same(x.value, k // 2), k, stride)
     return Columns(x, matrix, k, stride, (out_h, out_w))
 
@@ -293,22 +297,22 @@ def _columns(x: Node, k: int, stride: int) -> Columns:
 def conv_columns(x, k: int, stride: int) -> Columns:
     """The columns of ``x`` [B, H, W, C], a Node or a raw array (which
     gets no gradient), for a same-padded k x k conv at ``stride``."""
-    x = as_node(x)
-    _check_image(x, "conv_columns")
     return _columns(x, k, stride)
 
 
-def conv2d_columns(parts, w: Node, b: Node) -> Node:
-    """The same-padded conv of the channel concatenation of the maps whose
-    ``Columns`` are ``parts``, computed without the concatenated map: each
-    part's columns times its rows of the kernel, summed, plus the bias.
+def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
+    """Same-padded 2-D convolution, stride 1 or 2, odd square kernels.
 
-    The kernel [k, k, Cin, Cout] reads the parts' channels in order: the
-    first part's C0 channels with its first C0 input channels, the next
-    part's with the next ones, and so on. The parts may leave trailing
-    kernel channels unread: those count as zero, and their weight-gradient
-    rows are 0. All parts must come from maps of one batch and size, at the
-    kernel's odd k and a common stride.
+    Layout: input [B, H, W, Cin], kernel [k, k, Cin, Cout], bias [Cout].
+    ``x`` is one map, which must have the kernel's Cin channels, or a list
+    of parts whose channel concatenation is the input. Each part is a map
+    (a Node, or a raw array that gets no gradient) or its ``Columns`` from
+    ``conv_columns`` at the kernel's k and ``stride``. The concatenated map
+    is never built: each part's columns times its rows of the kernel,
+    summed, plus the bias. The kernel reads the parts' channels in order,
+    and a list may leave trailing kernel channels unread: those count as
+    zero, and their weight-gradient rows are 0. All parts must come from
+    maps of one batch and size.
 
     Backward: each part's weight-gradient rows come from its columns, which
     the node keeps only when the kernel needs a gradient. A part whose
@@ -319,8 +323,18 @@ def conv2d_columns(parts, w: Node, b: Node) -> Node:
     gets none.
     """
     wv, bv = w.value, b.value
-    k, stride, out_hw = parts[0].k, parts[0].stride, parts[0].out_hw
-    shapes = [part.source.value.shape for part in parts]
+    if wv.ndim != 4 or wv.shape[0] != wv.shape[1] or wv.shape[0] % 2 == 0:
+        raise ShapeError(f"kernel must be [k, k, Cin, Cout] with odd k, got {wv.shape}")
+    if stride not in (1, 2):
+        raise ShapeError(f"stride must be 1 or 2, got {stride}")
+    k, cin, cout = wv.shape[0], wv.shape[2], wv.shape[3]
+    if bv.shape != (cout,):
+        raise ShapeError(f"bias shape {bv.shape} != ({cout},)")
+    parts = [
+        part if isinstance(part, Columns) else _columns(part, k, stride)
+        for part in (x if isinstance(x, list) else [x])
+    ]
+    shapes, out_hw = [part.source.value.shape for part in parts], parts[0].out_hw
     rows = shapes[0][0] * out_hw[0] * out_hw[1]
     if any(
         (part.k, part.stride) != (k, stride)
@@ -329,18 +343,14 @@ def conv2d_columns(parts, w: Node, b: Node) -> Node:
         for part, shape in zip(parts, shapes)
     ):
         raise ShapeError(
-            "conv2d_columns parts differ: "
+            f"conv2d parts for a {k}x{k} kernel at stride {stride} differ: "
             + " vs ".join(f"{s} at k={p.k}, stride={p.stride}" for p, s in zip(parts, shapes))
         )
     widths = [shape[3] for shape in shapes]
-    if wv.ndim != 4 or wv.shape[:2] != (k, k) or k % 2 == 0 or sum(widths) > wv.shape[2]:
+    if sum(widths) > cin or (not isinstance(x, list) and widths[0] != cin):
         raise ShapeError(
-            f"kernel {wv.shape} cannot read {' + '.join(map(str, widths))} channels "
-            f"with a {k}x{k} window (k must be odd)"
+            f"kernel expects {cin} input channels, input has {' + '.join(map(str, widths))}"
         )
-    cout = wv.shape[3]
-    if bv.shape != (cout,):
-        raise ShapeError(f"bias shape {bv.shape} != ({cout},)")
 
     spans = [slice(end - width, end) for end, width in zip(accumulate(widths), widths)]
     w_mats = [wv[:, :, span].reshape(-1, cout) for span in spans]
@@ -377,27 +387,6 @@ def conv2d_columns(parts, w: Node, b: Node) -> Node:
         return (*dparts, dw, db)
 
     return Node(out, parents=(*sources, w, b), backprop=backprop)
-
-
-def conv2d(x: Node, w: Node, b: Node, stride: int = 1) -> Node:
-    """Same-padded 2-D convolution, stride 1 or 2, odd square kernels.
-
-    Layout: input [B, H, W, Cin], kernel [kh, kw, Cin, Cout], bias [Cout].
-    The one-part case of ``conv2d_columns``: ``x``'s im2col matrix times the
-    kernel, plus the bias, with that op's backward. The columns are built
-    here for this conv alone and kept only when the kernel needs a gradient.
-    """
-    _check_image(x, "conv2d")
-    wv = w.value
-    if wv.ndim != 4 or wv.shape[0] != wv.shape[1] or wv.shape[0] % 2 == 0:
-        raise ShapeError(f"kernel must be [k, k, Cin, Cout] with odd k, got {wv.shape}")
-    if wv.shape[2] != x.value.shape[3]:
-        raise ShapeError(
-            f"kernel expects {wv.shape[2]} input channels, input has {x.value.shape[3]}"
-        )
-    if stride not in (1, 2):
-        raise ShapeError(f"stride must be 1 or 2, got {stride}")
-    return conv2d_columns([_columns(x, wv.shape[0], stride)], w, b)
 
 
 def leaky_relu(x: Node) -> Node:
@@ -443,25 +432,6 @@ def sigmoid(x: Node) -> Node:
     return Node(out, parents=(x,), backprop=backprop)
 
 
-def channel_concat(a: Node, b: Node) -> Node:
-    """Concatenate along the channel (last) axis."""
-    av, bv = a.value, b.value
-    if av.shape[:-1] != bv.shape[:-1]:
-        raise ShapeError(
-            f"concat inputs differ outside the channel axis: {av.shape} vs {bv.shape}"
-        )
-    out = np.concatenate((av, bv), axis=-1)
-    split = av.shape[-1]
-
-    def backprop(g: np.ndarray) -> tuple:
-        return (
-            g[..., :split].copy() if a.needs_grad else None,
-            g[..., split:].copy() if b.needs_grad else None,
-        )
-
-    return Node(out, parents=(a, b), backprop=backprop)
-
-
 # Nearest 2x upsampling followed by a same-padded 3x3 conv, per axis: an
 # output row of parity a is a 2-tap conv over the padded low-resolution
 # input, taking window tap s from the full-resolution taps d where
@@ -492,7 +462,7 @@ def _fold_subpixel_kernel(d_kernel: np.ndarray, cup: int, cout: int) -> np.ndarr
 
 
 def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
-    """``conv2d(channel_concat(up, skip), w, b)``, where ``up`` is ``x``
+    """``conv2d([up, skip], w, b)``, where ``up`` is ``x``
     upsampled 2x by pixel repetition, for a 3x3 kernel at stride 1, computed
     without the upsampled map.
 
@@ -565,7 +535,7 @@ def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
             g_phases = g_phases.reshape(-1, 4 * cout)
             if w.needs_grad:
                 dw = np.empty_like(wv)
-                # [N, M] x [M, K] runs faster in BLAS, as in conv2d_columns.
+                # [N, M] x [M, K] runs faster in BLAS, as in conv2d.
                 cols_up, _, _ = _im2col(_pad_same(xv, 1), 2, 1)
                 dw[:, :, :cup] = _fold_subpixel_kernel((g_phases.T @ cols_up).T, cup, cout)
                 del cols_up

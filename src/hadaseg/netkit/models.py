@@ -15,19 +15,22 @@ phase. The architecture and its parameters are those of the three-op chain.
 The discriminator is a stack of stride-2 convolutions ending in a 1-channel
 sigmoid map; each output cell scores one receptive-field patch of its input.
 Its input is a pair, an image and a class map, and its first layer is one
-``conv2d_columns`` op over the two maps' columns, so the concatenated map is
-never built; every other layer is a ``conv2d``. A class map may be narrower
-than the channels the first layer has left for it; the missing channels
-read as zero, so a one-hot target of K classes passes only its K nonzero
-channels. A caller that scores several pairs with a part in common builds
-that part's columns once (``Discriminator.columns``) and passes them to
-each ``forward``: a training step builds its image's and its predicted
-map's columns in the discriminator update and keeps them for the generator
-update (train.py).
+``conv2d`` over the two parts, so the concatenated map is never built. A
+class map may be narrower than the channels the first layer has left for
+it; the missing channels read as zero, so a one-hot target of K classes
+passes only its K nonzero channels. A caller that scores several pairs with
+a part in common builds that part's columns once (``Discriminator.columns``)
+and passes them to each ``forward``: a training step builds its image's and
+its predicted map's columns in the discriminator update and keeps them for
+the generator update (train.py).
+
+A config with a kernel numpy cannot address (8-byte elements over
+``sys.maxsize``, ``gen_synthetic``'s rule for images) raises ConfigError.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,18 @@ HEAD_ONE_HOT = "one_hot"
 HEAD_HADAMARD = "hadamard"
 
 _KERNEL = 3
+
+# Each stage doubles the widest kernel's channels, so no network this deep
+# is addressable; checking only this many stages never builds 2**depth.
+_MAX_ADDRESSABLE_DEPTH = 64
+
+
+def _check_addressable(network: str, kernels) -> None:
+    """Raise ConfigError unless numpy can address every float64 kernel
+    [k, k, Cin, Cout] of ``kernels``, given as (name, Cin, Cout, k)."""
+    for name, cin, cout, k in kernels:
+        if k * k * cin * cout * 8 > sys.maxsize:
+            raise ConfigError(f"{network} layer {name} is too large for numpy to address")
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,20 @@ class GeneratorConfig:
             raise ConfigError(f"code_bits must be in [0, 16], got {self.code_bits}")
         if self.head not in (HEAD_ONE_HOT, HEAD_HADAMARD):
             raise ConfigError(f"unknown head {self.head!r}")
+        _check_addressable("generator", self._kernels(min(self.depth, _MAX_ADDRESSABLE_DEPTH)))
+
+    def _kernels(self, depth: int):
+        """(name, Cin, Cout, k) of each conv, at ``depth`` stages."""
+        base = self.base_channels
+        for d in range(depth):
+            cin = self.input_channels if d == 0 else base * 2 ** (d - 1)
+            yield f"enc{d}", cin, base * 2**d, _KERNEL
+        for d in range(depth):
+            up_ch = base * 2 ** (depth - 1) if d == depth - 1 else base * 2**d
+            skip_ch = self.input_channels if d == 0 else base * 2 ** (d - 1)
+            out_ch = base if d == 0 else base * 2 ** (d - 1)
+            yield f"dec{d}", up_ch + skip_ch, out_ch, _KERNEL
+        yield "out", base, self.output_channels, 1
 
     @property
     def output_channels(self) -> int:
@@ -91,6 +120,16 @@ class DiscriminatorConfig:
             raise ConfigError(f"discriminator needs >= 1 layers, got {self.layers}")
         if self.base_channels < 1:
             raise ConfigError("base_channels must be >= 1")
+        layers = min(self.layers, _MAX_ADDRESSABLE_DEPTH)
+        _check_addressable("discriminator", self._kernels(1, layers))
+
+    def _kernels(self, input_channels: int, layers: int):
+        """(name, Cin, Cout, k) of each conv, at ``layers`` stride-2 layers."""
+        base = self.base_channels
+        for layer in range(layers):
+            cin = input_channels if layer == 0 else base * 2 ** (layer - 1)
+            yield f"d{layer}", cin, base * 2**layer, _KERNEL
+        yield "out", base * 2 ** (layers - 1), 1, _KERNEL
 
     def check_input_size(self, height: int, width: int) -> None:
         """Raise ConfigError unless the shorter side holds the receptive
@@ -133,12 +172,17 @@ def receptive_field(cfg: DiscriminatorConfig) -> ReceptiveField:
     return ReceptiveField(size=size, stride=jump, offset=offset)
 
 
-def _init_conv(rng: np.random.Generator, cin: int, cout: int, k: int = _KERNEL):
-    # Fan-in-scaled uniform init; biases start at zero.
-    bound = 1.0 / np.sqrt(k * k * cin)
-    w = rng.uniform(-bound, bound, size=(k, k, cin, cout))
-    b = np.zeros(cout)
-    return w, b
+def _init_convs(kernels, seed) -> dict[str, ad.Parameter]:
+    """The weight and bias Parameters of each conv (name, Cin, Cout, k), in
+    order: a fan-in-scaled uniform kernel drawn from ``seed``, a zero bias."""
+    rng = np.random.default_rng(seed)
+    parameters = {}
+    for name, cin, cout, k in kernels:
+        bound = 1.0 / np.sqrt(k * k * cin)
+        w = rng.uniform(-bound, bound, size=(k, k, cin, cout))
+        parameters[f"{name}.w"] = ad.Parameter(f"{name}.w", w)
+        parameters[f"{name}.b"] = ad.Parameter(f"{name}.b", np.zeros(cout))
+    return parameters
 
 
 class Generator:
@@ -147,24 +191,7 @@ class Generator:
     def __init__(self, cfg: GeneratorConfig, seed: int | np.random.SeedSequence = 0):
         self.cfg = cfg
         self.codebook: Codebook = sylvester(cfg.code_bits)
-        rng = np.random.default_rng(seed)
-        self.parameters: dict[str, ad.Parameter] = {}
-
-        def add(name: str, cin: int, cout: int, k: int = _KERNEL) -> None:
-            w, b = _init_conv(rng, cin, cout, k)
-            self.parameters[f"{name}.w"] = ad.Parameter(f"{name}.w", w)
-            self.parameters[f"{name}.b"] = ad.Parameter(f"{name}.b", b)
-
-        base = cfg.base_channels
-        for d in range(cfg.depth):
-            cin = cfg.input_channels if d == 0 else base * 2 ** (d - 1)
-            add(f"enc{d}", cin, base * 2**d)
-        for d in range(cfg.depth):
-            up_ch = base * 2 ** (cfg.depth - 1) if d == cfg.depth - 1 else base * 2**d
-            skip_ch = cfg.input_channels if d == 0 else base * 2 ** (d - 1)
-            out_ch = base if d == 0 else base * 2 ** (d - 1)
-            add(f"dec{d}", up_ch + skip_ch, out_ch)
-        add("out", base, cfg.output_channels, k=1)
+        self.parameters = _init_convs(cfg._kernels(cfg.depth), seed)
 
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.parameters.values())
@@ -211,20 +238,11 @@ class Discriminator:
     ):
         if input_channels < 1:
             raise ConfigError("discriminator input_channels must be >= 1")
+        kernels = list(cfg._kernels(input_channels, cfg.layers))
+        _check_addressable("discriminator", kernels)
         self.cfg = cfg
         self.input_channels = input_channels
-        rng = np.random.default_rng(seed)
-        self.parameters: dict[str, ad.Parameter] = {}
-
-        def add(name: str, cin: int, cout: int) -> None:
-            w, b = _init_conv(rng, cin, cout)
-            self.parameters[f"{name}.w"] = ad.Parameter(f"{name}.w", w)
-            self.parameters[f"{name}.b"] = ad.Parameter(f"{name}.b", b)
-
-        for layer in range(cfg.layers):
-            cin = input_channels if layer == 0 else cfg.base_channels * 2 ** (layer - 1)
-            add(f"d{layer}", cin, cfg.base_channels * 2**layer)
-        add("out", cfg.base_channels * 2 ** (cfg.layers - 1), 1)
+        self.parameters = _init_convs(kernels, seed)
 
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.parameters.values())
@@ -232,8 +250,8 @@ class Discriminator:
     def columns(self, part) -> ad.Columns:
         """The first layer's columns of ``part``, an image or class map
         [B, H, W, C] (a Node, or a raw array that gets no gradient): what
-        ``forward`` builds from a raw part, for a caller that passes one
-        part to several forwards."""
+        ``forward``'s first layer builds from a map part, for a caller that
+        passes one part to several forwards."""
         return ad.conv_columns(part, _KERNEL, 2)
 
     def forward(self, image, classes) -> ad.Node:
@@ -242,21 +260,13 @@ class Discriminator:
         channel concatenation, zero-extended to ``input_channels``.
 
         Each part is a map [B, H, W, C] (a Node, or a raw array that gets no
-        gradient) or its first-layer columns from ``columns``.
+        gradient) or its first-layer columns from ``columns``; the first
+        layer is one ``conv2d`` over the two parts, which checks them.
         """
-        image, classes = (
-            part if isinstance(part, ad.Columns) else self.columns(part)
-            for part in (image, classes)
-        )
-        for part in (image, classes):
-            if (part.k, part.stride) != (_KERNEL, 2):
-                raise ShapeError(
-                    f"first-layer columns need k={_KERNEL}, stride=2, "
-                    f"got k={part.k}, stride={part.stride}"
-                )
-        self.cfg.check_input_size(*image.source.value.shape[1:3])
+        source = image.source if isinstance(image, ad.Columns) else ad.as_node(image)
+        self.cfg.check_input_size(*source.value.shape[1:3])
         h = ad.leaky_relu(
-            ad.conv2d_columns([image, classes], self.parameters["d0.w"], self.parameters["d0.b"])
+            ad.conv2d([image, classes], self.parameters["d0.w"], self.parameters["d0.b"], stride=2)
         )
         for layer in range(1, self.cfg.layers):
             h = ad.leaky_relu(

@@ -1,6 +1,6 @@
 """Shared test utilities: gradient checking against central finite differences,
-walking an autodiff tape, a reference upsampling op, corrupting an image
-file, and killing training's chunk workers."""
+walking an autodiff tape, reference upsampling and concatenation ops,
+corrupting an image file, and killing training's chunk workers."""
 
 import multiprocessing
 import os
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hadaseg.errors import ShapeError
 from hadaseg.netkit import autodiff as ad
 from hadaseg.netkit import train
 
@@ -67,6 +68,27 @@ def nearest_upsample_2x(x):
         return (g.reshape(batch, height, 2, width, 2, channels).sum(axis=(2, 4)),)
 
     return ad.Node(out, parents=(x,), backprop=backprop)
+
+
+def channel_concat(a, b):
+    """Concatenate the autodiff nodes ``a`` and ``b`` along the channel
+    (last) axis: the reference that a ``conv2d`` over a list of parts is
+    composed against."""
+    av, bv = a.value, b.value
+    if av.shape[:-1] != bv.shape[:-1]:
+        raise ShapeError(
+            f"concat inputs differ outside the channel axis: {av.shape} vs {bv.shape}"
+        )
+    out = np.concatenate((av, bv), axis=-1)
+    split = av.shape[-1]
+
+    def backprop(g):
+        return (
+            g[..., :split].copy() if a.needs_grad else None,
+            g[..., split:].copy() if b.needs_grad else None,
+        )
+
+    return ad.Node(out, parents=(a, b), backprop=backprop)
 
 
 def write_bad_pixel(path, index, value: float) -> None:

@@ -19,7 +19,7 @@ from hadaseg.netkit.models import (
     GeneratorConfig,
 )
 
-from helpers import nearest_upsample_2x, reachable_nodes, rel_error
+from helpers import channel_concat, nearest_upsample_2x, reachable_nodes, rel_error
 
 
 # The edge values every draw includes: signed zeros, subnormals and values
@@ -182,22 +182,23 @@ class TestConv2d:
 
 
 def _pair_oracle(image, classes, w, b, stride=2):
-    """The reference of conv2d_columns over an image and a class map: a
+    """The reference of conv2d over an image and a class map as parts: a
     conv2d over their concatenation, the class map zero-extended to the
     kernel's input channels."""
     missing = w.value.shape[2] - image.value.shape[3] - classes.value.shape[3]
     zeros = ad.as_node(np.zeros(classes.value.shape[:3] + (missing,)))
-    concat = ad.channel_concat(image, ad.channel_concat(classes, zeros))
+    concat = channel_concat(image, channel_concat(classes, zeros))
     return ad.conv2d(concat, w, b, stride=stride)
 
 
 def _pair(image, classes, w, b, stride=2):
-    parts = [ad.conv_columns(image, 3, stride), ad.conv_columns(classes, 3, stride)]
-    return ad.conv2d_columns(parts, w, b)
+    """conv2d over the image's columns and the class map itself, the two
+    kinds of part the discriminator's first layer reads in training."""
+    return ad.conv2d([ad.conv_columns(image, 3, stride), classes], w, b, stride=stride)
 
 
 class TestConv2dPair:
-    """conv2d_columns over two parts, an image and a class map, as the
+    """conv2d over two parts, an image and a class map, as the
     discriminator's first layer runs it."""
 
     @pytest.mark.parametrize("class_channels", [5, 2], ids=["full", "narrower"])
@@ -283,23 +284,29 @@ class TestConv2dPair:
                 _pair(image, classes, w, b)
         classes = np.zeros((1, 4, 4, 2))
         with pytest.raises(ShapeError):  # another stride
-            ad.conv2d_columns(
-                [ad.conv_columns(image, 3, 2), ad.conv_columns(classes, 3, 1)], w, b
+            ad.conv2d(
+                [ad.conv_columns(image, 3, 2), ad.conv_columns(classes, 3, 1)], w, b, stride=2
             )
         with pytest.raises(ShapeError):  # a kernel of another size
             _pair(image, classes, ad.constant(np.zeros((1, 1, 6, 2))), b)
         with pytest.raises(ShapeError):  # an even window
             even = ad.constant(np.zeros((2, 2, 3, 2)))
-            ad.conv2d_columns([ad.conv_columns(image, 2, 1)], even, b)
+            ad.conv2d([ad.conv_columns(image, 2, 1)], even, b, stride=1)
         with pytest.raises(ShapeError):
             _pair(image, classes, w, ad.constant(np.zeros(3)))
         with pytest.raises(ShapeError):
             _pair(image[0], classes, w, b)
+        with pytest.raises(ShapeError):  # a raw part that is no image
+            _pair(image, classes[0], w, b)
         # Columns pointed at a node of another shape.
         columns = ad.conv_columns(classes, 3, 2)
         moved = replace(columns, source=ad.as_node(np.zeros((1, 4, 4, 1))))
         with pytest.raises(ShapeError):
-            ad.conv2d_columns([ad.conv_columns(image, 3, 2), moved], w, b)
+            ad.conv2d([ad.conv_columns(image, 3, 2), moved], w, b, stride=2)
+        # Only a list may leave kernel channels unread: a single map
+        # narrower than the kernel is refused.
+        with pytest.raises(ShapeError):
+            ad.conv2d(ad.as_node(image), w, b, stride=2)
 
 
 class TestPadSame:
@@ -395,7 +402,7 @@ class TestUpsampleAndConcat:
         a = rng.standard_normal((1, 2, 2, 3))
         b = rng.standard_normal((1, 2, 2, 2))
         na, nb = ad.constant(a), ad.constant(b)
-        out = ad.channel_concat(na, nb)
+        out = channel_concat(na, nb)
         assert out.value.shape == (1, 2, 2, 5)
         grad = rng.standard_normal(out.value.shape)
         ad.backward([(out, grad)])
@@ -409,13 +416,13 @@ class TestUpsampleAndConcat:
 
     def test_concat_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.channel_concat(
+            channel_concat(
                 ad.constant(np.zeros((1, 2, 2, 3))), ad.constant(np.zeros((1, 3, 2, 3)))
             )
 
 
 def _composed_decoder_stage(x, skip, w, b):
-    return ad.conv2d(ad.channel_concat(nearest_upsample_2x(x), skip), w, b)
+    return ad.conv2d(channel_concat(nearest_upsample_2x(x), skip), w, b)
 
 
 class TestUpsampleConcatConv2d:
@@ -543,7 +550,7 @@ class TestBackward:
     def test_fanout_accumulates(self):
         x = ad.constant(np.array([1.0, -2.0]))
         y = ad.leaky_relu(x)
-        z = ad.channel_concat(y, y)
+        z = channel_concat(y, y)
         ad.backward([(z, np.ones(4))])
         # Each use of y contributes once: dz/dx = 2 * leaky'(x).
         assert np.allclose(x.grad, [2.0, 0.4])
@@ -616,13 +623,13 @@ class TestGradientNeeds:
         assert not raw.needs_grad and const.needs_grad
         assert ad.as_node(const) is const
         assert not ad.relu(raw).needs_grad
-        assert ad.channel_concat(raw, const).needs_grad
+        assert channel_concat(raw, const).needs_grad
 
     def test_backward_skips_nodes_that_need_no_gradient(self):
         raw = ad.as_node(np.array([[1.0, -1.0]]))
         const = ad.constant(np.array([[2.0, -3.0]]))
         inner = ad.relu(raw)
-        out = ad.channel_concat(inner, const)
+        out = channel_concat(inner, const)
         ad.backward([(out, np.arange(4.0).reshape(1, 4))])
         assert raw.grad is None and inner.grad is None
         assert np.array_equal(const.grad, [[2.0, 3.0]])
@@ -773,7 +780,7 @@ class TestConcurrentBackward:
         marker = np.zeros(2)
         x.grad = cut.grad = marker
         y = ad.leaky_relu(x)
-        z = ad.channel_concat(y, ad.Node(cut.value, parents=(cut,)))
+        z = channel_concat(y, ad.Node(cut.value, parents=(cut,)))
         raw_out = ad.relu(ad.as_node(np.ones(2)))
         grads = ad.gradients([(z, np.ones(4)), (y, np.ones(2)), (raw_out, np.ones(2))])
         assert set(grads) == {x, cut}

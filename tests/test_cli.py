@@ -1,5 +1,6 @@
 import errno
 import json
+import time
 
 import numpy as np
 import pytest
@@ -323,6 +324,42 @@ class TestTrainCommand:
         assert "batch_size" in err
         assert not (tmp_path / "o").exists()
 
+    # Each builds a network with a kernel numpy cannot address. The config
+    # refuses it as it is parsed: no 2^depth is computed or printed and no
+    # layer is allocated.
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"generator.depth": "20000"},
+            {"discriminator.layers": "20000"},
+            {"generator.depth": "9" * 20},
+            {"discriminator.layers": "9" * 20},
+            {"generator.depth": "1", "discriminator.layers": "1",
+             "generator.base_channels": "9" * 20},
+            {"generator.depth": "1", "discriminator.layers": "1",
+             "discriminator.base_channels": "9" * 20},
+        ],
+        ids=[
+            "generator-depth", "discriminator-layers", "20-digit-generator-depth",
+            "20-digit-discriminator-layers", "generator-base-channels",
+            "discriminator-base-channels",
+        ],
+    )
+    def test_network_numpy_cannot_address(self, capsys, tiny_run, tmp_path, edits):
+        _, config, _ = tiny_run
+        bad = tmp_path / "c.cfg"
+        values = dict(line.split(" = ", 1) for line in config.read_text().splitlines())
+        bad.write_text("".join(f"{key} = {value}\n" for key, value in {**values, **edits}.items()))
+        start = time.monotonic()
+        code, _, err = run(
+            capsys, "train", "--config", str(bad), "--head", "hadamard",
+            "--out", str(tmp_path / "o"),
+        )
+        assert time.monotonic() - start < 20
+        assert_one_config_error(code, err)
+        assert "too large for numpy to address" in err
+        assert not (tmp_path / "o").exists()
+
     def test_killed_chunk_worker_is_one_error_line(self, capsys, monkeypatch, tiny_run, tmp_path):
         # Two chunks per step, and the second chunk's worker gets SIGKILL,
         # the out-of-memory killer's signal, during step 2.
@@ -637,7 +674,9 @@ class TestBadInputsExitCleanly:
         assert_one_data_error(code, err)
         assert "'num_classes'" in err
 
-    # Each value builds no network, so the checkpoint, not the config, is at fault.
+    # Each value builds no network, so the checkpoint, not the config, is at
+    # fault. The last four build one whose largest kernel numpy cannot
+    # address, refused before any layer is allocated.
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -646,6 +685,10 @@ class TestBadInputsExitCleanly:
             ("code_bits", "17"),
             ("disc.layers", "0"),
             ("disc.input_channels", "0"),
+            ("gen.base_channels", "9" * 20),
+            ("disc.base_channels", "9" * 20),
+            ("disc.input_channels", "9" * 20),
+            ("gen.depth", "40"),
         ],
     )
     @pytest.mark.parametrize("command", ["eval", "predict"])

@@ -114,6 +114,24 @@ class TestDiscriminator:
         assert alpha.value.shape == (2, 8, 8, 1)
         assert np.all((alpha.value > 0) & (alpha.value < 1))
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_each_layer_is_one_conv2d_call(self, monkeypatch, layers):
+        # d0 over the (image, classes) pair, d1..d{layers-1} and the head:
+        # one ad.conv2d call per layer, so a tracer that wraps conv2d sees
+        # every layer, the first included.
+        calls = []
+        conv2d = ad.conv2d
+
+        def counting_conv2d(x, w, b, stride=1):
+            calls.append(w.name)
+            return conv2d(x, w, b, stride=stride)
+
+        monkeypatch.setattr(ad, "conv2d", counting_conv2d)
+        disc = build_discriminator(DiscriminatorConfig(layers=layers, base_channels=4), 7)
+        rng = np.random.default_rng(3)
+        disc.forward(rng.standard_normal((1, 32, 32, 3)), rng.standard_normal((1, 32, 32, 4)))
+        assert calls == [f"d{layer}.w" for layer in range(layers)] + ["out.w"]
+
     def test_receptive_field_recurrence(self):
         rf = receptive_field(DiscriminatorConfig(layers=3, base_channels=8))
         # Three stride-2 3x3 convs plus the stride-1 head:

@@ -21,6 +21,7 @@ from hadaseg.netkit import (
 )
 from hadaseg.netkit import autodiff as ad
 from hadaseg.netkit import train as train_module
+from hadaseg.netkit.models import Discriminator
 from hadaseg.netkit.optim import adam_step
 from hadaseg.netkit.train import LOSS_CSV_COLUMNS
 
@@ -319,18 +320,37 @@ class TestColumnReuse:
         # The discriminator's first-layer columns: each chunk builds, per
         # step, those of its images, of the real pair's K class channels
         # and of the predicted map, and the generator update builds none.
-        # k = 3 and K = 4 tell the maps apart by their channel counts: 3,
-        # 4 and 8. Every process appends its builds to one file.
+        # Every Columns comes from one private builder. A first-layer build
+        # is one the discriminator makes from a full-size 16x16 map: its
+        # other layers read smaller maps, and the generator, whose first
+        # layer also reads the images, is not inside it. k = 3 and K = 4
+        # tell the maps apart by their channel counts: 3, 4 and 8. Every
+        # process appends its builds to one file.
         log = tmp_path / "builds"
-        build = ad.conv_columns
+        build = ad._columns
+        inside = []
 
         def recording_build(x, k, stride):
             columns = build(x, k, stride)
-            with open(log, "a", encoding="ascii") as fh:
-                fh.write(f"{os.getpid()} {columns.source.value.shape[3]}\n")
+            if inside and columns.source.value.shape[1:3] == (16, 16):
+                with open(log, "a", encoding="ascii") as fh:
+                    fh.write(f"{os.getpid()} {columns.source.value.shape[3]}\n")
             return columns
 
-        monkeypatch.setattr(ad, "conv_columns", recording_build)
+        def in_discriminator(method):
+            def wrapped(*args):
+                inside.append(method)
+                try:
+                    return method(*args)
+                finally:
+                    inside.pop()
+
+            return wrapped
+
+        monkeypatch.setattr(ad, "_columns", recording_build)
+        for name in ("columns", "forward"):
+            method = getattr(Discriminator, name)
+            monkeypatch.setattr(Discriminator, name, in_discriminator(method))
         monkeypatch.setattr(train_module, "_usable_cpus", lambda: chunks)
         monkeypatch.setattr(train_module, "_blas_threads", lambda: 1)
         gen_cfg = GeneratorConfig(depth=2, base_channels=4, code_bits=3)
