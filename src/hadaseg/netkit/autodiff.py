@@ -27,12 +27,10 @@ No gradient shares memory with another node's or with a caller's seed.
 channel concatenation of a list of parts. It reads each part's columns
 (``conv_columns``) without building the concatenated map, so several convs
 over one map can share its columns, built once; the discriminator's first
-layer is one such conv.
-
-``upsample_concat_conv2d`` is a UNet decoder stage, nearest 2x upsampling,
-skip concatenation and a 3x3 conv, computed as one op at the low resolution:
-the upsampled branch is four 2x2 sub-pixel convs, one per output phase (see
-its docstring).
+layer is one such conv. A part may also be a map upsampled 2x by pixel
+repetition (``Upsampled``), read as four 2x2 sub-pixel convs at the low
+resolution without building the upsampled map; a UNet decoder stage is one
+conv over such a part and its skip.
 
 The ReLU family avoids ``np.where``: a masked select runs numpy's slow
 branching path when the mask's signs are mixed. On a [4, 64, 64, 16] map of
@@ -266,6 +264,61 @@ def _bias_gradient(g: np.ndarray) -> np.ndarray:
     return np.ones(g.shape[0]) @ g
 
 
+# Nearest 2x upsampling followed by a same-padded 3x3 conv, per axis: an
+# output row of parity a is a 2-tap conv over the padded low-resolution
+# input, taking window tap s from the full-resolution taps d where
+# _SUBPIXEL_TAPS[(a, s), d] is 1. Parity 0 reads (w0, w1 + w2) and parity 1
+# reads (w0 + w1, w2); the parity-a window of output row i starts at padded
+# row i + a.
+_SUBPIXEL_TAPS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _subpixel_kernel(w_up: np.ndarray) -> np.ndarray:
+    """The [3, 3, Cup, Cout] kernel over the upsampled input as a
+    [4 Cup, 4 Cout] kernel over 2x2 windows of the low-resolution input:
+    rows (s, t, Cup), columns (a, c, Cout). Tap (s, t) of output phase (a, c)
+    sums the taps (d, e) that read it."""
+    cup, cout = w_up.shape[2:]
+    rows = (_SUBPIXEL_TAPS @ w_up.reshape(3, -1)).reshape(4, 3, cup * cout)  # [(a, s), e, ...]
+    both = np.matmul(_SUBPIXEL_TAPS, rows)  # [(a, s), (c, t), (Cup, Cout)]
+    both = both.reshape(2, 2, 2, 2, cup, cout).transpose(1, 3, 4, 0, 2, 5)
+    return both.reshape(4 * cup, 4 * cout)
+
+
+def _fold_subpixel_kernel(d_kernel: np.ndarray, cup: int, cout: int) -> np.ndarray:
+    """The adjoint of ``_subpixel_kernel``: a gradient with respect to the
+    [4 Cup, 4 Cout] kernel, folded back to [3, 3, Cup, Cout]."""
+    both = d_kernel.reshape(2, 2, cup, 2, 2, cout).transpose(3, 0, 4, 1, 2, 5)
+    rows = np.matmul(_SUBPIXEL_TAPS.T, both.reshape(4, 4, cup * cout))  # [(a, s), e, ...]
+    return (_SUBPIXEL_TAPS.T @ rows.reshape(4, -1)).reshape(3, 3, cup, cout)
+
+
+def _add_subpixel_phases(out: np.ndarray, phases: np.ndarray, low_shape: tuple) -> None:
+    """Add to ``out`` [B, 2h, 2w, Cout] the sub-pixel ``phases``, the 2x2
+    windows of a map of ``low_shape`` [B, h, w, C] padded by 1 times its
+    [4 C, 4 Cout] sub-pixel kernel: phase (a, c) at window offset (a, c)
+    lands on the output pixels of row parity a and column parity c."""
+    batch, height, width, _ = low_shape
+    phases = phases.reshape(batch, height + 1, width + 1, 2, 2, -1)
+    blocks = out.reshape(batch, height, 2, width, 2, -1)
+    for a in range(2):
+        for c in range(2):
+            blocks[:, :, a, :, c] += phases[:, a : a + height, c : c + width, a, c]
+
+
+def _subpixel_phase_gradient(g: np.ndarray) -> np.ndarray:
+    """The adjoint of the placement in ``_add_subpixel_phases``: the output
+    gradient ``g`` [B, 2h, 2w, Cout] as the [B (h+1) (w+1), 4 Cout] gradient
+    of the phase product, zero where a window feeds no output of a phase."""
+    batch, height, width, cout = g.shape[0], g.shape[1] // 2, g.shape[2] // 2, g.shape[3]
+    g_blocks = g.reshape(batch, height, 2, width, 2, cout)
+    g_phases = np.zeros((batch, height + 1, width + 1, 2, 2, cout))
+    for a in range(2):
+        for c in range(2):
+            g_phases[:, a : a + height, c : c + width, a, c] = g_blocks[:, :, a, :, c]
+    return g_phases.reshape(-1, 4 * cout)
+
+
 @dataclass(frozen=True, eq=False)
 class Columns:
     """The im2col matrix of the map ``source`` [B, H, W, C] for a
@@ -283,6 +336,22 @@ class Columns:
     k: int
     stride: int
     out_hw: tuple[int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class Upsampled:
+    """A ``conv2d`` part: the map ``source`` [B, h, w, C] (a Node, or a raw
+    array that gets no gradient) upsampled 2x by pixel repetition, a
+    [B, 2h, 2w, C] map that is never built.
+
+    Nearest upsampling followed by a 3x3 conv is four 2x2 sub-pixel convs at
+    the low resolution, one per output phase (row and column parity): one
+    product of the 2x2 windows of ``source`` with the part's kernel rows
+    folded into a [4 C, 4 Cout] kernel. So the part takes a 3x3 kernel at
+    stride 1.
+    """
+
+    source: Node
 
 
 def _columns(x, k: int, stride: int) -> Columns:
@@ -306,21 +375,24 @@ def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
     Layout: input [B, H, W, Cin], kernel [k, k, Cin, Cout], bias [Cout].
     ``x`` is one map, which must have the kernel's Cin channels, or a list
     of parts whose channel concatenation is the input. Each part is a map
-    (a Node, or a raw array that gets no gradient) or its ``Columns`` from
-    ``conv_columns`` at the kernel's k and ``stride``. The concatenated map
-    is never built: each part's columns times its rows of the kernel,
-    summed, plus the bias. The kernel reads the parts' channels in order,
-    and a list may leave trailing kernel channels unread: those count as
-    zero, and their weight-gradient rows are 0. All parts must come from
-    maps of one batch and size.
+    (a Node, or a raw array that gets no gradient), its ``Columns`` from
+    ``conv_columns`` at the kernel's k and ``stride``, or an ``Upsampled``
+    map, which takes a 3x3 kernel at stride 1. The concatenated map is never
+    built: the columns of the map and Columns parts times their rows of the
+    kernel, summed in order, plus the bias, plus each Upsampled part's four
+    sub-pixel phases. The kernel reads the parts' channels in order, and a
+    list may leave trailing kernel channels unread: those count as zero,
+    and their weight-gradient rows are 0. All parts must have one batch and
+    size, an Upsampled part twice its source's.
 
-    Backward: each part's weight-gradient rows come from its columns, which
-    the node keeps only when the kernel needs a gradient. A part whose
+    Backward: each part's weight-gradient rows come from its columns. When
+    the kernel needs a gradient the node keeps them at stride 2; at stride 1
+    they are k^2 times the map, so the backward rebuilds them. A part whose
     source needs a gradient gets one: at stride 1 the same-padded conv of
     the output gradient with the flipped kernel, its channel axes swapped
-    (``_input_gradient`` over the part's kernel channels); at stride 2 its
-    column gradient scattered back tap by tap (``_col2im``). A raw part
-    gets none.
+    (``_input_gradient`` over the part's kernel channels); at stride 2, and
+    over an Upsampled part's 2x2 windows, its column gradient scattered back
+    tap by tap (``_col2im``). A raw part gets none.
     """
     wv, bv = w.value, b.value
     if wv.ndim != 4 or wv.shape[0] != wv.shape[1] or wv.shape[0] % 2 == 0:
@@ -330,21 +402,29 @@ def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
     k, cin, cout = wv.shape[0], wv.shape[2], wv.shape[3]
     if bv.shape != (cout,):
         raise ShapeError(f"bias shape {bv.shape} != ({cout},)")
+    given = x if isinstance(x, list) else [x]
+    upsampled = [isinstance(part, Upsampled) for part in given]
+    # An Upsampled part's columns are those of its 2x2 sub-pixel windows.
+    windows = [2 if up else k for up in upsampled]
     parts = [
-        part if isinstance(part, Columns) else _columns(part, k, stride)
-        for part in (x if isinstance(x, list) else [x])
+        part if isinstance(part, Columns) else _columns(part.source if up else part, n, stride)
+        for part, n, up in zip(given, windows, upsampled)
     ]
-    shapes, out_hw = [part.source.value.shape for part in parts], parts[0].out_hw
+    sources = [part.source for part in parts]
+    shapes = [source.value.shape for source in sources]
+    shapes = [(s[0], 2 * s[1], 2 * s[2], s[3]) if up else s for s, up in zip(shapes, upsampled)]
+    geometry = [(3, 1) if up else (part.k, part.stride) for part, up in zip(parts, upsampled)]
+    out_hw = shapes[0][1:3] if upsampled[0] else parts[0].out_hw
     rows = shapes[0][0] * out_hw[0] * out_hw[1]
     if any(
-        (part.k, part.stride) != (k, stride)
+        kernel_at != (k, stride)
         or shape[:3] != shapes[0][:3]
-        or part.matrix.shape != (rows, k * k * shape[3])
-        for part, shape in zip(parts, shapes)
+        or not up and part.matrix.shape != (rows, k * k * shape[3])
+        for part, shape, kernel_at, up in zip(parts, shapes, geometry, upsampled)
     ):
         raise ShapeError(
             f"conv2d parts for a {k}x{k} kernel at stride {stride} differ: "
-            + " vs ".join(f"{s} at k={p.k}, stride={p.stride}" for p, s in zip(parts, shapes))
+            + " vs ".join(f"{s} at k={n}, stride={st}" for s, (n, st) in zip(shapes, geometry))
         )
     widths = [shape[3] for shape in shapes]
     if sum(widths) > cin or (not isinstance(x, list) and widths[0] != cin):
@@ -353,37 +433,57 @@ def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
         )
 
     spans = [slice(end - width, end) for end, width in zip(accumulate(widths), widths)]
-    w_mats = [wv[:, :, span].reshape(-1, cout) for span in spans]
-    out = parts[0].matrix @ w_mats[0]
-    for part, w_mat in zip(parts[1:], w_mats[1:]):
-        out += part.matrix @ w_mat
-    # The bias sum is a new array, not an in-place add. eval_k3's peak RSS
-    # under perfbench's allocator settings (freed memory stays mapped)
-    # reads either about 134 or about 152-161 MB, and the allocation order
-    # moves the odds: 6 of 12 runs read high with the in-place add, 4 of 16
-    # with this form (2-vCPU VM).
+    kernels = [
+        _subpixel_kernel(wv[:, :, span]) if up else wv[:, :, span].reshape(-1, cout)
+        for span, up in zip(spans, upsampled)
+    ]
+    products = (p.matrix @ kernel for p, kernel, up in zip(parts, kernels, upsampled) if not up)
+    out = np.zeros((rows, cout)) if all(upsampled) else next(products)
+    for product in products:
+        out += product
+    # The bias sum is a new array, not an in-place add, in every conv.
+    # eval_k3's peak RSS under perfbench's allocator settings (freed memory
+    # stays mapped) reads either about 135 or about 150-165 MB, and the
+    # allocation order moves the odds: in 30 s runs this form read high in
+    # 5 of 10 (a separate decoder op with an in-place add, 3 of 10), and an
+    # in-place add in every conv in 5 of 5 (2-vCPU VM).
     out = (out + bv).reshape(shapes[0][:1] + out_hw + (cout,))
-    # Only the weight gradient reads the columns.
-    kept = [part.matrix for part in parts] if w.needs_grad else None
-    sources = [part.source for part in parts]
+    for part, kernel, up in zip(parts, kernels, upsampled):
+        if up:
+            _add_subpixel_phases(out, part.matrix @ kernel, part.source.value.shape)
+    # Only the weight gradient reads the columns, and only an Upsampled
+    # part's input gradient or one at stride 2 reads the part's kernel rows.
+    kept = [part.matrix for part in parts] if w.needs_grad and stride == 2 else None
+    kernels = [kernel if up or stride == 2 else None for kernel, up in zip(kernels, upsampled)]
 
     def backprop(g: np.ndarray) -> tuple:
         g_mat = g.reshape(-1, cout)
         db = _bias_gradient(g) if b.needs_grad else None
+        g_phases = _subpixel_phase_gradient(g) if any(upsampled) else None
         dw = None
         if w.needs_grad:
             dw = np.zeros_like(wv)
-            for span, cols in zip(spans, kept):
+            for i, (source, span, n, up) in enumerate(zip(sources, spans, windows, upsampled)):
+                cols = kept[i] if kept else _im2col(_pad_same(source.value, n // 2), n, 1)[0]
                 # [Cout, M] x [M, K] runs faster in BLAS than cols.T @ g.
-                dw[:, :, span] = (g_mat.T @ cols).T.reshape(k, k, -1, cout)
+                if up:
+                    d_kernel = (g_phases.T @ cols).T
+                    dw[:, :, span] = _fold_subpixel_kernel(d_kernel, widths[i], cout)
+                else:
+                    dw[:, :, span] = (g_mat.T @ cols).T.reshape(k, k, -1, cout)
+                del cols
         dparts = []
-        for source, shape, span, w_mat in zip(sources, shapes, spans, w_mats):
+        for source, shape, span, kernel, up in zip(sources, shapes, spans, kernels, upsampled):
             if not source.needs_grad:
                 dparts.append(None)
+            elif up:
+                # The window axes (s, t) take the place of the phase axes.
+                low = source.value.shape
+                dparts.append(_col2im(g_phases @ kernel.T, low, 2, 1, (low[1] + 1, low[2] + 1)))
             elif stride == 1:
                 dparts.append(_input_gradient(g, wv[:, :, span]))
             else:
-                dparts.append(_col2im(g_mat @ w_mat.T, shape, k, stride, out_hw))
+                dparts.append(_col2im(g_mat @ kernel.T, shape, k, stride, out_hw))
         return (*dparts, dw, db)
 
     return Node(out, parents=(*sources, w, b), backprop=backprop)
@@ -430,127 +530,6 @@ def sigmoid(x: Node) -> Node:
         return (g * out * (1.0 - out),)
 
     return Node(out, parents=(x,), backprop=backprop)
-
-
-# Nearest 2x upsampling followed by a same-padded 3x3 conv, per axis: an
-# output row of parity a is a 2-tap conv over the padded low-resolution
-# input, taking window tap s from the full-resolution taps d where
-# _SUBPIXEL_TAPS[(a, s), d] is 1. Parity 0 reads (w0, w1 + w2) and parity 1
-# reads (w0 + w1, w2); the parity-a window of output row i starts at padded
-# row i + a.
-_SUBPIXEL_TAPS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _subpixel_kernel(w_up: np.ndarray) -> np.ndarray:
-    """The [3, 3, Cup, Cout] kernel over the upsampled input as a
-    [4 Cup, 4 Cout] kernel over 2x2 windows of the low-resolution input:
-    rows (s, t, Cup), columns (a, c, Cout). Tap (s, t) of output phase (a, c)
-    sums the taps (d, e) that read it."""
-    cup, cout = w_up.shape[2:]
-    rows = (_SUBPIXEL_TAPS @ w_up.reshape(3, -1)).reshape(4, 3, cup * cout)  # [(a, s), e, ...]
-    both = np.matmul(_SUBPIXEL_TAPS, rows)  # [(a, s), (c, t), (Cup, Cout)]
-    both = both.reshape(2, 2, 2, 2, cup, cout).transpose(1, 3, 4, 0, 2, 5)
-    return both.reshape(4 * cup, 4 * cout)
-
-
-def _fold_subpixel_kernel(d_kernel: np.ndarray, cup: int, cout: int) -> np.ndarray:
-    """The adjoint of ``_subpixel_kernel``: a gradient with respect to the
-    [4 Cup, 4 Cout] kernel, folded back to [3, 3, Cup, Cout]."""
-    both = d_kernel.reshape(2, 2, cup, 2, 2, cout).transpose(3, 0, 4, 1, 2, 5)
-    rows = np.matmul(_SUBPIXEL_TAPS.T, both.reshape(4, 4, cup * cout))  # [(a, s), e, ...]
-    return (_SUBPIXEL_TAPS.T @ rows.reshape(4, -1)).reshape(3, 3, cup, cout)
-
-
-def upsample_concat_conv2d(x: Node, skip: Node, w: Node, b: Node) -> Node:
-    """``conv2d([up, skip], w, b)``, where ``up`` is ``x``
-    upsampled 2x by pixel repetition, for a 3x3 kernel at stride 1, computed
-    without the upsampled map.
-
-    Layout: ``x`` [B, h, w, Cup], ``skip`` [B, 2h, 2w, Cskip], kernel
-    [3, 3, Cup + Cskip, Cout] (its first Cup input channels act on the
-    upsampled ``x``), bias [Cout]. Nearest upsampling followed by a 3x3 conv
-    is four 2x2 sub-pixel convs at the low resolution, one per output phase
-    (row and column parity), and a conv over a concat is the sum of the
-    convs over its parts. So the up branch is one 2x2-window im2col of the
-    padded ``x``, [B (h+1) (w+1), 4 Cup], times a [4 Cup, 4 Cout] kernel
-    holding the four phases; phase (a, c) is the window grid at offset
-    (a, c), added into its output phase. The skip branch is an im2col of
-    ``skip`` times the kernel's skip channels.
-
-    Backward: the up branch places the output gradient's four phases at
-    their offsets in a [B, h+1, w+1, 2, 2, Cout] array that is zero where a
-    window feeds no output of that phase. That array times the up branch's
-    columns is the 2x2 kernel's gradient, folded back through the tap map;
-    times the kernel's transpose it gives the window gradients, and four
-    shifted slices of those sum to the gradient of ``x``. The skip branch's
-    weight gradient comes from its columns and its input gradient from its
-    own transposed-conv product, computed only when ``skip`` needs one.
-    Neither input gradient depends on which inputs need one.
-
-    The backward rebuilds both column matrices from the inputs instead of
-    keeping them from the forward. They are 4 and 9 times the size of
-    ``x`` and ``skip``, and a decoder stage's tape lives through a whole
-    training step. At the C7 smoke shapes the three stages' columns take
-    14.7 MB, and rebuilding them took 2.3 ms per step (one thread, 2-vCPU
-    Xeon VM).
-    """
-    _check_image(x, "upsample_concat_conv2d")
-    _check_image(skip, "upsample_concat_conv2d")
-    xv, sv, wv, bv = x.value, skip.value, w.value, b.value
-    batch, height, width, cup = xv.shape
-    if sv.shape[:3] != (batch, 2 * height, 2 * width):
-        raise ShapeError(
-            f"skip shape {sv.shape} is not the 2x upsampled size of input {xv.shape}"
-        )
-    cin = cup + sv.shape[3]
-    if wv.ndim != 4 or wv.shape[:3] != (3, 3, cin):
-        raise ShapeError(f"kernel must be [3, 3, {cin}, Cout], got {wv.shape}")
-    cout = wv.shape[3]
-    if bv.shape != (cout,):
-        raise ShapeError(f"bias shape {bv.shape} != ({cout},)")
-
-    # Window positions (B, h+1, w+1) and output phases (a, c).
-    grid = (batch, height + 1, width + 1, 2, 2)
-    kernel_up = _subpixel_kernel(wv[:, :, :cup])
-    cols_up, _, _ = _im2col(_pad_same(xv, 1), 2, 1)
-    cols_skip, _, _ = _im2col(_pad_same(sv, 1), 3, 1)
-    out = cols_skip @ wv[:, :, cup:].reshape(-1, cout)
-    out += bv
-    blocks = out.reshape(batch, height, 2, width, 2, cout)
-    phases = (cols_up @ kernel_up).reshape(grid + (cout,))
-    for a in range(2):
-        for c in range(2):
-            blocks[:, :, a, :, c] += phases[:, a : a + height, c : c + width, a, c]
-    out = out.reshape(batch, 2 * height, 2 * width, cout)
-
-    def backprop(g: np.ndarray) -> tuple:
-        db = _bias_gradient(g) if b.needs_grad else None
-        dw = dx = dskip = None
-        if w.needs_grad or x.needs_grad:
-            g_blocks = g.reshape(batch, height, 2, width, 2, cout)
-            g_phases = np.zeros(grid + (cout,))
-            for a in range(2):
-                for c in range(2):
-                    g_phases[:, a : a + height, c : c + width, a, c] = g_blocks[:, :, a, :, c]
-            g_phases = g_phases.reshape(-1, 4 * cout)
-            if w.needs_grad:
-                dw = np.empty_like(wv)
-                # [N, M] x [M, K] runs faster in BLAS, as in conv2d.
-                cols_up, _, _ = _im2col(_pad_same(xv, 1), 2, 1)
-                dw[:, :, :cup] = _fold_subpixel_kernel((g_phases.T @ cols_up).T, cup, cout)
-                del cols_up
-                cols_skip, _, _ = _im2col(_pad_same(sv, 1), 3, 1)
-                dw[:, :, cup:] = (g.reshape(-1, cout).T @ cols_skip).T.reshape(3, 3, -1, cout)
-                del cols_skip
-            if x.needs_grad:
-                # The window axes (s, t) take the place of the phase axes,
-                # over the forward's 2 x 2 stride-1 windows of x padded by 1.
-                dx = _col2im(g_phases @ kernel_up.T, xv.shape, 2, 1, (height + 1, width + 1))
-        if skip.needs_grad:
-            dskip = _input_gradient(g, wv[:, :, cup:])
-        return dx, dskip, dw, db
-
-    return Node(out, parents=(x, skip, w, b), backprop=backprop)
 
 
 def per_pixel_softmax(x: Node) -> Node:

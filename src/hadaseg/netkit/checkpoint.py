@@ -9,6 +9,7 @@ tensor name appears at most once.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from .models import (
     DiscriminatorConfig,
     Generator,
     GeneratorConfig,
+    _parameter_shapes,
     build_discriminator,
     build_generator,
 )
@@ -90,7 +92,8 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 dims = tuple(int(d) for d in parts[5 : 5 + ndim])
             except (ValueError, IndexError) as exc:
                 raise FormatError(f"{manifest}: bad tensor line {line!r}") from exc
-            if len(dims) != ndim or int(np.prod(dims, dtype=np.int64)) != count:
+            # Python ints: an int64 product wraps or overflows.
+            if len(dims) != ndim or math.prod(dims) != count:
                 raise FormatError(f"{manifest}: inconsistent dims in {line!r}")
             if offset < 0 or any(d < 0 for d in dims):
                 raise FormatError(f"{manifest}: negative offset or dimension in {line!r}")
@@ -142,7 +145,8 @@ def load_models(directory) -> tuple[Generator, Discriminator, dict[str, str]]:
 
     The returned metadata holds an integer ``num_classes`` in
     [2, 2^code_bits], the class count the generator's head can decode.
-    Metadata that builds no network is the file's fault: FormatError.
+    Metadata that builds no network is the file's fault: FormatError. So
+    is a missing or misshapen tensor, found before either network is built.
     """
     tensors, meta = load_checkpoint(directory)
     try:
@@ -158,21 +162,21 @@ def load_models(directory) -> tuple[Generator, Discriminator, dict[str, str]]:
             layers=_require_int(meta, "disc.layers"),
             base_channels=_require_int(meta, "disc.base_channels"),
         )
+        disc_channels = _require_int(meta, "disc.input_channels")
+        for prefix, kernels in (
+            ("gen", gen_cfg._kernels(gen_cfg.depth)),
+            ("disc", disc_cfg._kernels(disc_channels, disc_cfg.layers)),
+        ):
+            for name, shape in _parameter_shapes(kernels):
+                stored = tensors.get(f"{prefix}.{name}")
+                if stored is None or stored.shape != shape:
+                    found = "missing" if stored is None else f"of shape {stored.shape}"
+                    raise FormatError(f"{directory}: {prefix}.{name} is {found}, not {shape}")
         gen = build_generator(gen_cfg, seed=0)
-        disc = build_discriminator(
-            disc_cfg, input_channels=_require_int(meta, "disc.input_channels"), seed=0
-        )
+        disc = build_discriminator(disc_cfg, input_channels=disc_channels, seed=0)
     except ConfigError as exc:
         raise FormatError(f"{directory}: bad checkpoint metadata: {exc}") from exc
     for prefix, model in (("gen", gen), ("disc", disc)):
         for name, param in model.parameters.items():
-            key = f"{prefix}.{name}"
-            if key not in tensors:
-                raise FormatError(f"checkpoint missing tensor {key!r}")
-            stored = tensors[key]
-            if stored.shape != param.value.shape:
-                raise FormatError(
-                    f"{key}: stored shape {stored.shape} != model shape {param.value.shape}"
-                )
-            param.value[...] = stored
+            param.value[...] = tensors[f"{prefix}.{name}"]
     return gen, disc, meta

@@ -7,10 +7,9 @@ Both heads (plain per-pixel softmax, or the code-correlation head) are
 parameter-free, so swapping them never changes the trainable parameter
 count.
 
-Each decoder stage (upsample, concat, 3x3 conv) is computed as one
-``upsample_concat_conv2d`` op at the low resolution, without the upsampled
-map: the upsampled branch is four 2x2 sub-pixel convs, one per output
-phase. The architecture and its parameters are those of the three-op chain.
+Every layer is one ``conv2d`` call. A decoder stage (upsample, concat, 3x3
+conv) is one over an ``Upsampled`` part and the skip, with the parameters
+of the three-op chain; the op never builds the upsampled map.
 
 The discriminator is a stack of stride-2 convolutions ending in a 1-channel
 sigmoid map; each output cell scores one receptive-field patch of its input.
@@ -172,6 +171,14 @@ def receptive_field(cfg: DiscriminatorConfig) -> ReceptiveField:
     return ReceptiveField(size=size, stride=jump, offset=offset)
 
 
+def _parameter_shapes(kernels):
+    """(name, shape) of the weight and the bias of each conv (name, Cin,
+    Cout, k), in the order that ``_init_convs`` builds them."""
+    for name, cin, cout, k in kernels:
+        yield f"{name}.w", (k, k, cin, cout)
+        yield f"{name}.b", (cout,)
+
+
 def _init_convs(kernels, seed) -> dict[str, ad.Parameter]:
     """The weight and bias Parameters of each conv (name, Cin, Cout, k), in
     order: a fan-in-scaled uniform kernel drawn from ``seed``, a zero bias."""
@@ -217,7 +224,7 @@ class Generator:
                 skips.append(h)
         for d in reversed(range(self.cfg.depth)):
             h = ad.relu(
-                ad.upsample_concat_conv2d(h, skips[d], self._p(f"dec{d}.w"), self._p(f"dec{d}.b"))
+                ad.conv2d([ad.Upsampled(h), skips[d]], self._p(f"dec{d}.w"), self._p(f"dec{d}.b"))
             )
         y_c = ad.conv2d(h, self._p("out.w"), self._p("out.b"), stride=1)
         if self.cfg.head == HEAD_HADAMARD:

@@ -58,8 +58,8 @@ def reachable_nodes(roots) -> list:
 
 def nearest_upsample_2x(x):
     """Double both spatial axes of the autodiff node ``x`` [B, H, W, C] by
-    pixel repetition: the reference that ``upsample_concat_conv2d`` is
-    composed against."""
+    pixel repetition: the reference that a ``conv2d`` over an
+    ``autodiff.Upsampled`` part is composed against."""
     xv = x.value
     out = xv.repeat(2, axis=1).repeat(2, axis=2)
 

@@ -425,6 +425,10 @@ def _composed_decoder_stage(x, skip, w, b):
     return ad.conv2d(channel_concat(nearest_upsample_2x(x), skip), w, b)
 
 
+def _decoder_stage(x, skip, w, b, stride=1):
+    return ad.conv2d([ad.Upsampled(x), skip], w, b, stride=stride)
+
+
 class TestUpsampleConcatConv2d:
     @staticmethod
     def _inputs(rng, batch, height, width, cup, cskip, cout):
@@ -441,7 +445,7 @@ class TestUpsampleConcatConv2d:
         # of the sub-pixel map and both borders are exercised.
         inputs = self._inputs(np.random.default_rng(50), 1, 3, 2, 5, 3, 7)
         _gradcheck_op(
-            lambda leaves: ad.upsample_concat_conv2d(*leaves), inputs, seed=51, tol=1e-4, raw=raw
+            lambda leaves: _decoder_stage(*leaves), inputs, seed=51, tol=1e-4, raw=raw
         )
 
     def test_input_gradient_is_adjoint(self):
@@ -450,7 +454,7 @@ class TestUpsampleConcatConv2d:
         rng = np.random.default_rng(52)
         x, skip, w, _ = self._inputs(rng, 1, 6, 5, 16, 3, 16)
         xn, sn = ad.constant(x), ad.constant(skip)
-        out = ad.upsample_concat_conv2d(xn, sn, ad.constant(w), ad.constant(np.zeros(16)))
+        out = _decoder_stage(xn, sn, ad.constant(w), ad.constant(np.zeros(16)))
         g = rng.standard_normal(out.value.shape)
         ad.backward([(out, g)])
         inner = (x * xn.grad).sum() + (skip * sn.grad).sum()
@@ -465,7 +469,7 @@ class TestUpsampleConcatConv2d:
         inputs = self._inputs(rng, 2, height, width, cup, cskip, cout)
         g = rng.standard_normal((2, 2 * height, 2 * width, cout))
         results = []
-        for op in (_composed_decoder_stage, ad.upsample_concat_conv2d):
+        for op in (_composed_decoder_stage, _decoder_stage):
             leaves = [ad.constant(v) for v in inputs]
             out = op(*leaves)
             ad.backward([(out, g)])
@@ -492,7 +496,7 @@ class TestUpsampleConcatConv2d:
         def grads(x_wrap, skip_wrap):
             x, skip = x_wrap(inputs[0]), skip_wrap(inputs[1])
             w, b = ad.constant(inputs[2]), ad.constant(inputs[3])
-            ad.backward([(ad.upsample_concat_conv2d(x, skip, w, b), g)])
+            ad.backward([(_decoder_stage(x, skip, w, b), g)])
             return x.grad, skip.grad
 
         dx_both, dskip_both = grads(ad.constant, ad.constant)
@@ -506,17 +510,26 @@ class TestUpsampleConcatConv2d:
         x = ad.constant(np.zeros((1, 2, 3, 4)))
         skip = ad.constant(np.zeros((1, 4, 6, 2)))
         w, b = ad.constant(np.zeros((3, 3, 6, 5))), ad.constant(np.zeros(5))
-        assert ad.upsample_concat_conv2d(x, skip, w, b).shape == (1, 4, 6, 5)
+        assert _decoder_stage(x, skip, w, b).shape == (1, 4, 6, 5)
         with pytest.raises(ShapeError):
-            ad.upsample_concat_conv2d(x, ad.constant(np.zeros((1, 4, 4, 2))), w, b)
+            _decoder_stage(x, ad.constant(np.zeros((1, 4, 4, 2))), w, b)
         with pytest.raises(ShapeError):
-            ad.upsample_concat_conv2d(x, skip, ad.constant(np.zeros((3, 3, 5, 5))), b)
+            _decoder_stage(x, skip, ad.constant(np.zeros((3, 3, 5, 5))), b)
         with pytest.raises(ShapeError):
-            ad.upsample_concat_conv2d(x, skip, ad.constant(np.zeros((5, 5, 6, 5))), b)
+            _decoder_stage(x, skip, ad.constant(np.zeros((5, 5, 6, 5))), b)
         with pytest.raises(ShapeError):
-            ad.upsample_concat_conv2d(x, skip, w, ad.constant(np.zeros(4)))
+            _decoder_stage(x, skip, w, ad.constant(np.zeros(4)))
         with pytest.raises(ShapeError):
-            ad.upsample_concat_conv2d(ad.constant(np.zeros((2, 3, 4))), skip, w, b)
+            _decoder_stage(ad.constant(np.zeros((2, 3, 4))), skip, w, b)
+        # An Upsampled part alone, so no other part's shape is at fault: it
+        # takes only a 3x3 kernel at stride 1, and after a 4x4 part its 2x
+        # size, 4x6, differs.
+        with pytest.raises(ShapeError, match="5x5"):
+            ad.conv2d([ad.Upsampled(x)], ad.constant(np.zeros((5, 5, 4, 5))), b)
+        with pytest.raises(ShapeError, match="stride 2"):
+            ad.conv2d([ad.Upsampled(x)], ad.constant(np.zeros((3, 3, 4, 5))), b, stride=2)
+        with pytest.raises(ShapeError, match=r"\(1, 4, 4, 2\).* vs \(1, 4, 6, 4\)"):
+            ad.conv2d([ad.constant(np.zeros((1, 4, 4, 2))), ad.Upsampled(x)], w, b)
 
 
 class TestSoftmaxAndHead:
@@ -610,6 +623,20 @@ class TestBackward:
         assert np.array_equal(x.grad, [2.0, 0.0, 2.0])
 
 
+def _closure_arrays(fn):
+    """Every array that the closure of ``fn`` holds, in a cell of its own or
+    inside a list, tuple or ``Columns`` part."""
+    stack = [cell.cell_contents for cell in fn.__closure__]
+    while stack:
+        held = stack.pop()
+        if isinstance(held, np.ndarray):
+            yield held
+        elif isinstance(held, (list, tuple)):
+            stack.extend(held)
+        elif isinstance(held, ad.Columns):
+            stack.append(held.matrix)
+
+
 def _tiny_models():
     gen = Generator(GeneratorConfig(depth=2, base_channels=4, code_bits=2), seed=1)
     disc = Discriminator(DiscriminatorConfig(layers=2, base_channels=4), input_channels=7, seed=2)
@@ -691,42 +718,39 @@ class TestGradientNeeds:
     def test_frozen_conv_keeps_no_columns(self):
         # Only the weight gradient reads the im2col matrix, so a conv whose
         # kernel needs no gradient drops it when the node is built; the
-        # input gradient is unchanged.
+        # input gradient is unchanged. At stride 1 the columns are k^2 times
+        # the map, so the node keeps none even when the kernel needs a
+        # gradient.
         rng = np.random.default_rng(45)
         x = ad.constant(rng.standard_normal((2, 8, 8, 3)))
         w = ad.Parameter("w", rng.standard_normal((3, 3, 3, 4)))
         b = ad.Parameter("b", rng.standard_normal(4))
-        seed = rng.standard_normal((2, 4, 4, 4))
-        input_grads = []
-        for frozen in (False, True):
-            ad.set_needs_grad([w, b], not frozen)
-            out = ad.conv2d(x, w, b, stride=2)
-            # The op keeps its parts' columns in a list.
-            held = []
-            for cell in out._backprop.__closure__:
-                contents = cell.cell_contents
-                held += contents if isinstance(contents, list) else [contents]
-            column_shape = (2 * 4 * 4, 27)
-            kept = any(isinstance(a, np.ndarray) and a.shape == column_shape for a in held)
-            assert kept != frozen
-            ad.backward([(out, seed)])
-            input_grads.append(x.grad)
-        assert np.array_equal(input_grads[0], input_grads[1])
+        for stride in (2, 1):
+            size = 8 // stride
+            seed = rng.standard_normal((2, size, size, 4))
+            input_grads = []
+            for frozen in (False, True):
+                ad.set_needs_grad([w, b], not frozen)
+                out = ad.conv2d(x, w, b, stride=stride)
+                column_shape = (2 * size * size, 27)
+                kept = any(a.shape == column_shape for a in _closure_arrays(out._backprop))
+                assert kept == (stride == 2 and not frozen), (stride, frozen)
+                ad.backward([(out, seed)])
+                input_grads.append(x.grad)
+            assert np.array_equal(input_grads[0], input_grads[1])
 
     def test_decoder_stage_keeps_no_columns(self):
         # The stage's tape lives through a training step, so its backward
-        # rebuilds the up and skip column matrices instead of keeping them.
+        # rebuilds the up and skip column matrices instead of keeping them,
+        # in a container or a Columns part as much as in a cell of its own.
         rng = np.random.default_rng(46)
         x = ad.constant(rng.standard_normal((2, 4, 4, 3)))
         skip = ad.constant(rng.standard_normal((2, 8, 8, 2)))
         w = ad.Parameter("w", rng.standard_normal((3, 3, 5, 4)))
         b = ad.Parameter("b", rng.standard_normal(4))
-        out = ad.upsample_concat_conv2d(x, skip, w, b)
-        held = [
-            cell.cell_contents
-            for cell in out._backprop.__closure__
-            if isinstance(cell.cell_contents, np.ndarray)
-        ]
+        out = ad.conv2d([ad.Upsampled(x), skip], w, b)
+        held = list(_closure_arrays(out._backprop))
+        assert held
         column_shapes = {(2 * 5 * 5, 4 * 3), (2 * 8 * 8, 9 * 2)}
         assert not any(a.shape in column_shapes for a in held)
 

@@ -11,6 +11,7 @@ from hadaseg.cli import _load_generator, main
 from hadaseg.data import ingest_index_maps, read_image, read_label_map
 from hadaseg.metrics import ConfusionMatrix, argmax_map, confusion, metrics_report
 from hadaseg.data import gen_synthetic, write_dataset
+from hadaseg.netkit import models as models_module
 from hadaseg.netkit import train as train_module
 from hadaseg.netkit import (
     DiscriminatorConfig,
@@ -614,6 +615,45 @@ class TestBadInputsExitCleanly:
         code, _, err = self._run_model_command(capsys, workdir, "eval")
         assert_one_data_error(code, err)
         assert "negative" in err
+
+    # Dims whose product an int64 wraps to the count (2^64 -> 0), and one
+    # beyond int64.
+    @pytest.mark.parametrize(
+        "fields",
+        [("625", "0", "2", "4294967296", "4294967296"), ("625", "4", "1", "9" * 20)],
+        ids=["wraps_to_count", "beyond_int64"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_tensor_extent_beyond_int64(self, capsys, workdir, command, fields):
+        self._edit_manifest(
+            workdir,
+            lambda text: "\n".join(
+                " ".join(("tensor", "gen.dec0.b") + fields)
+                if line.startswith("tensor gen.dec0.b ") else line
+                for line in text.splitlines()
+            ),
+        )
+        code, _, err = self._run_model_command(capsys, workdir, command)
+        assert_one_data_error(code, err)
+        assert "inconsistent dims" in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_meta_for_a_huge_network_allocates_nothing(
+        self, capsys, monkeypatch, workdir, command
+    ):
+        # A depth-14 generator is addressable but would take tens of GiB.
+        # The stored tensors, a depth-2 network's, are compared with the
+        # metadata's shapes before either network is allocated.
+        def refuse(kernels, seed):
+            raise AssertionError("a network was allocated")
+
+        monkeypatch.setattr(models_module, "_init_convs", refuse)
+        self._edit_manifest(
+            workdir, lambda text: text.replace("meta gen.depth 2", "meta gen.depth 14")
+        )
+        code, _, err = self._run_model_command(capsys, workdir, command)
+        assert_one_data_error(code, err)
+        assert "gen.enc2.w is missing" in err
 
     @pytest.mark.parametrize(
         "name, named",

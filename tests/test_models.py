@@ -64,6 +64,27 @@ class TestGeneratorStructure:
         with pytest.raises(ShapeError):
             gen.forward(np.zeros((1, 8, 8, 4)))
 
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_each_layer_is_one_conv2d_call(self, monkeypatch, depth):
+        # The encoder, each decoder stage over its (upsampled, skip) pair
+        # and the 1x1 projection: one ad.conv2d call per layer, so a tracer
+        # that wraps conv2d sees every layer.
+        calls = []
+        conv2d = ad.conv2d
+
+        def counting_conv2d(x, w, b, stride=1):
+            calls.append(w.name)
+            return conv2d(x, w, b, stride=stride)
+
+        monkeypatch.setattr(ad, "conv2d", counting_conv2d)
+        gen = build_generator(GeneratorConfig(depth=depth, base_channels=4, code_bits=2))
+        gen.forward(np.random.default_rng(4).standard_normal((1, 8, 8, 3)))
+        assert calls == (
+            [f"enc{d}.w" for d in range(depth)]
+            + [f"dec{d}.w" for d in reversed(range(depth))]
+            + ["out.w"]
+        )
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(depth=0)
