@@ -30,7 +30,11 @@ over one map can share its columns, built once; the discriminator's first
 layer is one such conv. A part may also be a map upsampled 2x by pixel
 repetition (``Upsampled``), read as four 2x2 sub-pixel convs at the low
 resolution without building the upsampled map; a UNet decoder stage is one
-conv over such a part and its skip.
+conv over such a part and its skip. No input gradient scatters window
+gradients tap by tap: at stride 1 it is the conv of the output gradient
+with the flipped kernel, at stride 2 a transposed conv done as one product
+per input phase (sub-pixel), and an Upsampled part's is four shifted
+slices of its window gradients added.
 
 The ReLU family avoids ``np.where``: a masked select runs numpy's slow
 branching path when the mask's signs are mixed. On a [4, 64, 64, 16] map of
@@ -212,13 +216,15 @@ def _im2col(padded: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, i
     return cols, out_h, out_w
 
 
-def _pad_same(v: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad both spatial axes; 1x1 kernels (pad 0) get ``v`` uncopied."""
-    if pad == 0:
+def _pad_same(v: np.ndarray, pad: int, after: int | None = None) -> np.ndarray:
+    """Zero-pad both spatial axes by ``pad`` in front and ``after`` (default
+    ``pad``) behind; no padding (a 1x1 kernel) returns ``v`` uncopied."""
+    after = pad if after is None else after
+    if pad == after == 0:
         return v
     batch, height, width, channels = v.shape
-    out = np.zeros((batch, height + 2 * pad, width + 2 * pad, channels), dtype=v.dtype)
-    out[:, pad:-pad, pad:-pad] = v
+    out = np.zeros((batch, height + pad + after, width + pad + after, channels), dtype=v.dtype)
+    out[:, pad : pad + height, pad : pad + width] = v
     return out
 
 
@@ -233,28 +239,41 @@ def _input_gradient(g: np.ndarray, wv: np.ndarray) -> np.ndarray:
     return (g_cols @ w_flip).reshape(g.shape[:3] + (cin,))
 
 
-def _col2im(
-    dcols: np.ndarray, shape: tuple, k: int, stride: int, out_hw: tuple[int, int]
-) -> np.ndarray:
-    """The adjoint of ``_im2col`` after ``_pad_same``: the gradient of the
-    unpadded input of ``shape`` [B, H, W, C], given the gradient ``dcols``
-    [B * Ho * Wo, k * k * C] of its k x k windows taken at ``stride``. Each
-    tap's window gradients are added back where that tap read, one strided
-    slice per tap."""
-    batch, height, width, channels = shape
-    out_h, out_w = out_hw
-    pad = k // 2
-    dcols = dcols.reshape(batch, out_h, out_w, k, k, channels)
-    dxp = np.zeros((batch, height + 2 * pad, width + 2 * pad, channels))
-    for i in range(k):
-        for j in range(k):
-            dxp[
-                :,
-                i : i + stride * out_h : stride,
-                j : j + stride * out_w : stride,
-                :,
-            ] += dcols[:, :, :, i, j, :]
-    return dxp[:, pad : pad + height, pad : pad + width, :]
+def _phase_kernel(wv: np.ndarray) -> np.ndarray:
+    """The kernel ``wv`` [k, k, Cin, Cout] of a same-padded stride-2 conv,
+    folded for its input gradient into a [m^2 Cout, 4 Cin] kernel over m x m
+    windows of the output gradient, m = (k + 1) / 2: rows (s, t, Cout),
+    columns (a, c, Cin). With the gradient padded by f = (m - 1) // 2 in
+    front, window (u, v) offset (s, t) is output (u + s - f, v + t - f),
+    which read input pixel (2u + a, 2v + c) through tap
+    (a + p + 2f - 2s, c + p + 2f - 2t), p = k // 2. A block whose tap lies
+    outside the kernel stays zero, so a 1x1 kernel's odd phases get none."""
+    k, _, cin, cout = wv.shape
+    m, p = (k + 1) // 2, k // 2
+    reads = [(a, s, a + p + 2 * (p // 2) - 2 * s) for a in range(2) for s in range(m)]
+    reads = [(a, s, tap) for a, s, tap in reads if 0 <= tap < k]
+    kernel = np.zeros((m, m, cout, 2, 2, cin))
+    for a, s, row in reads:
+        for c, t, column in reads:
+            kernel[s, t, :, a, c] = wv[row, column].T
+    return kernel.reshape(m * m * cout, 4 * cin)
+
+
+def _strided_input_gradient(g: np.ndarray, wv: np.ndarray, shape: tuple) -> np.ndarray:
+    """Input gradient of a same-padded stride-2 convolution with kernel ``wv``
+    [k, k, Cin, Cout] over an input of ``shape`` [B, H, W, Cin], given the
+    output gradient ``g`` [B, Ho, Wo, Cout]: a transposed conv, which for
+    each of the four input phases (row and column parity) is a stride-1 conv
+    of ``g`` with the taps that phase reads. One product of the m x m windows
+    of ``g`` with the ``_phase_kernel``, then one depth-to-space copy that
+    interleaves the phases, cropped to an odd H or W."""
+    k, _, cin, _ = wv.shape
+    m = (k + 1) // 2
+    batch, out_h, out_w = g.shape[:3]
+    g_cols, _, _ = _im2col(_pad_same(g, (m - 1) // 2, m // 2), m, 1)
+    phases = (g_cols @ _phase_kernel(wv)).reshape(batch, out_h, out_w, 2, 2, cin)
+    dx = phases.transpose(0, 1, 3, 2, 4, 5).reshape(batch, 2 * out_h, 2 * out_w, cin)
+    return dx[:, : shape[1], : shape[2]]
 
 
 def _bias_gradient(g: np.ndarray) -> np.ndarray:
@@ -304,6 +323,20 @@ def _add_subpixel_phases(out: np.ndarray, phases: np.ndarray, low_shape: tuple) 
     for a in range(2):
         for c in range(2):
             blocks[:, :, a, :, c] += phases[:, a : a + height, c : c + width, a, c]
+
+
+def _upsampled_input_gradient(d_windows: np.ndarray, low_shape: tuple) -> np.ndarray:
+    """The adjoint of the 2x2 windows of a map of ``low_shape`` [B, h, w, C]
+    padded by 1: the map's gradient, given the gradient ``d_windows``
+    [B (h+1) (w+1), 4 C] of its windows. Window tap (s, t) read pixel
+    (i, j) at window (i + 1 - s, j + 1 - t); the four shifted slices are
+    added in tap order."""
+    batch, height, width, channels = low_shape
+    d = d_windows.reshape(batch, height + 1, width + 1, 2, 2, channels)
+    dx = d[:, 1:, 1:, 0, 0] + d[:, 1:, :-1, 0, 1]
+    dx += d[:, :-1, 1:, 1, 0]
+    dx += d[:, :-1, :-1, 1, 1]
+    return dx
 
 
 def _subpixel_phase_gradient(g: np.ndarray) -> np.ndarray:
@@ -388,11 +421,14 @@ def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
     Backward: each part's weight-gradient rows come from its columns. When
     the kernel needs a gradient the node keeps them at stride 2; at stride 1
     they are k^2 times the map, so the backward rebuilds them. A part whose
-    source needs a gradient gets one: at stride 1 the same-padded conv of
-    the output gradient with the flipped kernel, its channel axes swapped
-    (``_input_gradient`` over the part's kernel channels); at stride 2, and
-    over an Upsampled part's 2x2 windows, its column gradient scattered back
-    tap by tap (``_col2im``). A raw part gets none.
+    source needs a gradient gets one, from the part's kernel channels: at
+    stride 1 the same-padded conv of the output gradient with the flipped
+    kernel, its channel axes swapped (``_input_gradient``); at stride 2 one
+    product of the output gradient's m x m windows, m = (k + 1) / 2, with
+    the kernel folded per input phase in the backward, then one
+    depth-to-space copy (``_strided_input_gradient``); over an Upsampled
+    part, the gradient of its 2x2 windows summed back in four shifted
+    slices (``_upsampled_input_gradient``). A raw part gets none.
     """
     wv, bv = w.value, b.value
     if wv.ndim != 4 or wv.shape[0] != wv.shape[1] or wv.shape[0] % 2 == 0:
@@ -452,9 +488,9 @@ def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
         if up:
             _add_subpixel_phases(out, part.matrix @ kernel, part.source.value.shape)
     # Only the weight gradient reads the columns, and only an Upsampled
-    # part's input gradient or one at stride 2 reads the part's kernel rows.
+    # part's input gradient reads the part's kernel rows.
     kept = [part.matrix for part in parts] if w.needs_grad and stride == 2 else None
-    kernels = [kernel if up or stride == 2 else None for kernel, up in zip(kernels, upsampled)]
+    kernels = [kernel if up else None for kernel, up in zip(kernels, upsampled)]
 
     def backprop(g: np.ndarray) -> tuple:
         g_mat = g.reshape(-1, cout)
@@ -478,12 +514,11 @@ def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
                 dparts.append(None)
             elif up:
                 # The window axes (s, t) take the place of the phase axes.
-                low = source.value.shape
-                dparts.append(_col2im(g_phases @ kernel.T, low, 2, 1, (low[1] + 1, low[2] + 1)))
+                dparts.append(_upsampled_input_gradient(g_phases @ kernel.T, source.value.shape))
             elif stride == 1:
                 dparts.append(_input_gradient(g, wv[:, :, span]))
             else:
-                dparts.append(_col2im(g_mat @ kernel.T, shape, k, stride, out_hw))
+                dparts.append(_strided_input_gradient(g, wv[:, :, span], shape))
         return (*dparts, dw, db)
 
     return Node(out, parents=(*sources, w, b), backprop=backprop)

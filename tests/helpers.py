@@ -1,6 +1,6 @@
 """Shared test utilities: gradient checking against central finite differences,
-walking an autodiff tape, reference upsampling and concatenation ops,
-corrupting an image file, and killing training's chunk workers."""
+walking an autodiff tape, reference upsampling, concatenation and column
+scatter ops, corrupting an image file, and killing training's chunk workers."""
 
 import multiprocessing
 import os
@@ -89,6 +89,30 @@ def channel_concat(a, b):
         )
 
     return ad.Node(out, parents=(a, b), backprop=backprop)
+
+
+def col2im(dcols, shape, k, stride, out_hw):
+    """The adjoint of the im2col of a map of ``shape`` [B, H, W, C] padded
+    by k // 2: the map's gradient, given the gradient ``dcols``
+    [B * Ho * Wo, k * k * C] of its k x k windows taken at ``stride``. Each
+    tap's window gradients are added back where that tap read, one strided
+    slice per tap in (kh, kw) order: the scatter that a stride-2 conv's
+    input gradient and an ``autodiff.Upsampled`` part's adjoint (k = 2,
+    stride 1) are compared against."""
+    batch, height, width, channels = shape
+    out_h, out_w = out_hw
+    pad = k // 2
+    dcols = dcols.reshape(batch, out_h, out_w, k, k, channels)
+    dxp = np.zeros((batch, height + 2 * pad, width + 2 * pad, channels))
+    for i in range(k):
+        for j in range(k):
+            dxp[
+                :,
+                i : i + stride * out_h : stride,
+                j : j + stride * out_w : stride,
+                :,
+            ] += dcols[:, :, :, i, j, :]
+    return dxp[:, pad : pad + height, pad : pad + width, :]
 
 
 def write_bad_pixel(path, index, value: float) -> None:

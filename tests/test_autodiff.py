@@ -19,7 +19,7 @@ from hadaseg.netkit.models import (
     GeneratorConfig,
 )
 
-from helpers import channel_concat, nearest_upsample_2x, reachable_nodes, rel_error
+from helpers import channel_concat, col2im, nearest_upsample_2x, reachable_nodes, rel_error
 
 
 # The edge values every draw includes: signed zeros, subnormals and values
@@ -121,8 +121,8 @@ class TestConv2d:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_gradients_by_kernel_size(self, k, stride):
         # Non-square, odd width, Cin != Cout: the transposed-convolution
-        # input gradient (stride 1) and the scatter (stride 2) must both
-        # get the borders and the channel swap right.
+        # input gradient (stride 1) and the sub-pixel product (stride 2)
+        # must both get the borders and the channel swap right.
         rng = np.random.default_rng(20 + k)
         x = rng.standard_normal((2, 4, 7, 3))
         w = rng.standard_normal((k, k, 3, 2))
@@ -179,6 +179,78 @@ class TestConv2d:
             ad.conv2d(
                 x, ad.constant(np.zeros((3, 3, 3, 4))), ad.constant(np.zeros(4)), stride=3
             )
+
+
+def _strided_adjoint_oracle(g, w, shape):
+    """The input gradient of a same-padded stride-2 conv, tap by tap from
+    its definition: output (i, j) read input (2i + di - p, 2j + dj - p)
+    through tap (di, dj), p = k // 2, so it sends g[i, j] @ w[di, dj].T
+    back there."""
+    k = w.shape[0]
+    pad = k // 2
+    dx = np.zeros(shape)
+    for i in range(g.shape[1]):
+        for j in range(g.shape[2]):
+            for di in range(k):
+                for dj in range(k):
+                    row, col = 2 * i + di - pad, 2 * j + dj - pad
+                    if 0 <= row < shape[1] and 0 <= col < shape[2]:
+                        dx[:, row, col] += g[:, i, j] @ w[di, dj].T
+    return dx
+
+
+class TestStridedInputGradient:
+    # Even, odd and mixed input sizes, and fewer, more and disc.d0's
+    # 3 + 64 -> 16 input channels.
+    SIZES = [(6, 8), (5, 7), (4, 7), (7, 4), (1, 1)]
+    CHANNELS = [(2, 5), (5, 2), (67, 16)]
+
+    @staticmethod
+    def _case(k, size, channels, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2, *size, channels[0])
+        w = rng.standard_normal((k, k, *channels))
+        g = rng.standard_normal((2, -(-size[0] // 2), -(-size[1] // 2), channels[1]))
+        return g, w, shape
+
+    @pytest.mark.parametrize("channels", CHANNELS, ids=["cin<cout", "cin>cout", "d0"])
+    @pytest.mark.parametrize("size", SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_direct_adjoint_and_scatter(self, k, size, channels):
+        g, w, shape = self._case(k, size, channels, 60 + k)
+        dx = ad._strided_input_gradient(g, w, shape)
+        assert dx.shape == shape
+        assert rel_error(dx, _strided_adjoint_oracle(g, w, shape), floor=0.0) < 1e-13
+        cout = channels[1]
+        scatter = col2im(g.reshape(-1, cout) @ w.reshape(-1, cout).T, shape, k, 2, g.shape[1:3])
+        assert rel_error(dx, scatter, floor=0.0) < 1e-13
+
+    def test_first_layer_parts(self):
+        # disc.d0 in the generator update: the image's columns and the
+        # predicted class map as parts, both needing a gradient here; each
+        # part's gradient is its channels of the gradient over the
+        # concatenated input.
+        rng = np.random.default_rng(65)
+        image, classes = rng.standard_normal((2, 8, 6, 3)), rng.standard_normal((2, 8, 6, 64))
+        w = rng.standard_normal((3, 3, 67, 16))
+        image_node, class_node = ad.constant(image), ad.constant(classes)
+        parts = [ad.conv_columns(image_node, 3, 2), class_node]
+        out = ad.conv2d(parts, ad.constant(w), ad.constant(np.zeros(16)), stride=2)
+        g = rng.standard_normal(out.shape)
+        ad.backward([(out, g)])
+        whole = _strided_adjoint_oracle(g, w, (2, 8, 6, 67))
+        assert rel_error(image_node.grad, whole[..., :3], floor=0.0) < 1e-13
+        assert rel_error(class_node.grad, whole[..., 3:], floor=0.0) < 1e-13
+
+    @pytest.mark.parametrize("size", [(3, 2), (4, 4), (1, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_upsampled_adjoint_is_the_four_tap_scatter(self, size):
+        # The four shifted slices add in the scatter's tap order, so the
+        # sums are the same bytes.
+        low = (2, *size, 5)
+        rows = 2 * (size[0] + 1) * (size[1] + 1)
+        d_windows = np.random.default_rng(66).standard_normal((rows, 20))
+        scatter = col2im(d_windows, low, 2, 1, (size[0] + 1, size[1] + 1))
+        assert ad._upsampled_input_gradient(d_windows, low).tobytes() == scatter.tobytes()
 
 
 def _pair_oracle(image, classes, w, b, stride=2):
@@ -320,6 +392,10 @@ class TestPadSame:
         v.reshape(-1)[:2] = -0.0, np.nan
         expected = np.pad(v, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
         assert ad._pad_same(v, pad).tobytes() == expected.tobytes()
+        # Padded by pad in front and pad + 1 behind, as the stride-2 input
+        # gradient pads the output gradient for its windows.
+        expected = np.pad(v, ((0, 0), (pad, pad + 1), (pad, pad + 1), (0, 0)))
+        assert ad._pad_same(v, pad, pad + 1).tobytes() == expected.tobytes()
 
 
 class TestElementwiseOps:
