@@ -1,6 +1,7 @@
 """Shared test utilities: gradient checking against central finite differences,
-walking an autodiff tape, reference upsampling, concatenation and column
-scatter ops, corrupting an image file, and killing training's chunk workers."""
+walking an autodiff tape, reference upsampling, concatenation, column
+scatter and sub-pixel phase placement ops, corrupting an image file, and
+killing training's chunk workers."""
 
 import multiprocessing
 import os
@@ -113,6 +114,34 @@ def col2im(dcols, shape, k, stride, out_hw):
                 :,
             ] += dcols[:, :, :, i, j, :]
     return dxp[:, pad : pad + height, pad : pad + width, :]
+
+
+def add_subpixel_phases_by_slices(out, phases, low_shape):
+    """Add the sub-pixel ``phases`` [B (h+1) (w+1), 4 Cout] to ``out``
+    [B, 2h, 2w, Cout] one phase at a time: phase (a, c), read at window
+    offset (a, c), lands on the output pixels of row parity a and column
+    parity c. The four strided slice adds that
+    ``autodiff._add_subpixel_phases`` is compared against."""
+    batch, height, width, _ = low_shape
+    phases = phases.reshape(batch, height + 1, width + 1, 2, 2, -1)
+    blocks = out.reshape(batch, height, 2, width, 2, -1)
+    for a in range(2):
+        for c in range(2):
+            blocks[:, :, a, :, c] += phases[:, a : a + height, c : c + width, a, c]
+
+
+def subpixel_phase_gradient_by_slices(g):
+    """The adjoint of ``add_subpixel_phases_by_slices``: the output gradient
+    ``g`` [B, 2h, 2w, Cout] copied phase by phase into a zeroed
+    [B (h+1) (w+1), 4 Cout] phase gradient. The reference that
+    ``autodiff._subpixel_phase_gradient`` is compared against."""
+    batch, height, width, cout = g.shape[0], g.shape[1] // 2, g.shape[2] // 2, g.shape[3]
+    g_blocks = g.reshape(batch, height, 2, width, 2, cout)
+    g_phases = np.zeros((batch, height + 1, width + 1, 2, 2, cout))
+    for a in range(2):
+        for c in range(2):
+            g_phases[:, a : a + height, c : c + width, a, c] = g_blocks[:, :, a, :, c]
+    return g_phases.reshape(-1, 4 * cout)
 
 
 def write_bad_pixel(path, index, value: float) -> None:

@@ -19,7 +19,15 @@ from hadaseg.netkit.models import (
     GeneratorConfig,
 )
 
-from helpers import channel_concat, col2im, nearest_upsample_2x, reachable_nodes, rel_error
+from helpers import (
+    add_subpixel_phases_by_slices,
+    channel_concat,
+    col2im,
+    nearest_upsample_2x,
+    reachable_nodes,
+    rel_error,
+    subpixel_phase_gradient_by_slices,
+)
 
 
 # The edge values every draw includes: signed zeros, subnormals and values
@@ -251,6 +259,43 @@ class TestStridedInputGradient:
         d_windows = np.random.default_rng(66).standard_normal((rows, 20))
         scatter = col2im(d_windows, low, 2, 1, (size[0] + 1, size[1] + 1))
         assert ad._upsampled_input_gradient(d_windows, low).tobytes() == scatter.tobytes()
+
+
+class TestSubpixelPhasePlacement:
+    # Low-resolution [B, h, w] shapes: non-square, a single row or column,
+    # one pixel, and B in {1, 3}.
+    SHAPES = [(1, 3, 5), (3, 5, 2), (1, 1, 4), (3, 4, 1), (1, 1, 1), (3, 2, 3)]
+
+    @staticmethod
+    def _case(shape, channels, seed):
+        batch, height, width = shape
+        rng = np.random.default_rng(seed)
+        phases = rng.standard_normal((batch * (height + 1) * (width + 1), 4 * channels))
+        full = rng.standard_normal((batch, 2 * height, 2 * width, channels))
+        return phases, full
+
+    @pytest.mark.parametrize("channels", [1, 3, 16])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_matches_the_four_slice_loops(self, shape, channels):
+        # Every output element receives one phase value by the same add, and
+        # every phase gradient element is one copied value, so the bytes match.
+        phases, full = self._case(shape, channels, 70 + channels)
+        out, reference = full.copy(), full.copy()
+        ad._add_subpixel_phases(out, phases, (*shape, channels))
+        add_subpixel_phases_by_slices(reference, phases, (*shape, channels))
+        assert out.tobytes() == reference.tobytes()
+        g_phases = ad._subpixel_phase_gradient(full)
+        assert g_phases.shape == phases.shape
+        assert g_phases.tobytes() == subpixel_phase_gradient_by_slices(full).tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_gradient_is_the_adjoint_of_the_placement(self, shape):
+        # <place(p), g> == <p, grad(g)>, with place adding into zeros.
+        phases, g = self._case(shape, 3, 75)
+        placed = np.zeros_like(g)
+        ad._add_subpixel_phases(placed, phases, (*shape, 3))
+        inner = (phases * ad._subpixel_phase_gradient(g)).sum()
+        assert np.isclose((placed * g).sum(), inner, rtol=1e-12, atol=0)
 
 
 def _pair_oracle(image, classes, w, b, stride=2):

@@ -54,7 +54,7 @@ def test_parse_seeds():
     assert bench_pairs.parse_seeds("11") == [11]
 
 
-def test_record_of_alternating_pairs(tmp_path):
+def test_record_of_alternating_pairs(tmp_path, capsys):
     code, out = _run(
         tmp_path, 100.0, 90.0, "--workload", "train_k6", "--seeds", "1-3", "--claim", "faster"
     )
@@ -73,11 +73,48 @@ def test_record_of_alternating_pairs(tmp_path):
     assert p50["parent_quartiles"] == [101.0, 103.0]
     assert p50["change_better_pairs"] == 3 and p50["pairs"] == 3
     assert p50["median_change_ratio"] == pytest.approx(92.0 / 102.0)
+    assert p50["shown"] and not workload["summary"]["images_per_s"]["shown"]
+    closing = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert closing["op_ms_p50"].endswith("; gain shown)")
+    assert closing["images_per_s"].endswith("; gain not shown)")
     # A metric that is better higher was lower on the change in every pair.
     assert workload["summary"]["images_per_s"]["change_better_pairs"] == 0
     final = json.loads(workload["pairs"][0]["change"]["final_line"])
     assert final["metrics"]["op_ms_p50"]["value"] == 91.0
     assert workload["pairs"][0]["change"]["env_line"] == 'env {"nproc": 2}'
+
+
+def _summary(parent, change, better="lower"):
+    pairs = [
+        {side: {"metrics": {"t": {"value": value}}} for side, value in zip(bench_pairs.SIDES, pair)}
+        for pair in zip(parent, change)
+    ]
+    return bench_pairs.summarize(pairs, [{"name": "t", "better": better}])["t"]
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, won, shown",
+    [
+        # Won 10 of 10, and the gap of 10 exceeds the parent's 100.75-103.25.
+        ([100, 101, 102, 103, 104] * 2, [90, 91, 92, 93, 94] * 2, "lower", 10, True),
+        # Won 9 of 10, but the gap of 2 lies inside the parent's 97.75-106.25.
+        (
+            [96, 97, 98, 99, 100, 101, 102, 106, 107, 108],
+            [95, 96, 97, 98, 98, 99, 100, 105, 106, 110],
+            "lower",
+            9,
+            False,
+        ),
+        # A tie counts for neither side: with two, 8 of 10 is too few,
+        # however wide the gap.
+        ([10, 10, 10, 11, 11, 11, 12, 12, 12, 13], [10, 10, 20] + [30] * 7, "higher", 8, False),
+    ],
+    ids=["shown", "inside_quartiles", "ties"],
+)
+def test_shown_verdict(parent, change, better, won, shown):
+    entry = _summary(parent, change, better)
+    assert entry["change_better_pairs"] == won and entry["pairs"] == 10
+    assert entry["shown"] is shown
 
 
 def test_second_workload_joins_the_record(tmp_path):

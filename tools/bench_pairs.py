@@ -15,8 +15,9 @@ caches aside), or nothing runs.
 The record keeps, per workload, every run's ``env`` line and final JSON
 line, and for each end-to-end metric of ``BENCHMARK.json`` both sides'
 medians and quartiles (``statistics.quantiles(n=4)``, first and third),
-the pairs the change won (strictly better in the metric's direction) and
-the change's median over the parent's. It is rewritten after every pair.
+the pairs the change won (strictly better in the metric's direction), the
+change's median over the parent's, and whether a gain is ``shown``. It is
+rewritten after every pair.
 An existing record gains or replaces only the workload run; run the tool
 once per workload with the same ``--out``.
 """
@@ -100,7 +101,12 @@ def run_once(
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Medians, quartiles and pairs won per end-to-end metric; ``pairs``
-    holds each pair's parsed results under ``"parent"`` and ``"change"``."""
+    holds each pair's parsed results under ``"parent"`` and ``"change"``.
+
+    A gain is ``shown`` when the change won at least nine tenths of the
+    pairs, a tie counting for neither side, and its median is better than
+    the parent's by more than the parent's quartile spread (third minus
+    first quartile)."""
     summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -119,11 +125,14 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             else:
                 first = third = values[side][0]
             entry[f"{side}_quartiles"] = [first, third]
-        parent_median = entry["parent_median"]
+        parent_median, change_median = entry["parent_median"], entry["change_median"]
+        first, third = entry["parent_quartiles"]
+        gap = parent_median - change_median if lower else change_median - parent_median
         entry.update(
             change_better_pairs=won,
             pairs=len(pairs),
-            median_change_ratio=entry["change_median"] / parent_median if parent_median else None,
+            median_change_ratio=change_median / parent_median if parent_median else None,
+            shown=10 * won >= 9 * len(pairs) and gap > third - first,
         )
         summary[name] = entry
     return summary
@@ -183,7 +192,8 @@ def main(argv=None) -> int:
         print(
             f"{name}: parent {entry['parent_median']:.4g} -> change {entry['change_median']:.4g}"
             f" (parent quartiles {first:.4g}-{third:.4g};"
-            f" change better in {entry['change_better_pairs']} of {entry['pairs']})"
+            f" change better in {entry['change_better_pairs']} of {entry['pairs']};"
+            f" gain {'shown' if entry['shown'] else 'not shown'})"
         )
     return 0 if all_correct else 1
 
