@@ -252,6 +252,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.classes < 0:
+        raise ConfigError(f"--classes must be >= 0 (0: largest label + 1), got {args.classes}")
     lm = read_label_map(args.segl)
     num_classes = args.classes if args.classes else int(lm.labels.max()) + 1
     if lm.labels.max() >= num_classes:

@@ -24,10 +24,10 @@ backprop has read it, so no interior node keeps a gradient after the walk.
 No gradient shares memory with another node's or with a caller's seed.
 
 ``conv2d`` is the engine's one convolution, over one map or over the
-channel concatenation of a list of parts. It reads each part's columns
-(``conv_columns``) without building the concatenated map, so several convs
-over one map can share its columns, built once; the discriminator's first
-layer is one such conv. A part may also be a map upsampled 2x by pixel
+channel concatenation of a list of parts. It builds each part's columns and
+sums their products with the part's kernel rows, so the concatenated map is
+never built; the discriminator's first layer is one such conv, over an
+image and a class map. A part may also be a map upsampled 2x by pixel
 repetition (``Upsampled``), read as four 2x2 sub-pixel convs at the low
 resolution, one product whose phases a strided view places, without
 building the upsampled map; a UNet decoder stage is one conv over such a
@@ -359,25 +359,6 @@ def _subpixel_phase_gradient(g: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Columns:
-    """The im2col matrix of the map ``source`` [B, H, W, C] for a
-    same-padded k x k kernel at ``stride``, built once by ``conv_columns``
-    for several ``conv2d`` ops over the same map.
-
-    ``matrix`` is [B * Ho * Wo, k * k * C], columns ordered (kh, kw, C) like
-    a kernel's rows, and ``out_hw`` is (Ho, Wo). An op over the columns
-    sends its input gradient to ``source``; ``dataclasses.replace`` can
-    point it at another node that holds the same values.
-    """
-
-    source: Node
-    matrix: np.ndarray
-    k: int
-    stride: int
-    out_hw: tuple[int, int]
-
-
-@dataclass(frozen=True, eq=False)
 class Upsampled:
     """A ``conv2d`` part: the map ``source`` [B, h, w, C] (a Node, or a raw
     array that gets no gradient) upsampled 2x by pixel repetition, a
@@ -393,32 +374,16 @@ class Upsampled:
     source: Node
 
 
-def _columns(x, k: int, stride: int) -> Columns:
-    # The builder of every Columns. conv2d calls it, not conv_columns, so a
-    # tracer that wraps the public ops sees one span per conv.
-    x = as_node(x)
-    _check_image(x, "conv2d")
-    matrix, out_h, out_w = _im2col(_pad_same(x.value, k // 2), k, stride)
-    return Columns(x, matrix, k, stride, (out_h, out_w))
-
-
-def conv_columns(x, k: int, stride: int) -> Columns:
-    """The columns of ``x`` [B, H, W, C], a Node or a raw array (which
-    gets no gradient), for a same-padded k x k conv at ``stride``."""
-    return _columns(x, k, stride)
-
-
 def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
     """Same-padded 2-D convolution, stride 1 or 2, odd square kernels.
 
     Layout: input [B, H, W, Cin], kernel [k, k, Cin, Cout], bias [Cout].
     ``x`` is one map, which must have the kernel's Cin channels, or a list
     of parts whose channel concatenation is the input. Each part is a map
-    (a Node, or a raw array that gets no gradient), its ``Columns`` from
-    ``conv_columns`` at the kernel's k and ``stride``, or an ``Upsampled``
-    map, which takes a 3x3 kernel at stride 1. The concatenated map is never
-    built: the columns of the map and Columns parts times their rows of the
-    kernel, summed in order, plus the bias, plus each Upsampled part's four
+    (a Node, or a raw array that gets no gradient) or an ``Upsampled`` map,
+    which takes a 3x3 kernel at stride 1. The concatenated map is never
+    built: the columns of the map parts times their rows of the kernel,
+    summed in order, plus the bias, plus each Upsampled part's four
     sub-pixel phases. The kernel reads the parts' channels in order, and a
     list may leave trailing kernel channels unread: those count as zero,
     and their weight-gradient rows are 0. All parts must have one batch and
@@ -442,40 +407,37 @@ def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
         raise ShapeError(f"bias shape {bv.shape} != ({cout},)")
     given = x if isinstance(x, list) else [x]
     upsampled = [isinstance(part, Upsampled) for part in given]
-    # An Upsampled part's columns are those of its 2x2 sub-pixel windows.
-    windows = [2 if up else k for up in upsampled]
-    parts = [
-        part if isinstance(part, Columns) else _columns(part.source if up else part, n, stride)
-        for part, n, up in zip(given, windows, upsampled)
-    ]
-    sources = [part.source for part in parts]
+    sources = [as_node(part.source if up else part) for part, up in zip(given, upsampled)]
+    for source in sources:
+        _check_image(source, "conv2d")
     shapes = [source.value.shape for source in sources]
     shapes = [(s[0], 2 * s[1], 2 * s[2], s[3]) if up else s for s, up in zip(shapes, upsampled)]
-    geometry = [(3, 1) if up else (part.k, part.stride) for part, up in zip(parts, upsampled)]
-    out_hw = shapes[0][1:3] if upsampled[0] else parts[0].out_hw
-    rows = shapes[0][0] * out_hw[0] * out_hw[1]
-    if any(
-        kernel_at != (k, stride)
-        or shape[:3] != shapes[0][:3]
-        or not up and part.matrix.shape != (rows, k * k * shape[3])
-        for part, shape, kernel_at, up in zip(parts, shapes, geometry, upsampled)
-    ):
+    if any(upsampled) and (k, stride) != (3, 1):
         raise ShapeError(
-            f"conv2d parts for a {k}x{k} kernel at stride {stride} differ: "
-            + " vs ".join(f"{s} at k={n}, stride={st}" for s, (n, st) in zip(shapes, geometry))
+            f"an Upsampled part needs a 3x3 kernel at stride 1, got {k}x{k} at stride {stride}"
         )
+    if any(shape[:3] != shapes[0][:3] for shape in shapes):
+        raise ShapeError(f"conv2d parts differ in [B, H, W]: {' vs '.join(map(str, shapes))}")
     widths = [shape[3] for shape in shapes]
     if sum(widths) > cin or (not isinstance(x, list) and widths[0] != cin):
         raise ShapeError(
             f"kernel expects {cin} input channels, input has {' + '.join(map(str, widths))}"
         )
 
+    # An Upsampled part's columns are those of its 2x2 sub-pixel windows.
+    windows = [2 if up else k for up in upsampled]
+    columns = [
+        _im2col(_pad_same(source.value, n // 2), n, stride)[0]
+        for source, n in zip(sources, windows)
+    ]
+    out_hw = tuple(-(-n // stride) for n in shapes[0][1:3])
+    rows = shapes[0][0] * out_hw[0] * out_hw[1]
     spans = [slice(end - width, end) for end, width in zip(accumulate(widths), widths)]
     kernels = [
         _subpixel_kernel(wv[:, :, span]) if up else wv[:, :, span].reshape(-1, cout)
         for span, up in zip(spans, upsampled)
     ]
-    products = (p.matrix @ kernel for p, kernel, up in zip(parts, kernels, upsampled) if not up)
+    products = (cols @ kernel for cols, kernel, up in zip(columns, kernels, upsampled) if not up)
     out = np.zeros((rows, cout)) if all(upsampled) else next(products)
     for product in products:
         out += product
@@ -486,12 +448,12 @@ def conv2d(x, w: Node, b: Node, stride: int = 1) -> Node:
     # 5 of 10 (a separate decoder op with an in-place add, 3 of 10), and an
     # in-place add in every conv in 5 of 5 (2-vCPU VM).
     out = (out + bv).reshape(shapes[0][:1] + out_hw + (cout,))
-    for part, kernel, up in zip(parts, kernels, upsampled):
+    for cols, source, kernel, up in zip(columns, sources, kernels, upsampled):
         if up:
-            _add_subpixel_phases(out, part.matrix @ kernel, part.source.value.shape)
+            _add_subpixel_phases(out, cols @ kernel, source.value.shape)
     # Only the weight gradient reads the columns, and only an Upsampled
     # part's input gradient reads the part's kernel rows.
-    kept = [part.matrix for part in parts] if w.needs_grad and stride == 2 else None
+    kept = columns if w.needs_grad and stride == 2 else None
     kernels = [kernel if up else None for kernel, up in zip(kernels, upsampled)]
 
     def backprop(g: np.ndarray) -> tuple:

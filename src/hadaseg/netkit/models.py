@@ -17,11 +17,7 @@ Its input is a pair, an image and a class map, and its first layer is one
 ``conv2d`` over the two parts, so the concatenated map is never built. A
 class map may be narrower than the channels the first layer has left for
 it; the missing channels read as zero, so a one-hot target of K classes
-passes only its K nonzero channels. A caller that scores several pairs with
-a part in common builds that part's columns once (``Discriminator.columns``)
-and passes them to each ``forward``: a training step builds its image's and
-its predicted map's columns in the discriminator update and keeps them for
-the generator update (train.py).
+passes only its K nonzero channels.
 
 A config with a kernel numpy cannot address (8-byte elements over
 ``sys.maxsize``, ``gen_synthetic``'s rule for images) raises ConfigError.
@@ -254,24 +250,17 @@ class Discriminator:
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.parameters.values())
 
-    def columns(self, part) -> ad.Columns:
-        """The first layer's columns of ``part``, an image or class map
-        [B, H, W, C] (a Node, or a raw array that gets no gradient): what
-        ``forward``'s first layer builds from a map part, for a caller that
-        passes one part to several forwards."""
-        return ad.conv_columns(part, _KERNEL, 2)
-
     def forward(self, image, classes) -> ad.Node:
         """Patch probability map alpha, shape [B, h, w, 1], entries in (0, 1),
         of the pair (``image``, ``classes``): the conv stack over their
         channel concatenation, zero-extended to ``input_channels``.
 
         Each part is a map [B, H, W, C] (a Node, or a raw array that gets no
-        gradient) or its first-layer columns from ``columns``; the first
-        layer is one ``conv2d`` over the two parts, which checks them.
+        gradient); the first layer is one ``conv2d`` over the two parts,
+        which checks them.
         """
-        source = image.source if isinstance(image, ad.Columns) else ad.as_node(image)
-        self.cfg.check_input_size(*source.value.shape[1:3])
+        image = ad.as_node(image)
+        self.cfg.check_input_size(*image.value.shape[1:3])
         h = ad.leaky_relu(
             ad.conv2d([image, classes], self.parameters["d0.w"], self.parameters["d0.b"], stride=2)
         )

@@ -21,15 +21,12 @@ loss terms' sums and gradients (``loss.*_loss_sums``) and walks the
 chunk's own backward (``autodiff.gradients``). A chunk's targets stay
 class indices: the generator loss reads the label maps and the codebook,
 and the real pair's K one-hot channels are the only dense targets a chunk
-builds. Between the two parts the process that ran a chunk holds its
-state as a tuple: the label maps, the generator tape and the
-discriminator's first-layer columns of the chunk's images and predicted
-map. The discriminator part builds those
-columns and scores both pairs with them; the generator part scores the
-predicted pair again from the same columns, with the predicted map's input
-gradient going to the generator's output. So a chunk builds three column
-matrices per step (images, the real pair's K one-hot channels, predicted
-map) and the generator part builds none. Only the loss sums and the
+builds. Between the two parts the process that ran a chunk holds its state
+as a tuple: its images, its label maps and the generator tape (the
+predicted and code maps). The discriminator part scores the real pair and
+the predicted pair, the predicted map as a raw array; the generator part
+scores the predicted pair again with the predicted map as the tape's node,
+so its input gradient reaches the generator. Only the loss sums and the
 Parameters' gradients cross processes. One shared mapping holds a row of
 parameter values, which Adam updates in place, and a gradient row per
 chunk, into which that chunk's process copies its gradients; the rest goes
@@ -440,33 +437,29 @@ def train_cgan(
         """A chunk's generator forward, its part of the discriminator loss
         and its discriminator gradients; returns its (counts, sums) and the
         gradients, and keeps the chunk in ``held`` for the generator part.
-        The discriminator's first-layer columns are built once each for
-        the images, the real class map and the predicted map. The predicted
-        map enters as a raw array so no gradient reaches the generator
-        here. Every label is below K (``train_cgan`` checks), so the real
-        pair's one-hot channels from K on are zero and it passes only the
-        first K."""
+        The predicted map enters as a raw array so no gradient reaches the
+        generator here. Every label is below K (``train_cgan`` checks), so
+        the real pair's one-hot channels from K on are zero and it passes
+        only the first K."""
         y_hat, y_c = gen.forward(x)
-        image, predicted = disc.columns(x), disc.columns(y_hat.value)
-        real = disc.forward(image, one_hot(labels, num_classes))
-        fake = disc.forward(image, predicted)
+        real = disc.forward(x, one_hot(labels, num_classes))
+        fake = disc.forward(x, y_hat.value)
         counts = _batch_counts(settings.batch_size, real.value, fake.value)
         sums, (g_real, g_fake) = discriminator_loss_sums(real.value, fake.value, counts)
-        held.append((labels, y_hat, y_c, image, predicted))
+        held.append((x, labels, y_hat, y_c))
         return (counts, sums), ad.gradients([(real, g_real), (fake, g_fake)])
 
     def generator_part(with_argmax):
         """The held chunk's forward through the refreshed discriminator,
         its part of the generator loss and its generator gradients; returns
         its (counts, sums, argmax map or None) and the gradients, and drops
-        the chunk. The forward reads the columns the discriminator part
-        built, the predicted map's pointed at ``y_hat`` so that its
-        gradient reaches the generator. The discriminator's Parameters
+        the chunk. The predicted pair's class part is ``y_hat`` itself, so
+        its gradient reaches the generator. The discriminator's Parameters
         need no gradient until the backward is done, so it computes no
         discriminator gradient."""
-        labels, y_hat, y_c, image, predicted = held.pop()
+        x, labels, y_hat, y_c = held.pop()
         ad.set_needs_grad(disc.parameters.values(), False)
-        alpha = disc.forward(image, replace(predicted, source=y_hat))
+        alpha = disc.forward(x, y_hat)
         counts = _batch_counts(settings.batch_size, alpha.value, y_hat.value, y_c.value)
         sums, (g_alpha, g_y_hat, g_y_c) = generator_loss_sums(
             alpha.value, y_hat.value, labels, y_c.value, gen.codebook, counts, effective

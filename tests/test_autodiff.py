@@ -1,7 +1,6 @@
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -234,16 +233,16 @@ class TestStridedInputGradient:
         assert rel_error(dx, scatter, floor=0.0) < 1e-13
 
     def test_first_layer_parts(self):
-        # disc.d0 in the generator update: the image's columns and the
-        # predicted class map as parts, both needing a gradient here; each
-        # part's gradient is its channels of the gradient over the
-        # concatenated input.
+        # disc.d0 in the generator update: the image and the predicted
+        # class map as parts, both needing a gradient here; each part's
+        # gradient is its channels of the gradient over the concatenated
+        # input.
         rng = np.random.default_rng(65)
         image, classes = rng.standard_normal((2, 8, 6, 3)), rng.standard_normal((2, 8, 6, 64))
         w = rng.standard_normal((3, 3, 67, 16))
         image_node, class_node = ad.constant(image), ad.constant(classes)
-        parts = [ad.conv_columns(image_node, 3, 2), class_node]
-        out = ad.conv2d(parts, ad.constant(w), ad.constant(np.zeros(16)), stride=2)
+        b = ad.constant(np.zeros(16))
+        out = ad.conv2d([image_node, class_node], ad.constant(w), b, stride=2)
         g = rng.standard_normal(out.shape)
         ad.backward([(out, g)])
         whole = _strided_adjoint_oracle(g, w, (2, 8, 6, 67))
@@ -309,9 +308,9 @@ def _pair_oracle(image, classes, w, b, stride=2):
 
 
 def _pair(image, classes, w, b, stride=2):
-    """conv2d over the image's columns and the class map itself, the two
-    kinds of part the discriminator's first layer reads in training."""
-    return ad.conv2d([ad.conv_columns(image, 3, stride), classes], w, b, stride=stride)
+    """conv2d over the image and the class map as parts, as the
+    discriminator's first layer reads them in training."""
+    return ad.conv2d([image, classes], w, b, stride=stride)
 
 
 class TestConv2dPair:
@@ -400,26 +399,14 @@ class TestConv2dPair:
             with pytest.raises(ShapeError):
                 _pair(image, classes, w, b)
         classes = np.zeros((1, 4, 4, 2))
-        with pytest.raises(ShapeError):  # another stride
-            ad.conv2d(
-                [ad.conv_columns(image, 3, 2), ad.conv_columns(classes, 3, 1)], w, b, stride=2
-            )
-        with pytest.raises(ShapeError):  # a kernel of another size
-            _pair(image, classes, ad.constant(np.zeros((1, 1, 6, 2))), b)
-        with pytest.raises(ShapeError):  # an even window
-            even = ad.constant(np.zeros((2, 2, 3, 2)))
-            ad.conv2d([ad.conv_columns(image, 2, 1)], even, b, stride=1)
+        with pytest.raises(ShapeError):  # an even kernel
+            _pair(image, classes, ad.constant(np.zeros((2, 2, 6, 2))), b)
         with pytest.raises(ShapeError):
             _pair(image, classes, w, ad.constant(np.zeros(3)))
         with pytest.raises(ShapeError):
             _pair(image[0], classes, w, b)
         with pytest.raises(ShapeError):  # a raw part that is no image
             _pair(image, classes[0], w, b)
-        # Columns pointed at a node of another shape.
-        columns = ad.conv_columns(classes, 3, 2)
-        moved = replace(columns, source=ad.as_node(np.zeros((1, 4, 4, 1))))
-        with pytest.raises(ShapeError):
-            ad.conv2d([ad.conv_columns(image, 3, 2), moved], w, b, stride=2)
         # Only a list may leave kernel channels unread: a single map
         # narrower than the kernel is refused.
         with pytest.raises(ShapeError):
@@ -746,7 +733,7 @@ class TestBackward:
 
 def _closure_arrays(fn):
     """Every array that the closure of ``fn`` holds, in a cell of its own or
-    inside a list, tuple or ``Columns`` part."""
+    inside a list or tuple."""
     stack = [cell.cell_contents for cell in fn.__closure__]
     while stack:
         held = stack.pop()
@@ -754,8 +741,6 @@ def _closure_arrays(fn):
             yield held
         elif isinstance(held, (list, tuple)):
             stack.extend(held)
-        elif isinstance(held, ad.Columns):
-            stack.append(held.matrix)
 
 
 def _tiny_models():
@@ -863,7 +848,7 @@ class TestGradientNeeds:
     def test_decoder_stage_keeps_no_columns(self):
         # The stage's tape lives through a training step, so its backward
         # rebuilds the up and skip column matrices instead of keeping them,
-        # in a container or a Columns part as much as in a cell of its own.
+        # in a container as much as in a cell of its own.
         rng = np.random.default_rng(46)
         x = ad.constant(rng.standard_normal((2, 4, 4, 3)))
         skip = ad.constant(rng.standard_normal((2, 8, 8, 2)))

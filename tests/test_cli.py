@@ -226,6 +226,26 @@ class TestRenderCommand:
         body = out_pgm.read_bytes().split(b"255\n", 1)[1]
         assert list(body) == [0, 85, 170, 255]
 
+    @pytest.mark.parametrize("classes", ["-1", "-5"])
+    def test_negative_classes_rejected_before_reading(self, capsys, tmp_path, classes):
+        # A bad option is named as such, even on an all-background map, and
+        # is refused before the file is read: a missing file is no data error.
+        from hadaseg.data import write_label_map
+        from hadaseg.metrics import LabelMap
+
+        segl = tmp_path / "zeros.segl"
+        write_label_map(segl, LabelMap(np.zeros((3, 4), dtype=np.int64)))
+        for path in (segl, tmp_path / "missing.segl"):
+            out_pgm = tmp_path / "m.pgm"
+            code, out, err = run(
+                capsys, "render", "--segl", str(path), "--out", str(out_pgm), "--classes", classes
+            )
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error:config: --classes must be >= 0 (0: largest label + 1), got {classes}\n"
+            )
+            assert not out_pgm.exists()
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):

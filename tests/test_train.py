@@ -21,7 +21,6 @@ from hadaseg.netkit import (
 )
 from hadaseg.netkit import autodiff as ad
 from hadaseg.netkit import train as train_module
-from hadaseg.netkit.models import Discriminator
 from hadaseg.netkit.optim import adam_step
 from hadaseg.netkit.train import LOSS_CSV_COLUMNS
 
@@ -314,43 +313,39 @@ class TestDataParallelSteps:
         )
 
 
-class TestColumnReuse:
+class TestFirstLayerClassPart:
     @pytest.mark.parametrize("chunks", [1, 2])
-    def test_each_chunk_builds_three_columns_per_step(self, monkeypatch, tmp_path, chunks):
-        # The discriminator's first-layer columns: each chunk builds, per
-        # step, those of its images, of the real pair's K class channels
-        # and of the predicted map, and the generator update builds none.
-        # Every Columns comes from one private builder. A first-layer build
-        # is one the discriminator makes from a full-size 16x16 map: its
-        # other layers read smaller maps, and the generator, whose first
-        # layer also reads the images, is not inside it. k = 3 and K = 4
-        # tell the maps apart by their channel counts: 3, 4 and 8. Every
-        # process appends its builds to one file.
-        log = tmp_path / "builds"
-        build = ad._columns
-        inside = []
+    def test_class_part_widths(self, monkeypatch, tmp_path, chunks):
+        # disc.d0's class part in each chunk's step, at k = 3 and K = 4:
+        # the real pair's K one-hot channels, then the predicted map's 2^k
+        # channels in the discriminator update and again in the generator
+        # update, whose backward alone gives the predicted map (y_hat) a
+        # gradient. Every process appends its d0 calls to one file.
+        log = tmp_path / "d0"
+        conv2d = ad.conv2d
 
-        def recording_build(x, k, stride):
-            columns = build(x, k, stride)
-            if inside and columns.source.value.shape[1:3] == (16, 16):
-                with open(log, "a", encoding="ascii") as fh:
-                    fh.write(f"{os.getpid()} {columns.source.value.shape[3]}\n")
-            return columns
+        def write(line):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {line}\n")
 
-        def in_discriminator(method):
-            def wrapped(*args):
-                inside.append(method)
-                try:
-                    return method(*args)
-                finally:
-                    inside.pop()
+        def recording_conv2d(x, w, b, stride=1):
+            out = conv2d(x, w, b, stride)
+            if getattr(w, "name", None) != "d0.w":
+                return out
+            write(f"forward {ad.as_node(x[1]).value.shape[3]}")
+            backprop = out._backprop
 
-            return wrapped
+            def recording_backprop(g):
+                grads = backprop(g)
+                if grads[1] is not None and np.any(grads[1]):
+                    write(f"gradient {grads[1].shape[3]}")
+                return grads
 
-        monkeypatch.setattr(ad, "_columns", recording_build)
-        for name in ("columns", "forward"):
-            method = getattr(Discriminator, name)
-            monkeypatch.setattr(Discriminator, name, in_discriminator(method))
+            if backprop is not None:
+                out._backprop = recording_backprop
+            return out
+
+        monkeypatch.setattr(ad, "conv2d", recording_conv2d)
         monkeypatch.setattr(train_module, "_usable_cpus", lambda: chunks)
         monkeypatch.setattr(train_module, "_blas_threads", lambda: 1)
         gen_cfg = GeneratorConfig(depth=2, base_channels=4, code_bits=3)
@@ -360,13 +355,14 @@ class TestColumnReuse:
         )
         assert history.header["threads"] == str(chunks)
         assert history.header["num_classes"] == "4"
-        builds: dict[str, list[int]] = {}
+        calls: dict[str, list[str]] = {}
         for line in log.read_text(encoding="ascii").splitlines():
-            pid, channels = line.split()
-            builds.setdefault(pid, []).append(int(channels))
-        assert len(builds) == chunks
-        for per_process in builds.values():
-            assert per_process == [3, 8, 4] * 2
+            pid, call = line.split(" ", 1)
+            calls.setdefault(pid, []).append(call)
+        assert len(calls) == chunks
+        step = ["forward 4", "forward 8", "forward 8", "gradient 8"]
+        for per_process in calls.values():
+            assert per_process == step * 2
 
 
 class _RecordingDataset(list):
