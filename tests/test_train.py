@@ -341,8 +341,7 @@ class TestFirstLayerClassPart:
                     write(f"gradient {grads[1].shape[3]}")
                 return grads
 
-            if backprop is not None:
-                out._backprop = recording_backprop
+            out._backprop = recording_backprop
             return out
 
         monkeypatch.setattr(ad, "conv2d", recording_conv2d)
