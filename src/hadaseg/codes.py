@@ -17,6 +17,7 @@ O(n * sum of factor sizes) per vector instead of the dense O(n^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,11 @@ class Codebook:
         if self.matrix.shape != (self.n, self.n):
             raise ShapeError(f"matrix shape {self.matrix.shape} != ({self.n}, {self.n})")
         self.matrix.setflags(write=False)
+
+    @cached_property
+    def float_matrix(self) -> np.ndarray:
+        """``matrix`` as float64, read-only, built on first use."""
+        return _read_only(self.matrix.astype(np.float64))
 
 
 def sylvester(k: int) -> Codebook:
@@ -89,7 +95,7 @@ def _factor_exponents(k: int) -> list[int]:
     return [q + 1] * r + [q] * (count - r)
 
 
-def fwht(values: np.ndarray) -> np.ndarray:
+def fwht(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Walsh-Hadamard transform H @ v over the last axis, natural ordering.
 
     The length n = 2^k is split into Kronecker factors H_{f_1} (x) ... (x)
@@ -98,21 +104,24 @@ def fwht(values: np.ndarray) -> np.ndarray:
     earlier one multiplies H_{f_i} into ``v.reshape(-1, f_i, stride)`` from
     the left, where stride is the product of the factors after it. For
     n <= 64 that is one product; above, O(n * sum f_i) work per vector.
-    The output ordering matches the dense product with the Sylvester matrix,
-    and it is always a new float64 array, also for n = 1.
+    The output ordering matches the dense product with the Sylvester matrix.
+    It is a new float64 array, also for n = 1, unless ``out`` is given: a
+    C-contiguous float64 array of the same shape that does not overlap
+    ``values``, into which the last product is written.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
     if n < 1 or n & (n - 1) != 0:
         raise ShapeError(f"last axis length {n} is not a power of two")
     *outer, inner = _factor_exponents(n.bit_length() - 1)
-    out = values
+    product = values
     stride = n
     for e in outer:
         stride >>= e
-        out = np.matmul(_BLOCKS[e], out.reshape(-1, 1 << e, stride))
-    out = out.reshape(-1, 1 << inner) @ _BLOCKS[inner]
-    return out.reshape(values.shape)
+        product = np.matmul(_BLOCKS[e], product.reshape(-1, 1 << e, stride))
+    last = None if out is None else out.reshape(-1, 1 << inner)
+    product = np.matmul(product.reshape(-1, 1 << inner), _BLOCKS[inner], out=last)
+    return product.reshape(values.shape)
 
 
 def fwht_apply(cb: Codebook, v: np.ndarray) -> np.ndarray:

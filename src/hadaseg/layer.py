@@ -5,15 +5,23 @@ incoming channel vector against every codeword at once (one fast transform
 per pixel) and normalizes with a softmax, so codeword-like activations turn
 into near-one-hot probability vectors.
 
-The softmax kernels make no reduction over the short channel axis: numpy
-runs such a reduction as one short strided loop per pixel. On an
-[8, 64, 64, 8] map, ``.max(axis=-1)`` takes 2.5-2.9 ms and
-``.sum(axis=-1)`` 0.8 ms, against 0.15 ms for ``@ np.ones(8)`` (one thread,
-2-vCPU Xeon VM). Row sums and dot products are therefore matrix-vector
-products, and the row max halves the axis with ``np.maximum`` (1.2 ms
-there). At n = 64 the halving alone is slower than ``.max`` (4.9 against
-3.5 ms on [8, 64, 64, 64]), but the whole forward still drops from 29 to
-16 ms, so one formulation serves every width.
+The softmax kernels make no sum over the short channel axis: numpy runs
+such a reduction as one short strided loop per pixel. On an [8, 64, 64, 8]
+map, ``.sum(axis=-1)`` takes 0.8 ms against 0.15 ms for ``@ np.ones(8)``
+(one thread, 2-vCPU Xeon VM), so row sums and dot products are
+matrix-vector products. A row max has the same per-pixel cost but no
+product form: on [2, 64, 64, n] maps ``.max(axis=-1)`` took 0.71 ms at
+n = 8 and 0.95 ms at n = 64, against 0.27 and 1.28 ms for halving the
+axis with ``np.maximum`` into fresh arrays. So rows narrower than 32 are
+halved and wider ones take ``.max`` (0.79 against 0.77 ms at n = 32).
+Halving inside one reused buffer was slower at every width (0.37 ms at
+n = 8, 1.79 ms at n = 64), because numpy buffers an output that overlaps
+its input.
+
+The forward runs the softmax in place on the transform's fresh output, so
+it makes one [..., n] map. The backward builds s*g in one map and s*(s.g)
+in a second, and the transform writes its product into the second, so it
+makes two and returns one of them.
 """
 
 from __future__ import annotations
@@ -33,13 +41,21 @@ class LayerActivation:
     output: np.ndarray  # [..., n], rows are probability vectors
 
 
+# The narrowest rows whose max is one ``.max`` call rather than halvings.
+_MAX_REDUCE_WIDTH = 32
+
+
 def _row_max(x: np.ndarray) -> np.ndarray:
     """Max over the last axis, keepdims, equal to ``x.max(axis=-1)``.
 
-    The axis is halved with ``np.maximum``, and an odd width folds its last
-    column into the first. A max rounds nothing, so the order is free; only
-    a row whose max is a tie of +0.0 and -0.0 may return either zero.
+    Rows narrower than ``_MAX_REDUCE_WIDTH`` are halved with ``np.maximum``,
+    and an odd width folds its last column into the first. A max rounds
+    nothing, so the order is free; only a row whose max is a tie of +0.0
+    and -0.0 may return either zero, and subtracting either from the row
+    gives the same exponentials.
     """
+    if x.shape[-1] >= _MAX_REDUCE_WIDTH:
+        return x.max(axis=-1, keepdims=True)
     m = x
     while m.shape[-1] > 1:
         half = m.shape[-1] // 2
@@ -50,18 +66,25 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return m
 
 
+def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
+    """The softmax over the last axis, written over ``logits``."""
+    logits -= _row_max(logits)
+    np.exp(logits, out=logits)
+    logits /= (logits @ np.ones(logits.shape[-1]))[..., None]
+    return logits
+
+
 def _softmax_last_axis(logits: np.ndarray) -> np.ndarray:
-    e = logits - _row_max(logits)
-    np.exp(e, out=e)
-    e /= (e @ np.ones(e.shape[-1]))[..., None]
-    return e
+    return _softmax_in_place(np.array(logits, dtype=np.float64))
 
 
-def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _softmax_backward(s: np.ndarray, g: np.ndarray, scratch=None) -> np.ndarray:
     """The softmax Jacobian-vector product over the last axis, s*g - s*(s.g),
-    for probabilities s and incoming gradient g."""
+    for probabilities s and incoming gradient g, as a fresh array. The term
+    s*(s.g) is built in ``scratch`` when given (an array of s's shape),
+    else in a fresh one."""
     sg = s * g
-    sg -= s * (sg @ np.ones(s.shape[-1]))[..., None]
+    sg -= np.multiply(s, (sg @ np.ones(s.shape[-1]))[..., None], out=scratch)
     return sg
 
 
@@ -72,7 +95,7 @@ def hadamard_forward(cb: Codebook, y_c: np.ndarray) -> LayerActivation:
     is independent. The transform is unnormalized (no 1/n factor), so an
     exact codeword gives logit n at its own class.
     """
-    return LayerActivation(output=_softmax_last_axis(fwht_apply(cb, y_c)))
+    return LayerActivation(output=_softmax_in_place(fwht_apply(cb, y_c)))
 
 
 def hadamard_backward(act: LayerActivation, grad_out: np.ndarray) -> np.ndarray:
@@ -89,4 +112,5 @@ def hadamard_backward(act: LayerActivation, grad_out: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"grad shape {grad_out.shape} != activation shape {act.output.shape}"
         )
-    return fwht(_softmax_backward(act.output, grad_out))
+    scratch = np.empty_like(act.output)
+    return fwht(_softmax_backward(act.output, grad_out, scratch), out=scratch)

@@ -225,19 +225,33 @@ def generator_loss_sums(
     g_ce *= s > LOG_CLAMP
     g_ce *= w.lambda1
 
-    # MAE: y_hat - y is y_hat off the label and s - 1 on it.
+    # Code MAE first. Its difference's buffer then holds |y_hat| and
+    # becomes y_hat's gradient, so beyond the code-map gradient the function
+    # makes one map.
+    diff = np.take(codebook.float_matrix, labels, axis=0)
+    np.subtract(y_c_hat, diff, out=diff)
+    g_y_c_hat = _sign_scaled(diff, n_code, w.lambda3) if w.lambda3 != 0 else None
+    distance = np.abs(diff, out=diff)
+    mae_yc = float(distance.sum())
+    odd = None if g_y_c_hat is None else _unsigned(distance)
+    if odd is not None:
+        # copysign(|diff|, copysign(c, diff)) is diff again, bit for bit.
+        g_y_c_hat[odd] = _weighted_mae_grad(
+            np.copysign(distance[odd], g_y_c_hat[odd]), n_code, w.lambda3
+        )
+
+    # MAE: y_hat - y is y_hat off the label and s - 1 on it. The distance
+    # holds |s - 1|, not |y_hat|, in the label columns, whose gradient the
+    # label term then replaces.
     s_minus_1 = s - 1.0
-    g_y_hat = _weighted_mae_grad(y_hat, n_y, w.lambda2)
-    g_y_hat.reshape(-1)[at_label] = g_ce + _weighted_mae_grad(s_minus_1, n_y, w.lambda2)
-    distance = np.abs(y_hat)
+    distance = np.abs(y_hat, out=distance)
     distance.reshape(-1)[at_label] = np.abs(s_minus_1)
     mae_y = float(distance.sum())
-    del distance
-
-    diff = codebook.matrix.astype(np.float64)[labels]
-    np.subtract(y_c_hat, diff, out=diff)
-    g_y_c_hat = _weighted_mae_grad(diff, n_code, w.lambda3) if w.lambda3 != 0 else None
-    mae_yc = float(np.abs(diff, out=diff).sum())
+    odd = _unsigned(distance)
+    g_y_hat = _sign_scaled(y_hat, n_y, w.lambda2, out=distance)
+    if odd is not None:
+        g_y_hat[odd] = _weighted_mae_grad(y_hat[odd], n_y, w.lambda2)
+    g_y_hat.reshape(-1)[at_label] = g_ce + _weighted_mae_grad(s_minus_1, n_y, w.lambda2)
 
     return GeneratorLossTerms(adversarial, ce, mae_y, mae_yc), (g_alpha, g_y_hat, g_y_c_hat)
 
@@ -247,9 +261,25 @@ def _weighted_mae_grad(diff: np.ndarray, count: int, weight: float) -> np.ndarra
     ``diff`` = z_hat - z. sign(diff) is -1, 0 or 1 (or NaN), so one product
     by (1 / count) * weight rounds as dividing by ``count`` and then
     multiplying by ``weight`` does."""
-    grad = np.sign(diff)
-    grad *= 1.0 / count * weight
-    return grad
+    return np.sign(diff) * (1.0 / count * weight)
+
+
+def _sign_scaled(diff: np.ndarray, count: int, weight: float, out=None) -> np.ndarray:
+    """``_weighted_mae_grad`` of a whole map wherever |diff| > 0, into
+    ``out`` or a fresh array: copysign(c, diff), c = (1 / count) * weight.
+    ``np.sign`` branches per element, so on the code difference, whose
+    signs are random, the sign form took 1.3 against 0.9 ms for copysign
+    (fresh outputs, [2, 64, 64, 64], one thread). Where |diff| is not > 0
+    (see ``_unsigned``) copysign gives ±c, not sign(diff) * c."""
+    return np.copysign(1.0 / count * weight, diff, out=out)
+
+
+def _unsigned(distance: np.ndarray) -> np.ndarray | None:
+    """The mask of the elements whose |diff|, ``distance``, is not > 0 (a
+    zero or a NaN), or None when there is none, which one ``min`` finds."""
+    if distance.size and not distance.min() > 0:
+        return ~(distance > 0)
+    return None
 
 
 def _weighted_total(terms: GeneratorLossTerms, w: LossWeights) -> float:

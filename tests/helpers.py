@@ -1,7 +1,7 @@
 """Shared test utilities: gradient checking against central finite differences,
-walking an autodiff tape, reference upsampling, concatenation, column
-scatter and sub-pixel phase placement ops, corrupting an image file, and
-killing training's chunk workers."""
+walking an autodiff tape, a copy-first reference walk, reference upsampling,
+concatenation, column scatter, sub-pixel phase placement and Hadamard head
+ops, corrupting an image file, and killing training's chunk workers."""
 
 import multiprocessing
 import os
@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
+from hadaseg.codes import fwht
 from hadaseg.errors import ShapeError
+from hadaseg.layer import _softmax_backward, _softmax_last_axis
 from hadaseg.netkit import autodiff as ad
 from hadaseg.netkit import train
 
@@ -55,6 +57,45 @@ def reachable_nodes(roots) -> list:
             nodes.append(node)
             stack.extend(node.parents)
     return nodes
+
+
+def gradients_copy_first(seeds) -> dict:
+    """``autodiff.gradients`` as a walk that copies every seed up front: the
+    copies are stored first, in seed order, and each contribution is added
+    to what its node holds. The reference the walk's seed rule (a seed is
+    added into the first contribution that reaches its node) is compared
+    against."""
+    seeds = [(node, np.asarray(grad, dtype=np.float64)) for node, grad in seeds if grad is not None]
+    grads = {}
+
+    def add(node, grad):
+        if grad is not None:
+            if node in grads:
+                grads[node] += grad
+            else:
+                grads[node] = grad
+
+    for node, grad in seeds:
+        if node.needs_grad:
+            add(node, grad.copy())
+    topo = ad._toposort([node for node, _ in seeds])
+    for node in reversed(topo):
+        if node._backprop is not None:
+            for parent, grad in zip(node.parents, node._backprop(grads.pop(node))):
+                add(parent, grad)
+    return {node: grads.get(node) for node in topo if not node.parents}
+
+
+def hadamard_head_by_passes(cb, x, g):
+    """The Hadamard head's output on ``x`` and its input gradient for the
+    output gradient ``g``, composed of separate passes that each return a
+    fresh array: ``fwht`` then ``_softmax_last_axis``, and
+    ``fwht(_softmax_backward(s, g))``. The reference that
+    ``autodiff.hadamard_head`` and its in-place buffers are compared
+    against."""
+    assert x.shape[-1] == cb.n
+    s = _softmax_last_axis(fwht(x))
+    return s, fwht(_softmax_backward(s, g))
 
 
 def nearest_upsample_2x(x):

@@ -22,6 +22,8 @@ from helpers import (
     add_subpixel_phases_by_slices,
     channel_concat,
     col2im,
+    gradients_copy_first,
+    hadamard_head_by_passes,
     nearest_upsample_2x,
     reachable_nodes,
     rel_error,
@@ -660,6 +662,22 @@ class TestSoftmaxAndHead:
         ad.backward([(out, grad)])
         assert np.allclose(node.grad, hadamard_backward(act, grad), atol=1e-15)
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 6, 7])
+    def test_head_equals_separate_passes(self, k):
+        # The op's in-place softmax and its backward's shared buffer give
+        # the bytes of the passes run one by one on fresh arrays; k = 7 runs
+        # the two-factor transform.
+        rng = np.random.default_rng(13 + k)
+        cb = sylvester(k)
+        x = 3.0 * rng.standard_normal((2, 3, 5, cb.n))
+        g = rng.standard_normal(x.shape)
+        s, dx = hadamard_head_by_passes(cb, x, g)
+        node = ad.constant(x)
+        out = ad.hadamard_head(node, cb)
+        assert np.array_equal(out.value, s)
+        assert np.array_equal(ad.gradients([(out, g)])[node], dx)
+        assert np.array_equal(node.value, x)
+
     def test_head_gradient(self):
         rng = np.random.default_rng(11)
         cb = sylvester(2)
@@ -684,13 +702,68 @@ class TestBackward:
         ad.backward([(z, seed_z), (y, seed_y)])
         # y's gradient is 1 from z plus its seed of 10, and x gets all of it.
         assert np.allclose(x.grad, [11.0, 11.0])
-        # The seeds are copied, not stored: adding z's contribution to y's
-        # gradient left the caller's arrays unchanged.
+        # The seeds are not stored: adding z's contribution to y's gradient
+        # left the caller's arrays unchanged.
         assert np.array_equal(seed_z, [1.0, 1.0])
         assert np.array_equal(seed_y, [10.0, 10.0])
         assert not np.shares_memory(x.grad, seed_z)
         assert not np.shares_memory(x.grad, seed_y)
         assert y.grad is None and z.grad is None
+
+    @staticmethod
+    def _read_only(array):
+        array.setflags(write=False)
+        return array
+
+    @pytest.mark.parametrize("contributions", [0, 1, 2])
+    def test_interior_seed_equals_copy_first_walk(self, contributions):
+        # y is seeded and reached by 0, 1 or 2 downstream contributions. The
+        # walk adds y's seed into the first of them; the sum equals, bit for
+        # bit, storing a copy of the seed first and adding every
+        # contribution to it. The seeds are read-only and stay unchanged.
+        rng = np.random.default_rng(70 + contributions)
+        x = ad.constant(rng.standard_normal(6))
+        y = ad.leaky_relu(x)
+        seeds = [(y, self._read_only(rng.standard_normal(6)))]
+        for op in (ad.relu, ad.sigmoid)[:contributions]:
+            seeds.append((op(y), self._read_only(rng.standard_normal(6))))
+        kept = [seed.copy() for _, seed in seeds]
+        got = ad.gradients(seeds)[x]
+        assert got.tobytes() == gradients_copy_first(seeds)[x].tobytes()
+        for (_, seed), before in zip(seeds, kept):
+            assert seed.tobytes() == before.tobytes()
+            assert not np.shares_memory(got, seed)
+
+    def test_node_seeded_twice_equals_copy_first_walk(self):
+        rng = np.random.default_rng(73)
+        x = ad.constant(rng.standard_normal(5))
+        y = ad.leaky_relu(x)
+        z = ad.sigmoid(y)
+        seeds = [(y, rng.standard_normal(5)), (z, rng.standard_normal(5)), (y, rng.standard_normal(5))]
+        for node in (y, z):
+            for extra in (0, 1):
+                order = seeds + [(node, rng.standard_normal(5))] * extra
+                assert (
+                    ad.gradients(order)[x].tobytes() == gradients_copy_first(order)[x].tobytes()
+                )
+
+    def test_seeded_leaf_gets_a_copy(self):
+        # A leaf that nothing reaches gets a copy of its seed; one that is
+        # reached gets the contribution plus its seed. Neither is the
+        # caller's array, and a read-only seed stays as it was.
+        rng = np.random.default_rng(74)
+        x = ad.constant(rng.standard_normal(4))
+        alone = ad.constant(rng.standard_normal(4))
+        y = ad.relu(x)
+        seed_x, seed_alone, seed_y = (self._read_only(rng.standard_normal(4)) for _ in range(3))
+        grads = ad.gradients([(alone, seed_alone), (x, seed_x), (y, seed_y)])
+        assert np.array_equal(grads[alone], seed_alone)
+        assert not np.shares_memory(grads[alone], seed_alone)
+        reference = gradients_copy_first([(alone, seed_alone), (x, seed_x), (y, seed_y)])
+        assert grads[x].tobytes() == reference[x].tobytes()
+        for seed in (seed_x, seed_alone, seed_y):
+            assert not np.shares_memory(grads[x], seed)
+        assert grads[alone].flags.writeable and grads[x].flags.writeable
 
     def test_seed_shape_checked(self):
         x = ad.constant(np.zeros((2, 2)))

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import time
 
@@ -249,7 +251,9 @@ class TestRenderCommand:
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
-    """Generated data plus one trained run per head, shared by the tests."""
+    """Generated data, its config, and one trained run per head in
+    ``root / head``, shared by the tests: the fixture trains both heads
+    itself, so a test that reads a run passes on its own too."""
     root = tmp_path_factory.mktemp("tiny")
     data_dir = root / "data"
     assert main([
@@ -270,17 +274,21 @@ def tiny_run(tmp_path_factory):
         "train.batch_size = 2\n"
         "train.metrics_every = 2\n"
     )
+    for head in ("one_hot", "hadamard"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", str(config), "--head", head, "--out", str(root / head)])
+        assert code == 0
     return root, config, data_dir
 
 
 class TestTrainCommand:
-    def test_param_count_line_identical_across_heads(self, capsys, tiny_run):
-        root, config, _ = tiny_run
+    def test_param_count_line_identical_across_heads(self, capsys, tiny_run, tmp_path):
+        _, config, _ = tiny_run
         lines = {}
         for head in ("one_hot", "hadamard"):
             code, out, _ = run(
                 capsys, "train", "--config", str(config), "--head", head,
-                "--out", str(root / head),
+                "--out", str(tmp_path / head),
             )
             assert code == 0
             lines[head] = next(

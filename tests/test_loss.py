@@ -1,8 +1,11 @@
 import math
 from dataclasses import astuple, replace
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadaseg.codes import sylvester
 from hadaseg.data import gen_synthetic, one_hot
@@ -351,6 +354,91 @@ class TestFusedGeneratorLoss:
         generator_loss_sums(alpha_fake, y_hat, labels, y_c_hat, sylvester(1), (1, 2, 2))
         for before, after in zip(copies, inputs):
             assert np.array_equal(before, after)
+
+
+# The values whose sign numpy's sign and copysign treat differently (the
+# zeros and NaN), and the infinities.
+_SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+def _special_case(rng, k, shape=(2, 3, 4)):
+    """Loss inputs at code length 2^k whose probability map and code map
+    hold every special value, off and on the label columns. A code map
+    entry equal to its code gives a difference of +0.0; a difference of
+    -0.0 cannot arise, since every code entry is +1 or -1."""
+    cb = sylvester(k)
+    labels = rng.integers(0, cb.n, shape)
+    y = np.eye(cb.n)[labels]
+    y_c = cb.matrix[labels].astype(np.float64)
+    y_hat = rng.uniform(0.0, 1.0, y.shape)
+    y_c_hat = rng.standard_normal(y.shape)
+    for z_hat, z in ((y_hat, y), (y_c_hat, y_c)):
+        flat, target = z_hat.reshape(-1), z.reshape(-1)
+        spots = rng.choice(flat.size, size=min(flat.size, 3 * _SPECIAL.size + 2), replace=False)
+        flat[spots[: 3 * _SPECIAL.size]] = np.tile(_SPECIAL, 3)
+        flat[spots[3 * _SPECIAL.size :]] = target[spots[3 * _SPECIAL.size :]]
+    alpha = rng.uniform(0.0, 1.0, (2, 2, 2, 1))
+    return cb, labels, alpha, y_hat, y, y_c_hat, y_c
+
+
+def _assert_label_path_matches_dense(cb, labels, alpha, y_hat, y, y_c_hat, y_c, w):
+    """Gradients and MAE sums of ``generator_loss_sums`` equal what the dense
+    reference gives for a one-chunk batch: NaN where it is NaN, and bit for
+    bit elsewhere, signed zeros included. A NaN's sign bit is left out: at
+    a NaN label column the label path negates 1 / NaN where the reference
+    divides -1 by NaN."""
+    counts = (alpha.size, y.size, y_c.size)
+    with np.errstate(all="ignore"):
+        sums, grads = generator_loss_sums(alpha, y_hat, labels, y_c_hat, cb, counts, w)
+        _, terms = generator_loss_from_sums([sums], counts, w)
+        _, expected_terms = generator_loss(alpha, y_hat, y, y_c_hat, y_c, w)
+        expected_grads = generator_loss_grads(alpha, y_hat, y, y_c_hat, y_c, w)
+    if w.lambda3 == 0:
+        assert grads[2] is None
+        grads, expected_grads = grads[:2], expected_grads[:2]
+    pairs = [(np.float64(getattr(terms, name)), np.float64(getattr(expected_terms, name)))
+             for name in ("mae_probability", "mae_code")]
+    for got, expected in pairs + list(zip(grads, expected_grads)):
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+class TestSignPathSpecialValues:
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("lambda3", [0.0, 250.0])
+    def test_special_values_match_the_dense_reference(self, k, lambda3):
+        # copysign gives +-c where sign gives 0 (the zeros) or NaN, so the
+        # label path mends those elements; its gradients and MAE sums still
+        # equal the dense reference's bit for bit.
+        rng = np.random.default_rng(80 + k)
+        case = _special_case(rng, k)
+        y_hat, y_c_hat = case[3], case[5]
+        for z_hat in (y_hat, y_c_hat):
+            assert np.isnan(z_hat).any() and np.isinf(z_hat).any()
+            assert (np.signbit(z_hat) & (z_hat == 0)).any()
+        assert ((y_c_hat - case[6]) == 0).any()
+        _assert_label_path_matches_dense(*case, LossWeights(lambda3=lambda3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.sampled_from([1, 2, 3]),
+        lambda3=st.sampled_from([0.0, 250.0]),
+    )
+    def test_drawn_maps_match_the_dense_reference(self, data, k, lambda3):
+        n = 2**k
+        labels = data.draw(hnp.arrays(np.int64, (2, 3), elements=st.integers(0, n - 1)))
+        values = st.floats(allow_subnormal=True) | st.sampled_from(list(_SPECIAL))
+        y_hat = data.draw(hnp.arrays(np.float64, (2, 3, n), elements=values))
+        y_c_hat = data.draw(hnp.arrays(np.float64, (2, 3, n), elements=values | st.sampled_from([-1.0, 1.0])))
+        cb = sylvester(k)
+        y = np.eye(n)[labels]
+        y_c = cb.matrix[labels].astype(np.float64)
+        alpha = np.full((2, 1, 1, 1), 0.5)
+        _assert_label_path_matches_dense(
+            cb, labels, alpha, y_hat, y, y_c_hat, y_c, LossWeights(lambda3=lambda3)
+        )
 
 
 def _batch_of_three(head):
