@@ -669,7 +669,7 @@ class TestSoftmaxAndHead:
         # the two-factor transform.
         rng = np.random.default_rng(13 + k)
         cb = sylvester(k)
-        x = 3.0 * rng.standard_normal((2, 3, 5, cb.n))
+        x = 3.0 * rng.standard_normal((3, 40, 17, cb.n))
         g = rng.standard_normal(x.shape)
         s, dx = hadamard_head_by_passes(cb, x, g)
         node = ad.constant(x)
