@@ -220,8 +220,7 @@ def generator_loss_sums(
     clamped = np.maximum(s, LOG_CLAMP)
     ce = -float(np.log(clamped).sum())
     clamped *= n_y
-    g_ce = np.divide(1.0, clamped, out=clamped)
-    np.negative(g_ce, out=g_ce)
+    g_ce = np.divide(-1.0, clamped, out=clamped)
     g_ce *= s > LOG_CLAMP
     g_ce *= w.lambda1
 

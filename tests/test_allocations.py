@@ -70,5 +70,8 @@ def test_generator_loss_makes_its_gradients_only(tail, lambda3, maps):
     cb, y_c, act, labels, alpha, _ = tail
     counts = (alpha.size, y_c.size, y_c.size)
     w = LossWeights(lambda3=lambda3)
-    call = lambda: generator_loss_sums(alpha, act.output, labels, y_c, cb, counts, w)  # noqa: E731
+
+    def call():
+        return generator_loss_sums(alpha, act.output, labels, y_c, cb, counts, w)
+
     assert _peak_maps(call) <= maps + SLACK
