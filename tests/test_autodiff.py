@@ -664,9 +664,10 @@ class TestSoftmaxAndHead:
 
     @pytest.mark.parametrize("k", [0, 1, 3, 6, 7])
     def test_head_equals_separate_passes(self, k):
-        # The op's in-place softmax and its backward's shared buffer give
-        # the bytes of the passes run one by one on fresh arrays; k = 7 runs
-        # the two-factor transform.
+        # The op's in-place softmax and its backward's blocks, which share
+        # one buffer, give the bytes of the passes run one by one over the
+        # whole map on fresh arrays. [3, 40, 17, n] spans several blocks at
+        # k = 6 and 7; k = 7 runs the two-factor transform.
         rng = np.random.default_rng(13 + k)
         cb = sylvester(k)
         x = 3.0 * rng.standard_normal((3, 40, 17, cb.n))
