@@ -27,17 +27,26 @@ predicted and code maps). The discriminator part scores the real pair and
 the predicted pair, the predicted map as a raw array; the generator part
 scores the predicted pair again with the predicted map as the tape's node,
 so its input gradient reaches the generator. Only the loss sums and the
-Parameters' gradients cross processes. One shared mapping holds a row of
-parameter values, which Adam updates in place, and a gradient row per
-chunk, into which that chunk's process copies its gradients; the rest goes
-through a pipe. Both are added in chunk order; the sums are then divided
-by the whole batch's element counts. P is the number of usable CPUs that
-BLAS leaves idle (see ``thread_count``), so a BLAS that already runs a
-thread per CPU gets P = 1, a step of one chunk, which forks nothing and
-whose shared mapping holds the parameter values and chunk 0's gradients.
-Workers are forked, not spawned, so that a call does not re-import numpy
-and the package; P > 1 needs ``/proc`` to read the BLAS thread count, so
-it arises only where ``fork`` exists.
+Parameters' gradients cross processes. One shared mapping holds a table
+whose row 0 holds the parameter values and whose other rows are one
+gradient row per chunk, into which that chunk's process copies its
+gradients; the rest goes through a pipe. Every row lays out the
+generator's Parameters, then the discriminator's, so each network is one
+slice of the table's columns. Both are added in chunk order, a network's
+gradients with one add per chunk over its slice; the loss sums are then
+divided by the whole batch's element counts. The finite check and Adam run
+once per network, over its slice as one array: Adam is elementwise, so
+this updates every Parameter to the bytes a per-Parameter update gives,
+and the check names the non-finite Parameters only when the slice has a
+non-finite value.
+
+P is the number of usable CPUs that BLAS leaves idle (see
+``thread_count``), so a BLAS that already runs a thread per CPU gets
+P = 1, a step of one chunk, which forks nothing and whose shared mapping
+holds the parameter values and chunk 0's gradients. Workers are forked, not
+spawned, so that a call does not re-import numpy and the package; P > 1
+needs ``/proc`` to read the BLAS thread count, so it arises only where
+``fork`` exists.
 
 Everything is derived from a single seed: weight init, batch order, and the
 synthetic data stream if the caller built one the same way. Rerunning with
@@ -189,13 +198,16 @@ class TrainSettings:
 
 
 def _check_finite(
-    step: int, loss: float, grads: dict[str, np.ndarray], diagnostic: str
+    step: int, loss: float, grad: np.ndarray, parts: dict[str, np.ndarray], diagnostic: str
 ) -> None:
-    """Raise TrainingDivergedError unless the loss and every gradient are
-    finite, so that Adam never applies a non-finite update."""
-    bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
-    if np.isfinite(loss) and not bad:
+    """Raise TrainingDivergedError unless the loss and the flat gradient
+    ``grad`` of one network are finite, so that Adam never applies a
+    non-finite update. ``parts`` maps each of the network's Parameter names
+    to its part of ``grad``; it is read only when a check fails, to name the
+    non-finite gradients."""
+    if np.isfinite(loss) and np.isfinite(grad).all():
         return
+    bad = [name for name, g in parts.items() if not np.isfinite(g).all()]
     what = "loss" if not np.isfinite(loss) else "gradient"
     names = f"; non-finite gradients: {', '.join(bad)}" if bad else ""
     raise TrainingDivergedError(f"non-finite {what} at step {step}: {diagnostic}{names}")
@@ -332,11 +344,12 @@ class _ChunkWorkers:
             return ChildProcessError(what), None
 
 
-def _share_parameters(parameters: list[ad.Parameter], chunks: int) -> list[dict]:
+def _share_parameters(parameters: list[ad.Parameter], chunks: int) -> tuple[np.ndarray, list]:
     """Move every Parameter's value into row 0 of one anonymous shared
     mapping of 1 + ``chunks`` rows, so that forked workers read the values
-    that Adam updates in place here. Returns rows 1.., a {Parameter: array}
-    gradient row per chunk."""
+    that Adam updates in place here. Every row lays the Parameters out in
+    ``parameters`` order. Returns the [1 + chunks, size] table and rows 1..
+    as {Parameter: array} views, a gradient row per chunk."""
     size = sum(p.value.size for p in parameters)
     rows = 1 + chunks
     table = np.frombuffer(mmap.mmap(-1, 8 * size * rows), dtype=np.float64).reshape(rows, size)
@@ -348,18 +361,17 @@ def _share_parameters(parameters: list[ad.Parameter], chunks: int) -> list[dict]
     for p, view in views[0].items():
         view[...] = p.value
         p.value = view
-    return views[1:]
+    return table, views[1:]
 
 
-def _sum_chunk_grads(parameters: dict[str, ad.Parameter], grad_rows) -> dict[str, np.ndarray]:
-    """Each Parameter's gradients from the chunks' rows, added in chunk
-    order into chunk 0's row; returns the sums by name. No Parameter's
-    ``.grad`` is written."""
-    sums = {name: grad_rows[0][p] for name, p in parameters.items()}
-    for row in grad_rows[1:]:
-        for name, p in parameters.items():
-            sums[name] += row[p]
-    return sums
+def _sum_chunk_grads(table: np.ndarray, span: slice) -> np.ndarray:
+    """One network's gradient: the chunks' gradient rows of ``table`` in
+    the columns ``span``, added in chunk order into chunk 0's row, whose
+    slice is returned. No Parameter's ``.grad`` is written."""
+    grad = table[1, span]
+    for row in table[2:]:
+        grad += row[span]
+    return grad
 
 
 def train_cgan(
@@ -425,9 +437,14 @@ def train_cgan(
     rng = np.random.default_rng(seeds[2])
     indices = chain.from_iterable(rng.permutation(len(dataset)) for _ in count())
     parameters = [*gen.parameters.values(), *disc.parameters.values()]
-    grad_rows = _share_parameters(parameters, workers)
-    gen_params = {name: p.value for name, p in gen.parameters.items()}
-    disc_params = {name: p.value for name, p in disc.parameters.items()}
+    table, grad_rows = _share_parameters(parameters, workers)
+    # Each network is one slice of the table's columns, updated as a whole.
+    gen_size = sum(p.value.size for p in gen.parameters.values())
+    gen_span, disc_span = slice(0, gen_size), slice(gen_size, table.shape[1])
+    gen_params = {"generator": table[0, gen_span]}
+    disc_params = {"discriminator": table[0, disc_span]}
+    gen_parts = {name: grad_rows[0][p] for name, p in gen.parameters.items()}
+    disc_parts = {name: grad_rows[0][p] for name, p in disc.parameters.items()}
     gen_state = adam_init(gen_params)
     disc_state = adam_init(disc_params)
     adam_settings = {"lr": settings.lr, "beta1": settings.beta1, "beta2": settings.beta2}
@@ -498,24 +515,25 @@ def train_cgan(
             replies = chunk_workers.map([("discriminator", *chunk) for chunk in chunks])
             counts, sums = zip(*replies)
             loss_d = discriminator_loss_from_sums(sums, counts[0])
-            disc_grads = _sum_chunk_grads(disc.parameters, grad_rows)
-            _check_finite(step, loss_d, disc_grads, f"L_D={loss_d}")
-            adam_step(disc_params, disc_grads, disc_state, **adam_settings)
+            disc_grad = _sum_chunk_grads(table, disc_span)
+            _check_finite(step, loss_d, disc_grad, disc_parts, f"L_D={loss_d}")
+            adam_step(disc_params, {"discriminator": disc_grad}, disc_state, **adam_settings)
 
             # Generator update through the refreshed discriminator.
             replies = chunk_workers.map([("generator", with_argmax)] * workers)
             counts, sums, predicted = zip(*replies)
             total, terms = generator_loss_from_sums(sums, counts[0], effective)
-            gen_grads = _sum_chunk_grads(gen.parameters, grad_rows)
+            gen_grad = _sum_chunk_grads(table, gen_span)
             _check_finite(
                 step,
                 total,
-                gen_grads,
+                gen_grad,
+                gen_parts,
                 f"L_D={loss_d} L_G={total} "
                 f"(adv={terms.adversarial} ce={terms.cross_entropy} "
                 f"mae_y={terms.mae_probability} mae_yc={terms.mae_code})",
             )
-            adam_step(gen_params, gen_grads, gen_state, **adam_settings)
+            adam_step(gen_params, {"generator": gen_grad}, gen_state, **adam_settings)
 
             # Raw code-MAE is logged for both heads; only the weighted total
             # depends on the head.

@@ -1,7 +1,8 @@
 """Shared test utilities: gradient checking against central finite differences,
 walking an autodiff tape, a copy-first reference walk, reference upsampling,
-concatenation, column scatter, sub-pixel phase placement and Hadamard head
-ops, corrupting an image file, and killing training's chunk workers."""
+concatenation, window views, column scatter, sub-pixel phase placement and
+Hadamard head ops, corrupting an image file, and killing training's chunk
+workers."""
 
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from hadaseg.codes import fwht
 from hadaseg.errors import ShapeError
@@ -131,6 +133,31 @@ def channel_concat(a, b):
         )
 
     return ad.Node(out, parents=(a, b), backprop=backprop)
+
+
+def im2col_by_window_view(padded, k, stride):
+    """The column matrix of every k x k window of ``padded`` [B, H, W, C]
+    taken at ``stride``, built with ``sliding_window_view``, a slice and a
+    transpose: the reference that ``autodiff._im2col`` is compared against.
+    Returns the matrix and the output height and width."""
+    batch, channels = padded.shape[0], padded.shape[3]
+    windows = sliding_window_view(padded, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    out_h, out_w = windows.shape[1], windows.shape[2]
+    # windows is [B, Ho, Wo, C, k, k].
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        batch * out_h * out_w, k * k * channels
+    )
+    return cols, out_h, out_w
+
+
+def phase_view_as_strided(phases):
+    """``autodiff._phase_view`` built with ``as_strided``: the sub-pixel
+    ``phases`` [B, h+1, w+1, 2, 2, C] as a writable view [B, h, 2, w, 2, C]
+    whose element (b, i, a, j, c) is ``phases[b, i + a, j + c, a, c]``."""
+    s_b, s_i, s_j, s_a, s_c, s_ch = phases.strides
+    batch, height, width, _, _, channels = phases.shape
+    shape = (batch, height - 1, 2, width - 1, 2, channels)
+    return as_strided(phases, shape, (s_b, s_i, s_i + s_a, s_j, s_j + s_c, s_ch))
 
 
 def col2im(dcols, shape, k, stride, out_hw):

@@ -24,7 +24,9 @@ from helpers import (
     col2im,
     gradients_copy_first,
     hadamard_head_by_passes,
+    im2col_by_window_view,
     nearest_upsample_2x,
+    phase_view_as_strided,
     reachable_nodes,
     rel_error,
     subpixel_phase_gradient_by_slices,
@@ -420,16 +422,101 @@ class TestPadSame:
         "shape", [(2, 64, 64, 3), (2, 32, 32, 16), (1, 3, 5, 2)]
     )
     @pytest.mark.parametrize("pad", [0, 1, 2])
-    def test_equals_np_pad_bitwise(self, shape, pad):
+    def test_equals_np_pad_bitwise(self, monkeypatch, shape, pad):
+        # Only the border is zeroed, so every new buffer starts out NaN here:
+        # an unzeroed border cell cannot pass by luck.
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
         rng = np.random.default_rng(9)
         v = rng.standard_normal(shape)
         v.reshape(-1)[:2] = -0.0, np.nan
+        monkeypatch.setattr(np, "empty", nan_empty)
         expected = np.pad(v, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
         assert ad._pad_same(v, pad).tobytes() == expected.tobytes()
         # Padded by pad in front and pad + 1 behind, as the stride-2 input
-        # gradient pads the output gradient for its windows.
-        expected = np.pad(v, ((0, 0), (pad, pad + 1), (pad, pad + 1), (0, 0)))
-        assert ad._pad_same(v, pad, pad + 1).tobytes() == expected.tobytes()
+        # gradient pads the output gradient for its windows, and by none
+        # behind.
+        for after in (pad + 1, 0):
+            expected = np.pad(v, ((0, 0), (pad, after), (pad, after), (0, 0)))
+            assert ad._pad_same(v, pad, after).tobytes() == expected.tobytes()
+
+
+class TestWindowViews:
+    """The windows of ``_im2col`` and the phase view of ``_phase_view``,
+    built as one ``np.ndarray`` each, against their reference forms."""
+
+    @pytest.mark.parametrize("channels", [1, 3, 16])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("size", [(7, 5), (6, 8)], ids=["odd", "even"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_im2col_matches_window_view(self, k, stride, size, batch, channels):
+        rng = np.random.default_rng(80 + k)
+        padded = rng.standard_normal((batch, size[0] + k - 1, size[1] + k - 1, channels))
+        padded.reshape(-1)[:2] = -0.0, np.nan
+        cols, out_h, out_w = ad._im2col(padded, k, stride)
+        ref, ref_h, ref_w = im2col_by_window_view(padded, k, stride)
+        assert (out_h, out_w) == (ref_h, ref_w)
+        assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_im2col_reads_any_source_layout(self, k):
+        # A sliced, a transposed and a read-only source give the columns of
+        # their contiguous copy.
+        rng = np.random.default_rng(85)
+        base = rng.standard_normal((2, 9, 9, 6))
+        sources = [base[:, 1:8, ::2, ::2], base.transpose(0, 2, 1, 3), base[..., :3]]
+        read_only = base.copy()
+        read_only.flags.writeable = False
+        for source in [*sources, read_only]:
+            for stride in (1, 2):
+                cols, _, _ = ad._im2col(source, k, stride)
+                ref, _, _ = im2col_by_window_view(np.ascontiguousarray(source), k, stride)
+                assert cols.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "shape", TestSubpixelPhasePlacement.SHAPES, ids=lambda s: "x".join(map(str, s))
+    )
+    def test_phase_view_matches_as_strided(self, shape, channels):
+        batch, height, width = shape
+        rng = np.random.default_rng(86)
+        phases = rng.standard_normal((batch, height + 1, width + 1, 2, 2, channels))
+        view, ref = ad._phase_view(phases), phase_view_as_strided(phases)
+        assert view.shape == ref.shape and view.strides == ref.strides
+        assert view.tobytes() == ref.tobytes()
+        # Writes land where the reference view's do.
+        values = rng.standard_normal(view.shape)
+        written, expected = np.zeros_like(phases), np.zeros_like(phases)
+        ad._phase_view(written)[...] = values
+        phase_view_as_strided(expected)[...] = values
+        assert written.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", ["sliced", "transposed"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_backprop_of_a_non_contiguous_gradient(self, k, stride, layout):
+        # A 1x1 conv's input gradient reads the output gradient's windows
+        # unpadded, so a strided g reaches _im2col as it is.
+        rng = np.random.default_rng(87 + k)
+        x = ad.constant(rng.standard_normal((2, 6, 6, 3)))
+        w = ad.constant(rng.standard_normal((k, k, 3, 4)))
+        b = ad.constant(rng.standard_normal(4))
+        out = ad.conv2d(x, w, b, stride=stride)
+        batch, height, width, cout = out.shape
+        if layout == "sliced":
+            g = rng.standard_normal((batch, height, width, 2 * cout))[..., ::2]
+        else:
+            g = rng.standard_normal((batch, width, height, cout)).transpose(0, 2, 1, 3)
+        assert not g.flags.c_contiguous
+        expected = out._backprop(np.ascontiguousarray(g))
+        for grad, ref in zip(out._backprop(g), expected):
+            assert np.ascontiguousarray(grad).tobytes() == ref.tobytes()
 
 
 class TestElementwiseOps:

@@ -51,3 +51,23 @@ class TestAdam:
         state = adam_init(params)
         with pytest.raises(ShapeError):
             adam_step(params, {"x": np.zeros(3)}, state)
+
+    def test_one_flat_update_equals_per_parameter_updates(self):
+        # Adam is elementwise, so one update over the Parameters laid end to
+        # end gives each Parameter's bytes, and its moments', at every step.
+        rng = np.random.default_rng(11)
+        shapes = {"enc0.w": (3, 3, 3, 4), "enc0.b": (4,), "dec2.w": (3, 3, 8, 2), "out.b": (2,)}
+        params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        flat = {"all": np.concatenate([p.reshape(-1) for p in params.values()])}
+        state, flat_state = adam_init(params), adam_init(flat)
+        for _ in range(4):
+            grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            grads["enc0.b"][0] = 0.0
+            adam_step(params, grads, state, lr=0.1, beta1=0.5, beta2=0.999)
+            flat_grad = np.concatenate([g.reshape(-1) for g in grads.values()])
+            adam_step(flat, {"all": flat_grad}, flat_state, lr=0.1, beta1=0.5, beta2=0.999)
+            pairs = [(params, flat), (state.m, flat_state.m), (state.v, flat_state.v)]
+            for looped, whole in pairs:
+                joined = np.concatenate([a.reshape(-1) for a in looped.values()])
+                assert joined.tobytes() == whole["all"].tobytes()
+        assert state.t == flat_state.t == 4

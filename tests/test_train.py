@@ -4,6 +4,7 @@ import os
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hadaseg.netkit import (
     train_cgan,
 )
 from hadaseg.netkit import autodiff as ad
+from hadaseg.netkit.models import build_generator
 from hadaseg.netkit import train as train_module
 from hadaseg.netkit.optim import adam_step
 from hadaseg.netkit.train import LOSS_CSV_COLUMNS
@@ -176,7 +178,9 @@ class TestTrainLoop:
             assert param.grad is None, param.name
 
     def test_non_finite_generator_loss_stops_before_generator_update(self, monkeypatch):
-        calls = []
+        # Each network's Parameters stay views of the shared table when the
+        # call raises, so their values show which network Adam updated.
+        calls, built = [], {}
 
         def recording_adam_step(params, grads, state, **kwargs):
             calls.append(sorted(params))
@@ -186,8 +190,19 @@ class TestTrainLoop:
             _, terms = generator_loss_from_sums(*args)
             return float("nan"), terms
 
+        def recording(build, key):
+            def wrapped(*args, **kwargs):
+                network = build(*args, **kwargs)
+                built[key] = (network, {n: p.value.copy() for n, p in network.parameters.items()})
+                return network
+
+            return wrapped
+
         monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
         monkeypatch.setattr(train_module, "generator_loss_from_sums", nan_generator_loss)
+        for key in ("generator", "discriminator"):
+            build = getattr(train_module, f"build_{key}")
+            monkeypatch.setattr(train_module, f"build_{key}", recording(build, key))
         gen_cfg, disc_cfg = _tiny_configs()
         with pytest.raises(TrainingDivergedError) as excinfo:
             train_cgan(
@@ -195,8 +210,15 @@ class TestTrainLoop:
             )
         assert "non-finite loss at step 1: L_D=" in str(excinfo.value)
         assert "L_G=nan" in str(excinfo.value)
-        # Only the discriminator was updated.
-        assert len(calls) == 1 and "d0.w" in calls[0] and "enc0.w" not in calls[0]
+        # Only the discriminator was updated: every generator Parameter
+        # keeps its initial bytes, and every discriminator weight moved.
+        assert calls == [["discriminator"]]
+        gen, gen_initial = built["generator"]
+        for name, p in gen.parameters.items():
+            assert p.value.tobytes() == gen_initial[name].tobytes(), name
+        disc, disc_initial = built["discriminator"]
+        for name, p in disc.parameters.items():
+            assert not np.array_equal(p.value, disc_initial[name]), name
 
     def test_empty_dataset_rejected(self):
         gen_cfg, disc_cfg = _tiny_configs()
@@ -401,6 +423,36 @@ class TestBatchOrder:
             2, 0, 5, 4, 1, 3,
             4, 5,
         ]
+
+
+class TestUpdateChecks:
+    def test_non_finite_gradients_named_from_the_network_slice(self):
+        # One generator's gradients laid out in a shared table's chunk row,
+        # as training sums them: NaN in two Parameters that are not
+        # neighbours is reported by exactly their names, in network order.
+        gen_cfg, _ = _tiny_configs()
+        gen = build_generator(replace(gen_cfg, depth=3), seed=0)
+        table, grad_rows = train_module._share_parameters(list(gen.parameters.values()), 1)
+        parts = {name: grad_rows[0][p] for name, p in gen.parameters.items()}
+        grad = train_module._sum_chunk_grads(table, slice(0, table.shape[1]))
+        grad[...] = 1.0
+        parts["dec2.w"][0, 1, 0, 0] = np.nan
+        parts["enc0.b"][-1] = np.inf
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            train_module._check_finite(3, 0.5, grad, parts, "L_G=0.5")
+        assert str(excinfo.value) == (
+            "non-finite gradient at step 3: L_G=0.5; non-finite gradients: enc0.b, dec2.w"
+        )
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            train_module._check_finite(4, float("nan"), grad, parts, "L_G=nan")
+        assert str(excinfo.value) == (
+            "non-finite loss at step 4: L_G=nan; non-finite gradients: enc0.b, dec2.w"
+        )
+        grad[...] = 1.0
+        train_module._check_finite(5, 0.5, grad, parts, "L_G=0.5")
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            train_module._check_finite(6, float("inf"), grad, parts, "L_G=inf")
+        assert str(excinfo.value) == "non-finite loss at step 6: L_G=inf"
 
 
 class TestChunkWorkers:
