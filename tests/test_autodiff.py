@@ -501,8 +501,9 @@ class TestWindowViews:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3])
     def test_backprop_of_a_non_contiguous_gradient(self, k, stride, layout):
-        # A 1x1 conv's input gradient reads the output gradient's windows
-        # unpadded, so a strided g reaches _im2col as it is.
+        # A strided g gives the bytes of its contiguous copy: a 1x1 conv's
+        # input gradient reads g's windows unpadded, and BLAS sums a strided
+        # operand of the weight and bias products in another order.
         rng = np.random.default_rng(87 + k)
         x = ad.constant(rng.standard_normal((2, 6, 6, 3)))
         w = ad.constant(rng.standard_normal((k, k, 3, 4)))
